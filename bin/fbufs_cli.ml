@@ -138,13 +138,13 @@ let dump_on_exit_flag =
   in
   Arg.(value & flag & info [ "dump-on-exit" ] ~doc)
 
-(* Recorder arming sits innermost so it can tap sinks the outer wrappers
-   installed (or install its own ring when a layer is absent); machines
-   are created inside [f], after the monitors' sequence-point hook is in
-   place. *)
-let with_recorder ?dir ~dump_on_exit f =
+(* The flight recorder and its monitors join the run's record: the
+   recorder taps the sinks the run requested (adding its own ring where
+   one is absent) and the monitors take the sequence-point hook. Returns
+   the record extension and the run to execute under it. *)
+let recorder ?dir ~dump_on_exit f =
   match (dir, dump_on_exit) with
-  | None, false -> f ()
+  | None, false -> (None, f)
   | _ ->
       let module O = Fbufs_obs in
       let config =
@@ -156,22 +156,25 @@ let with_recorder ?dir ~dump_on_exit f =
       in
       let r = O.Recorder.create config in
       let mon = O.Monitor.create ~recorder:r O.Monitor.default in
-      O.Recorder.with_armed r (fun () ->
-          O.Monitor.with_installed mon (fun () ->
+      let extend o =
+        { (O.Recorder.arm r o) with seq_hook = Some (O.Monitor.hook mon) }
+      in
+      ( Some extend,
+        fun () ->
+          Fun.protect
+            ~finally:(fun () -> O.Recorder.disarm r)
+            (fun () ->
               let x = f () in
               if dump_on_exit then
                 ignore (O.Recorder.trigger ~force:true r ~reason:"exit");
-              x))
+              x) )
 
-(* Wrap an experiment term so tracing, metering and span recording cover
-   exactly its run. Spans sit innermost so their post-run export can
-   observe transfer walls into the still-installed metrics instance. *)
+(* Wrap an experiment term so tracing, metering, span recording and the
+   flight recorder cover exactly its run. *)
 let traced term =
   let wrap chrome jsonl metrics spans record dump_on_exit f =
-    H.Tracing.with_trace ?chrome ?jsonl (fun () ->
-        H.Metrics_run.with_metrics ?file:metrics (fun () ->
-            H.Spans_run.with_spans ?jsonl:spans (fun () ->
-                with_recorder ?dir:record ~dump_on_exit f)))
+    let extend, f = recorder ?dir:record ~dump_on_exit f in
+    H.Run.with_outputs ?chrome ?jsonl ?metrics ?spans ?extend f
   in
   Term.(
     const wrap $ trace_file $ jsonl_file $ metrics_file $ spans_file
@@ -240,8 +243,8 @@ let trace_cmd =
       value & opt string "fbufs_trace.json" & info [ "trace" ] ~doc ~docv:"FILE")
   in
   let run config bytes uncached window pdu_size nmsgs out jsonl metrics spans =
-    H.Tracing.run_workload ~config ~bytes ~uncached ?window ?pdu_size ?nmsgs
-      ~chrome:out ?jsonl ?metrics ?spans ()
+    H.Run.with_outputs ~chrome:out ?jsonl ?metrics ?spans
+      (H.Run.workload ~config ~bytes ~uncached ?window ?pdu_size ?nmsgs)
   in
   Cmd.v
     (Cmd.info "trace"
@@ -301,8 +304,9 @@ let spans_cmd =
     Arg.(value & opt (some int) None & info [ "top" ] ~doc ~docv:"N")
   in
   let run config bytes uncached window pdu_size nmsgs out chrome metrics top =
-    H.Tracing.run_workload ~config ~bytes ~uncached ~window ?pdu_size ~nmsgs
-      ?spans:out ?spans_chrome:chrome ?metrics ~spans_summary:true ?top ()
+    H.Run.with_outputs ?spans:out ?spans_chrome:chrome ?metrics ~critical:true
+      ?top
+      (H.Run.workload ~config ~bytes ~uncached ~window ?pdu_size ~nmsgs)
   in
   Cmd.v
     (Cmd.info "spans"
@@ -383,9 +387,11 @@ let check_cmd =
                   ();
                 ignore (O.Recorder.trigger r ~reason:("refusal:" ^ what)));
           Fun.protect
-            ~finally:(fun () -> Fbufs_check.Driver.refusal_hook := None)
+            ~finally:(fun () ->
+              Fbufs_check.Driver.refusal_hook := None;
+              O.Recorder.disarm r)
             (fun () ->
-              O.Recorder.with_armed r (fun () ->
+              H.Run.with_outputs ~extend:(O.Recorder.arm r) (fun () ->
                   let failures = run_jobs () in
                   ignore (O.Recorder.trigger ~force:true r ~reason:"exit");
                   failures))
@@ -550,37 +556,20 @@ let run_experiment experiment zero =
   | `Fig6 -> fig6 ()
   | `All -> all zero
 
-(* [stats --watch] and [top] share this: a Top renderer driven by the
-   machine tick hook, framing at fixed simulated intervals. *)
-let with_top ~interval_us f =
-  let own_mx, metrics =
-    match !Fbufs_sim.Machine.default_metrics with
-    | Some mx -> (false, mx)
-    | None ->
-        let mx = Fbufs_metrics.Metrics.create () in
-        Fbufs_sim.Machine.default_metrics := Some mx;
-        (true, mx)
-  in
-  let own_spans, sink =
-    match !Fbufs_sim.Machine.default_spans with
-    | Some s -> (false, s)
-    | None ->
-        let s = Fbufs_span.Span.create () in
-        Fbufs_sim.Machine.default_spans := Some s;
-        (true, s)
-  in
-  let top = Fbufs_obs.Top.create ~interval_us ~metrics () in
-  Fun.protect
-    ~finally:(fun () ->
-      if own_mx then Fbufs_sim.Machine.default_metrics := None;
-      if own_spans then Fbufs_sim.Machine.default_spans := None)
-    (fun () ->
-      let r = Fbufs_obs.Top.with_installed top f in
-      (* With our own span sink, fold wall times into the sketch so the
-         closing frame can print transfer quantiles. *)
-      if own_spans then H.Spans_run.roll_transfer_walls metrics sink;
+(* [stats --watch] and [top] share this: a Top renderer on the tick
+   callback, framing at fixed simulated intervals, with a span sink of
+   its own whose transfer walls feed the closing frame's quantiles. *)
+let watch_top ~interval_us f =
+  let top = Fbufs_obs.Top.create ~interval_us () in
+  let sink = Fbufs_span.Span.create () in
+  ( Some
+      (fun (o : Fbufs_sim.Machine.obs) ->
+        Fbufs_obs.Top.attach top { o with spans = Some sink }),
+    fun () ->
+      let x = f () in
+      H.Run.roll_transfer_walls (Fbufs_obs.Top.metrics top) sink;
       Fbufs_obs.Top.final top;
-      r)
+      x )
 
 let stats_cmd =
   let folded =
@@ -600,14 +589,14 @@ let stats_cmd =
     Arg.(value & opt (some float) None & info [ "watch" ] ~doc ~docv:"US")
   in
   let run experiment zero no_elision metrics folded watch =
+    let f () = run_experiment experiment zero in
+    let extend, f =
+      match watch with
+      | Some interval_us -> watch_top ~interval_us f
+      | None -> (None, f)
+    in
     with_elision no_elision (fun () ->
-        H.Metrics_run.with_metrics ?file:metrics ?folded ~summary:true
-          (fun () ->
-            match watch with
-            | Some interval_us ->
-                with_top ~interval_us (fun () ->
-                    run_experiment experiment zero)
-            | None -> run_experiment experiment zero))
+        H.Run.with_outputs ?metrics ?folded ~breakdown:true ?extend f)
   in
   Cmd.v
     (Cmd.info "stats"
@@ -625,9 +614,10 @@ let top_cmd =
     Arg.(value & opt float 1_000_000.0 & info [ "interval-us" ] ~doc ~docv:"US")
   in
   let run experiment zero no_elision interval =
-    with_elision no_elision (fun () ->
-        with_top ~interval_us:interval (fun () ->
-            run_experiment experiment zero))
+    let extend, f =
+      watch_top ~interval_us:interval (fun () -> run_experiment experiment zero)
+    in
+    with_elision no_elision (fun () -> H.Run.with_outputs ?extend f)
   in
   Cmd.v
     (Cmd.info "top"

@@ -90,7 +90,11 @@ let make_state ~seed =
   (* Replays always record causal spans: the span sink is one more
      observable to diff (see [verify_spans]), and recording is passive —
      it never feeds back into the simulation. *)
-  Machine.set_spans tb.Testbed.m (Some (Fbufs_span.Span.create ()));
+  let m = tb.Testbed.m in
+  Machine.set_obs m
+    (Some
+       { (Option.value m.Machine.obs ~default:Machine.no_obs) with
+         spans = Some (Fbufs_span.Span.create ()) });
   let a = Testbed.user_domain tb "dom_a" in
   let b = Testbed.user_domain tb "dom_b" in
   let c = Testbed.user_domain tb "dom_c" in
@@ -1141,7 +1145,7 @@ let exec st (op : Op.t) =
 (* -- metrics differential ----------------------------------------------- *)
 
 (* When the replay runs metered (an instance installed through
-   [Machine.default_metrics]), the registry is one more observable to
+   [Machine.with_obs]), the registry is one more observable to
    diff: allocation fast/slow-path counters against the model's own
    predictions, the free-list and liveness gauges against the model
    allocators, reclaim counts, and the ledger against the machine's busy

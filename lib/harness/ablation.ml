@@ -412,17 +412,16 @@ let tlb_elision () =
     Fbufs_vm.Pmap.elision_enabled := enabled;
     Fun.protect ~finally:(fun () -> Fbufs_vm.Pmap.elision_enabled := true)
     @@ fun () ->
-    (* A registry on the machine so the elision counter is observable;
-       everything else comes from the machine's own stats. *)
+    (* A private registry on the machine so the elision counter is
+       observable; everything else comes from the machine's own stats.
+       Attached after creation so the run's other sinks stay on it. *)
     let mx = Fbufs_metrics.Metrics.create () in
-    let saved = !Machine.default_metrics in
-    Machine.default_metrics := Some mx;
-    let tb =
-      Fun.protect
-        ~finally:(fun () -> Machine.default_metrics := saved)
-        (fun () -> Testbed.create ())
-    in
+    let tb = Testbed.create () in
     let m = tb.Testbed.m in
+    Machine.set_obs m
+      (Some
+         { (Option.value m.Machine.obs ~default:Machine.no_obs) with
+           metrics = Some mx });
     let app = Testbed.user_domain tb "app" in
     let recv = Testbed.user_domain tb "recv" in
     (* Volatile (uncached) buffers: every free unmaps, so this is the

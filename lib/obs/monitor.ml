@@ -223,13 +223,6 @@ let hook t m _site =
   | Ledger_rule -> check_ledger t m
   | Gauge -> check_gauges t m
 
-let install t = Machine.default_seq_hook := Some (hook t)
-let uninstall _t = Machine.default_seq_hook := None
-
-let with_installed t f =
-  install t;
-  Fun.protect ~finally:(fun () -> uninstall t) f
-
 let violations t = List.rev t.violations
 let violation_count t = t.violation_count
 let checks t = t.checks

@@ -53,16 +53,8 @@ val attach : t -> machine:string -> target -> unit
     machine. Without an attachment only the machine-local rules run. *)
 
 val hook : t -> Fbufs_sim.Machine.t -> string -> unit
-(** The sequence-point callback; exposed for direct installation on one
-    machine via [Machine.set_seq_hook]. *)
-
-val install : t -> unit
-(** Install {!hook} as [Machine.default_seq_hook] (picked up by machines
-    created afterwards). *)
-
-val uninstall : t -> unit
-
-val with_installed : t -> (unit -> 'a) -> 'a
+(** The sequence-point callback, installed as the [seq_hook] of a run's
+    {!Fbufs_sim.Machine.obs} record. *)
 
 val violations : t -> (string * string) list
 (** Retained [(rule, message)] pairs, oldest first, capped at

@@ -54,8 +54,8 @@ type t = {
   roots : Span.transfer Ring.t;
   mutable trace : Trace.t option;  (* sink being tapped while armed *)
   mutable spans : Span.t option;
-  mutable own_trace : bool;  (* we installed the default; uninstall on disarm *)
-  mutable own_spans : bool;
+  mutable metrics : Mx.t option;  (* the run's registry, for dump counts *)
+  mutable own_spans : bool;  (* we added the span sink: forget what we drop *)
   mutable armed : bool;
   mutable last_ts : float; (* span-side; merge with the trace via [last_ts t] *)
   mutable seen0 : int; (* events already in the trace when we armed *)
@@ -75,7 +75,7 @@ let create config =
     roots = Ring.create ~capacity:config.span_capacity;
     trace = None;
     spans = None;
-    own_trace = false;
+    metrics = None;
     own_spans = false;
     armed = false;
     last_ts = 0.0;
@@ -133,39 +133,36 @@ let span_tap t (tr : Span.transfer) =
   else if t.own_spans then
     match t.spans with Some s -> Span.forget s tr.Span.tid | None -> ()
 
-let arm t =
-  if not t.armed then begin
+let arm t (o : Machine.obs) =
+  if t.armed then o
+  else begin
     t.armed <- true;
     (let cur = (Gc.get ()).Gc.minor_heap_size in
      if t.config.gc_minor_words > cur then begin
        t.saved_minor <- cur;
        Gc.set { (Gc.get ()) with Gc.minor_heap_size = t.config.gc_minor_words }
      end);
-    (match !Machine.default_trace with
-    | Some tr -> t.trace <- Some tr
-    | None ->
-        let tr =
+    let tr =
+      match o.trace with
+      | Some tr -> tr
+      | None ->
           Trace.create ~ring:true ~latency:false
             ~capacity:t.config.event_capacity ()
-        in
-        t.trace <- Some tr;
-        t.own_trace <- true;
-        Machine.default_trace := Some tr);
-    (match t.trace with
-    | Some tr ->
-        t.seen0 <- pushed tr;
-        Trace.set_sampler tr (Some (sampler t))
-    | None -> ());
-    (match !Machine.default_spans with
-    | Some s -> t.spans <- Some s
-    | None ->
-        let s = Span.create () in
-        t.spans <- Some s;
-        t.own_spans <- true;
-        Machine.default_spans := Some s);
-    match t.spans with
-    | Some s -> Span.set_tap s (Some (span_tap t))
-    | None -> ()
+    in
+    t.seen0 <- pushed tr;
+    Trace.set_sampler tr (Some (sampler t));
+    let s =
+      match o.spans with
+      | Some s -> s
+      | None ->
+          t.own_spans <- true;
+          Span.create ()
+    in
+    Span.set_tap s (Some (span_tap t));
+    t.trace <- Some tr;
+    t.spans <- Some s;
+    t.metrics <- o.metrics;
+    { o with trace = Some tr; spans = Some s }
   end
 
 let disarm t =
@@ -177,15 +174,8 @@ let disarm t =
     end;
     (match t.trace with Some tr -> Trace.set_sampler tr None | None -> ());
     (match t.spans with Some s -> Span.set_tap s None | None -> ());
-    if t.own_trace then Machine.default_trace := None;
-    if t.own_spans then Machine.default_spans := None;
-    t.own_trace <- false;
     t.own_spans <- false
   end
-
-let with_armed t f =
-  arm t;
-  Fun.protect ~finally:(fun () -> disarm t) f
 
 let note t ~kind ?(args = []) () =
   if t.armed then
@@ -259,7 +249,7 @@ let write_dump t ~reason =
         ~finally:(fun () -> close_out oc)
         (fun () -> output_string oc content))
     (render_dump t ~reason);
-  match !Machine.default_metrics with
+  match t.metrics with
   | Some mx -> Mx.incr mx dumps_total ~labels:[ metric_label reason ] ()
   | None -> ()
 
@@ -275,7 +265,7 @@ let trigger ?(force = false) t ~reason =
   end
   else begin
     t.suppressed <- t.suppressed + 1;
-    (match !Machine.default_metrics with
+    (match t.metrics with
     | Some mx -> Mx.incr mx suppressed_total ~labels:[ metric_label reason ] ()
     | None -> ());
     false

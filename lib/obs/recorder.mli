@@ -50,17 +50,14 @@ type t
 
 val create : config -> t
 
-val arm : t -> unit
-(** Attach to the ambient sinks: taps an installed
-    [Machine.default_trace]/[default_spans] sink, or installs a
-    recorder-owned ring/sink when none is present (machines created
-    after [arm] pick it up). Re-arming is a no-op. *)
+val arm : t -> Fbufs_sim.Machine.obs -> Fbufs_sim.Machine.obs
+(** Arm against a run's record: tap its trace and span sinks, adding a
+    recorder-owned ring trace / span sink for any it lacks, and count
+    dumps in its registry. Returns the record to install. Re-arming
+    returns the record unchanged. *)
 
 val disarm : t -> unit
-(** Remove taps and uninstall any recorder-owned default sinks. *)
-
-val with_armed : t -> (unit -> 'a) -> 'a
-(** [arm], run, [disarm] (exceptions included). *)
+(** Remove the taps and restore the nursery size. *)
 
 val note : t -> kind:string -> ?args:(string * Fbufs_trace.Trace.arg) list -> unit -> unit
 (** Stamp an instant event (at the last observed simulated time) into
@@ -72,8 +69,8 @@ val trigger : ?force:bool -> t -> reason:string -> bool
     Suppressed (returning [false]) while within [debounce_us] of the
     previous dump or past [max_dumps]; [~force:true] (the [--dump-on-exit]
     path) bypasses both. Counted in [fbufs_obs_dumps_total{reason}] /
-    [fbufs_obs_dump_suppressed_total{reason}] when a metrics instance is
-    ambient. *)
+    [fbufs_obs_dump_suppressed_total{reason}] when the armed record
+    carries a registry. *)
 
 val render_dump : t -> reason:string -> (string * string) list
 (** The dump a {!trigger} would write, as [(filename, content)] pairs,

@@ -8,7 +8,7 @@ type t = {
   interval_us : float;
   ppf : Format.formatter;
   monitor : Monitor.t option;
-  metrics : Mx.t;
+  mutable metrics : Mx.t;
   prev : (string, float) Hashtbl.t;  (* counter totals at the last frame *)
   mutable next_due : float;
   mutable last_now : float;
@@ -16,14 +16,14 @@ type t = {
 }
 
 let create ?(interval_us = 1_000_000.0) ?(ppf = Format.std_formatter) ?monitor
-    ~metrics () =
+    () =
   if interval_us <= 0.0 then
     invalid_arg "Top.create: interval must be positive";
   {
     interval_us;
     ppf;
     monitor;
-    metrics;
+    metrics = Mx.create ();
     prev = Hashtbl.create 16;
     next_due = interval_us;
     last_now = 0.0;
@@ -139,11 +139,10 @@ let tick t now_us =
 
 let final t = frame t ~now_us:t.last_now
 
-let install t = Machine.default_tick := Some (tick t)
-let uninstall _t = Machine.default_tick := None
+let attach t (o : Machine.obs) =
+  let mx = match o.metrics with Some mx -> mx | None -> t.metrics in
+  t.metrics <- mx;
+  { o with metrics = Some mx; on_tick = Some (tick t) }
 
-let with_installed t f =
-  install t;
-  Fun.protect ~finally:(fun () -> uninstall t) f
-
+let metrics t = t.metrics
 let frames t = t.frames

@@ -1,8 +1,8 @@
 (** Periodic snapshot report over the metrics registry, on the simulated
     timeline.
 
-    A [Top.t] hangs off the machine tick hook: every time any machine's
-    clock crosses an interval boundary it renders one frame —
+    A [Top.t] hangs off the machines' [on_tick] callback: every time any
+    machine's clock crosses an interval boundary it renders one frame —
     throughput counters with per-interval deltas, drops by class, held
     pages vs threshold, TLB shootdowns and elisions, monitor violations,
     per-component cost shares from the ledger and transfer-wall
@@ -19,18 +19,18 @@ val create :
   ?interval_us:float ->
   ?ppf:Format.formatter ->
   ?monitor:Monitor.t ->
-  metrics:Fbufs_metrics.Metrics.t ->
   unit ->
   t
-(** Default interval 1 s of simulated time, output to stdout. Raises
-    [Invalid_argument] unless the interval is positive. *)
+(** Default interval 1 s of simulated time, output to stdout, reading a
+    registry of its own until {!attach}ed. Raises [Invalid_argument]
+    unless the interval is positive. *)
 
-val install : t -> unit
-(** Install the tick callback as [Machine.default_tick] (picked up by
-    machines created afterwards). *)
+val attach : t -> Fbufs_sim.Machine.obs -> Fbufs_sim.Machine.obs
+(** Add {!tick} as the record's [on_tick] callback. Frames read the
+    record's registry; a record without one gets Top's own. *)
 
-val uninstall : t -> unit
-val with_installed : t -> (unit -> 'a) -> 'a
+val metrics : t -> Fbufs_metrics.Metrics.t
+(** The registry frames are read from. *)
 
 val tick : t -> float -> unit
 (** The tick callback: renders one frame per interval boundary crossed

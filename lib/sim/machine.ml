@@ -1,9 +1,18 @@
 module Trace = Fbufs_trace.Trace
+module Component = Fbufs_metrics.Component
 
 (* All-float record: mutated in place on every charge, no boxing. *)
 type busy = { mutable busy_us : float }
 
-type t = {
+type obs = {
+  trace : Trace.t option;
+  metrics : Fbufs_metrics.Metrics.t option;
+  spans : Fbufs_span.Span.t option;
+  seq_hook : (t -> string -> unit) option;
+  on_tick : (float -> unit) option;
+}
+
+and t = {
   name : string;
   clock : Clock.t;
   cost : Cost_model.t;
@@ -14,25 +23,24 @@ type t = {
   busy : busy;
   mutable next_asid : int;
   mutable next_id : int;
-  mutable trace : Trace.t option;
-  mutable metrics : Fbufs_metrics.Metrics.t option;
-  mutable spans : Fbufs_span.Span.t option;
-  mutable series : Fbufs_metrics.Timeseries.t option;
-  mutable comp_ctx : Fbufs_metrics.Component.t option;
-  mutable seq_hook : (t -> string -> unit) option;
-  mutable on_tick : (float -> unit) option;
+  mutable obs : obs option;
+  mutable comp_ctx : Component.t option;
 }
 
-let default_trace : Trace.t option ref = ref None
-let default_metrics : Fbufs_metrics.Metrics.t option ref = ref None
-let default_spans : Fbufs_span.Span.t option ref = ref None
-let default_series : Fbufs_metrics.Timeseries.t option ref = ref None
-let default_seq_hook : (t -> string -> unit) option ref = ref None
-let default_tick : (float -> unit) option ref = ref None
+let no_obs =
+  { trace = None; metrics = None; spans = None; seq_hook = None; on_tick = None }
+
+(* The record [create] attaches; only [with_obs] sets it, and it always
+   restores the previous one. *)
+let ambient : obs option ref = ref None
+
+let with_obs o f =
+  let saved = !ambient in
+  ambient := Some o;
+  Fun.protect ~finally:(fun () -> ambient := saved) f
 
 let create ?(name = "host") ?(cost = Cost_model.decstation_5000_200)
-    ?(nframes = 4096) ?(tlb_entries = 64) ?(seed = 42) ?trace ?metrics ?spans
-    ?series () =
+    ?(nframes = 4096) ?(tlb_entries = 64) ?(seed = 42) () =
   let rng = Rng.create seed in
   {
     name;
@@ -45,115 +53,112 @@ let create ?(name = "host") ?(cost = Cost_model.decstation_5000_200)
     busy = { busy_us = 0.0 };
     next_asid = 1;
     next_id = 1;
-    trace = (match trace with Some _ as t -> t | None -> !default_trace);
-    metrics = (match metrics with Some _ as x -> x | None -> !default_metrics);
-    spans = (match spans with Some _ as s -> s | None -> !default_spans);
-    series = (match series with Some _ as s -> s | None -> !default_series);
+    obs = !ambient;
     comp_ctx = None;
-    seq_hook = !default_seq_hook;
-    on_tick = !default_tick;
   }
 
-let set_trace m tr = m.trace <- tr
-let tracing m = m.trace <> None
-let set_metrics m x = m.metrics <- x
-let metered m = m.metrics <> None
-let metrics m = m.metrics
-let set_spans m s = m.spans <- s
-let spanning m = m.spans <> None
-let spans m = m.spans
-let set_series m s = m.series <- s
-let series m = m.series
-let set_seq_hook m h = m.seq_hook <- h
-let set_tick m h = m.on_tick <- h
+let set_obs m o = m.obs <- o
+let trace m = match m.obs with Some o -> o.trace | None -> None
+let tracing m = match m.obs with Some { trace = Some _; _ } -> true | _ -> false
+let metrics m = match m.obs with Some o -> o.metrics | None -> None
+let spans m = match m.obs with Some o -> o.spans | None -> None
+let spanning m = match m.obs with Some { spans = Some _; _ } -> true | _ -> false
 
 (* Sequence point: a place where the system's invariants are expected to
    hold (an IPC reply delivered, a transfer secured, a pageout sweep
-   done). The online monitors hang off this; with no hook installed the
-   cost is one pointer compare. *)
+   done). The online monitors hang off this; unobserved, the cost is one
+   pointer compare. *)
 let seq_point m site =
-  match m.seq_hook with None -> () | Some f -> f m site
+  match m.obs with Some { seq_hook = Some f; _ } -> f m site | _ -> ()
 
+(* Unobserved, the context is never read, so there is nothing to set:
+   no closure, no [Some c]. *)
 let with_comp m c f =
-  let saved = m.comp_ctx in
-  m.comp_ctx <- Some c;
-  Fun.protect ~finally:(fun () -> m.comp_ctx <- saved) f
+  match m.obs with
+  | None -> f ()
+  | Some _ -> (
+      let saved = m.comp_ctx in
+      m.comp_ctx <- Some c;
+      match f () with
+      | v ->
+          m.comp_ctx <- saved;
+          v
+      | exception e ->
+          m.comp_ctx <- saved;
+          raise e)
+
+let[@inline] advance m us =
+  Clock.advance m.clock us;
+  m.busy.busy_us <- m.busy.busy_us +. us
 
 let charge ?kind ?comp m us =
-  (* A surrounding [with_comp] context wins over the call site's tag:
-     e.g. the page allocation inside aggregate-object deserialization is
-     DAG-support cost, not allocator cost. *)
-  let eff = match m.comp_ctx with Some _ as c -> c | None -> comp in
-  (match (m.trace, kind) with
-  | Some tr, Some k ->
-      (* [Component.label] returns a literal, so the fast path stores
-         no young pointer into the ring. *)
-      let comp =
-        match eff with
-        | Some c -> Fbufs_metrics.Component.label c
-        | None -> ""
-      in
-      Trace.complete_comp tr ~ts_us:(Clock.now m.clock) ~dur_us:us
-        ~machine:m.name ~comp k
-  | _ -> ());
-  (match m.metrics with
-  | None -> ()
-  | Some mx ->
-      let c = match eff with Some c -> c | None -> Fbufs_metrics.Component.Other in
-      let k = match kind with Some k -> k | None -> "" in
-      Fbufs_metrics.Ledger.charge
-        (Fbufs_metrics.Metrics.ledger mx)
-        ~machine:m.name ~comp:c ~kind:k us);
-  (match m.spans with
-  | None -> ()
-  | Some s ->
-      let c = match eff with Some c -> c | None -> Fbufs_metrics.Component.Other in
-      Fbufs_span.Span.on_charge s ~machine:m.name ~comp:c us);
-  (match (m.series, m.metrics) with
-  | Some ts, Some mx ->
-      Fbufs_metrics.Timeseries.tick ts ~now_us:(Clock.now m.clock) mx
-  | _ -> ());
-  Clock.advance m.clock us;
-  m.busy.busy_us <- m.busy.busy_us +. us;
-  match m.on_tick with Some f -> f (Clock.now m.clock) | None -> ()
+  match m.obs with
+  | None -> advance m us
+  | Some o -> (
+      (* A surrounding [with_comp] context wins over the call site's tag:
+         e.g. the page allocation inside aggregate-object deserialization
+         is DAG-support cost, not allocator cost. *)
+      let eff = match m.comp_ctx with Some _ as c -> c | None -> comp in
+      let c = match eff with Some c -> c | None -> Component.Other in
+      (match (o.trace, kind) with
+      | Some tr, Some k ->
+          (* [Component.label] returns a literal, so the fast path stores
+             no young pointer into the ring. *)
+          let comp = match eff with Some c -> Component.label c | None -> "" in
+          Trace.complete_comp tr ~ts_us:(Clock.now m.clock) ~dur_us:us
+            ~machine:m.name ~comp k
+      | _ -> ());
+      (match o.metrics with
+      | None -> ()
+      | Some mx ->
+          Fbufs_metrics.Ledger.charge
+            (Fbufs_metrics.Metrics.ledger mx)
+            ~machine:m.name ~comp:c
+            ~kind:(Option.value kind ~default:"")
+            us);
+      (match o.spans with
+      | None -> ()
+      | Some s -> Fbufs_span.Span.on_charge s ~machine:m.name ~comp:c us);
+      advance m us;
+      match o.on_tick with Some f -> f (Clock.now m.clock) | None -> ())
 
 let charge_n ?kind ?comp m n us = charge ?kind ?comp m (float_of_int n *. us)
 
 let trace_instant m ?domain ?path_id ?args kind =
-  match m.trace with
+  match trace m with
   | None -> ()
   | Some tr ->
       Trace.instant tr ~ts_us:(Clock.now m.clock) ~machine:m.name ?domain
         ?path_id ?args kind
 
 let span_begin m ?domain ?path_id ?args kind =
-  match m.trace with
+  match trace m with
   | None -> 0
   | Some tr ->
       Trace.begin_span tr ~ts_us:(Clock.now m.clock) ~machine:m.name ?domain
         ?path_id ?args kind
 
 let span_end m ?args id =
-  match m.trace with
+  match trace m with
   | None -> ()
   | Some tr -> if id <> 0 then Trace.end_span tr ~ts_us:(Clock.now m.clock) ?args id
 
 let with_span m ?domain ?path_id kind f =
-  match m.trace with
+  match trace m with
   | None -> f ()
   | Some _ ->
       let id = span_begin m ?domain ?path_id kind in
       Fun.protect ~finally:(fun () -> span_end m id) f
 
 let async_begin m ?domain ?path_id ?args ~id kind =
-  match m.trace with
+  match trace m with
   | None -> ()
   | Some tr ->
       Trace.async_begin tr ~ts_us:(Clock.now m.clock) ~machine:m.name ?domain
         ?path_id ?args ~id kind
 
 let async_end m ?domain ?path_id ?args ~id kind =
-  match m.trace with
+  match trace m with
   | None -> ()
   | Some tr ->
       Trace.async_end tr ~ts_us:(Clock.now m.clock) ~machine:m.name ?domain
@@ -165,72 +170,75 @@ let async_end m ?domain ?path_id ?args ~id kind =
    that {!charge} attributes cost into. *)
 
 let transfer_begin m ?domain ?path_id label =
-  match m.spans with
+  match spans m with
   | None -> 0
   | Some s ->
       Fbufs_span.Span.transfer_begin s ~machine:m.name
         ~ts_us:(Clock.now m.clock) ?domain ?path_id label
 
 let transfer_end m tid =
-  match m.spans with
+  match spans m with
   | None -> ()
   | Some s ->
       Fbufs_span.Span.transfer_end s ~machine:m.name ~ts_us:(Clock.now m.clock)
         tid
 
 let with_transfer m ?domain ?path_id label f =
-  match m.spans with
+  match spans m with
   | None -> f ()
   | Some _ ->
       let tid = transfer_begin m ?domain ?path_id label in
       Fun.protect ~finally:(fun () -> transfer_end m tid) f
 
 let span_enter m ?domain ?path_id kind =
-  match m.spans with
+  match spans m with
   | None -> 0
   | Some s ->
       Fbufs_span.Span.enter s ~machine:m.name ~ts_us:(Clock.now m.clock)
         ?domain ?path_id kind
 
 let span_exit m id =
-  match m.spans with
+  match spans m with
   | None -> ()
   | Some s ->
       Fbufs_span.Span.finish s ~machine:m.name ~ts_us:(Clock.now m.clock) id
 
 let span_adopt m ~transfer ?follows ?domain ?path_id kind =
-  match m.spans with
+  match spans m with
   | None -> 0
   | Some s ->
       Fbufs_span.Span.adopt s ~machine:m.name ~ts_us:(Clock.now m.clock)
         ~transfer ?follows ?domain ?path_id kind
 
 let span_flight m ~transfer ~follows ~start_us ~end_us ?path_id kind =
-  match m.spans with
+  match spans m with
   | None -> 0
   | Some s ->
       Fbufs_span.Span.flight s ~transfer ~follows ~start_us ~end_us ?path_id
         kind
 
 let current_transfer m =
-  match m.spans with
+  match spans m with
   | None -> 0
   | Some s -> Fbufs_span.Span.current s ~machine:m.name
 
 let span_context m =
-  match m.spans with
+  match spans m with
   | None -> (0, 0)
   | Some s -> Fbufs_span.Span.context s ~machine:m.name
 
 let elapse_to ?kind m t =
-  (match (m.trace, kind) with
-  | Some tr, Some k ->
-      let now = Clock.now m.clock in
-      if t > now then
-        Trace.complete tr ~ts_us:now ~dur_us:(t -. now) ~machine:m.name k
-  | _ -> ());
-  Clock.advance_to m.clock t;
-  match m.on_tick with Some f -> f (Clock.now m.clock) | None -> ()
+  match m.obs with
+  | None -> Clock.advance_to m.clock t
+  | Some o -> (
+      (match (o.trace, kind) with
+      | Some tr, Some k ->
+          let now = Clock.now m.clock in
+          if t > now then
+            Trace.complete tr ~ts_us:now ~dur_us:(t -. now) ~machine:m.name k
+      | _ -> ());
+      Clock.advance_to m.clock t;
+      match o.on_tick with Some f -> f (Clock.now m.clock) | None -> ())
 
 let now m = Clock.now m.clock
 

@@ -9,7 +9,20 @@ type busy = { mutable busy_us : float }
 (** Single-field all-float record: the busy accumulator lives in flat
     (unboxed) storage so {!charge} does not allocate. *)
 
-type t = {
+(** Everything that observes a machine, in one immutable record: the
+    trace sink, the metrics registry and cost ledger, the causal span
+    sink, the {!seq_point} callback the online monitors hang off, and
+    the clock-advance callback (called with the new simulated time after
+    every {!charge} and {!elapse_to}) that drives periodic reports. *)
+type obs = {
+  trace : Fbufs_trace.Trace.t option;
+  metrics : Fbufs_metrics.Metrics.t option;
+  spans : Fbufs_span.Span.t option;
+  seq_hook : (t -> string -> unit) option;
+  on_tick : (float -> unit) option;
+}
+
+and t = private {
   name : string;
   clock : Clock.t;
   cost : Cost_model.t;
@@ -20,44 +33,22 @@ type t = {
   busy : busy;
   mutable next_asid : int;
   mutable next_id : int;
-  mutable trace : Fbufs_trace.Trace.t option;
-  mutable metrics : Fbufs_metrics.Metrics.t option;
-  mutable spans : Fbufs_span.Span.t option;
-  mutable series : Fbufs_metrics.Timeseries.t option;
+  mutable obs : obs option;
+      (** [None] (the default) means unobserved: every instrumentation
+          site, {!charge} included, costs one pointer comparison. *)
   mutable comp_ctx : Fbufs_metrics.Component.t option;
-  mutable seq_hook : (t -> string -> unit) option;
-  mutable on_tick : (float -> unit) option;
 }
 
-val default_trace : Fbufs_trace.Trace.t option ref
-(** Sink installed on machines subsequently built by {!create} when no
-    explicit [?trace] is given. Lets a harness observe machines it does
+val no_obs : obs
+(** Every field [None]; the base to extend with [{ no_obs with ... }]. *)
+
+val with_obs : obs -> (unit -> 'a) -> 'a
+(** [with_obs o f] runs [f] with [o] as the record attached to every
+    machine {!create}d inside — how a harness observes machines it does
     not construct itself (the experiment drivers build their own
-    testbeds); [None] — the default — disables tracing everywhere. *)
-
-val default_metrics : Fbufs_metrics.Metrics.t option ref
-(** Same install pattern as {!default_trace}, for the metrics registry
-    and cost-attribution ledger. [None] (the default) means machines are
-    unmetered and the instrumented paths do no registry work at all. *)
-
-val default_spans : Fbufs_span.Span.t option ref
-(** Same install pattern, for the causal span sink. [None] (the default)
-    disables span recording: every [transfer_begin]/[span_enter] returns
-    0 immediately and {!charge} does one pointer comparison. *)
-
-val default_series : Fbufs_metrics.Timeseries.t option ref
-(** Same install pattern, for windowed gauge time series. Only sampled
-    when the machine also carries a metrics instance. *)
-
-val default_seq_hook : (t -> string -> unit) option ref
-(** Same install pattern, for the {!seq_point} callback the online
-    invariant monitors hang off. [None] (the default) makes every
-    sequence point one pointer comparison. *)
-
-val default_tick : (float -> unit) option ref
-(** Same install pattern, for the clock-advance callback (called with
-    the new simulated time after every {!charge} and {!elapse_to}) that
-    drives periodic snapshot reports on the simulated timeline. *)
+    testbeds). A nested scope replaces the outer record for its
+    duration; the previous one is restored on exit, exceptions
+    included. Outside any scope machines are unobserved. *)
 
 val create :
   ?name:string ->
@@ -65,59 +56,44 @@ val create :
   ?nframes:int ->
   ?tlb_entries:int ->
   ?seed:int ->
-  ?trace:Fbufs_trace.Trace.t ->
-  ?metrics:Fbufs_metrics.Metrics.t ->
-  ?spans:Fbufs_span.Span.t ->
-  ?series:Fbufs_metrics.Timeseries.t ->
   unit ->
   t
 (** Defaults: DecStation 5000/200 cost model, 4096 frames (16 MB), 64 TLB
-    entries, seed 42, trace sink [!default_trace], metrics instance
-    [!default_metrics], span sink [!default_spans], time series
-    [!default_series]. *)
+    entries, seed 42, observed by the record of the enclosing
+    {!with_obs} (unobserved outside one). *)
 
-val set_trace : t -> Fbufs_trace.Trace.t option -> unit
+val set_obs : t -> obs option -> unit
+(** Replace one existing machine's record. *)
 
 val tracing : t -> bool
-(** Whether a sink is attached. Instrumentation sites that build argument
-    lists must test this first so a disabled trace costs one pointer
-    comparison and no allocation. *)
-
-val set_metrics : t -> Fbufs_metrics.Metrics.t option -> unit
-
-val metered : t -> bool
-(** Whether a metrics instance is attached; the counterpart of {!tracing}
-    for registry updates — instrumentation guards on it (or matches on
-    {!metrics}) so an unmetered machine pays one pointer comparison. *)
+(** Whether a trace sink is attached. Instrumentation sites that build
+    argument lists must test this first so a disabled trace costs one
+    pointer comparison and no allocation. *)
 
 val metrics : t -> Fbufs_metrics.Metrics.t option
-
-val set_spans : t -> Fbufs_span.Span.t option -> unit
+(** The attached registry; instrumentation matches on it so an
+    unmetered machine pays one pointer comparison. *)
 
 val spanning : t -> bool
 (** Whether a causal span sink is attached — the counterpart of
-    {!tracing}/{!metered} for the span instrumentation. *)
+    {!tracing} for the span instrumentation. *)
 
 val spans : t -> Fbufs_span.Span.t option
-
-val set_series : t -> Fbufs_metrics.Timeseries.t option -> unit
-val series : t -> Fbufs_metrics.Timeseries.t option
-val set_seq_hook : t -> (t -> string -> unit) option -> unit
-val set_tick : t -> (float -> unit) option -> unit
 
 val seq_point : t -> string -> unit
 (** Declare a sequence point — a site (named like ["ipc.reply"],
     ["transfer.secure"], ["pageout.balance"]) where the system's
-    invariants are expected to hold. Dispatches to the installed hook;
-    with none installed (the default) the cost is one pointer
-    comparison, preserving pay-for-play. *)
+    invariants are expected to hold. Dispatches to the record's
+    [seq_hook]; unobserved, the cost is one pointer comparison,
+    preserving pay-for-play. *)
 
 val with_comp : t -> Fbufs_metrics.Component.t -> (unit -> 'a) -> 'a
 (** Run [f] with every {!charge} attributed to the given component,
     overriding the call sites' own tags — used where a whole activity
     (e.g. aggregate-object deserialization) belongs to one Table 1 row
     even though it exercises allocator and VM charge sites. Restores the
-    previous context on exit, exceptions included. *)
+    previous context on exit, exceptions included. On an unobserved
+    machine the context is never read, and this is just [f ()]. *)
 
 val charge : ?kind:string -> ?comp:Fbufs_metrics.Component.t -> t -> float -> unit
 (** Consume [us] microseconds of CPU time: advances the clock and the busy
@@ -126,7 +102,8 @@ val charge : ?kind:string -> ?comp:Fbufs_metrics.Component.t -> t -> float -> un
     in the model becomes visible on the timeline. With a metrics instance
     attached, the charge also lands in the cost ledger under [?comp]
     (or the surrounding {!with_comp} context; [Other] if neither).
-    Tracing and metering never alter the charge itself. *)
+    Tracing and metering never alter the charge itself; an unobserved
+    charge makes one comparison before it advances the clock. *)
 
 val charge_n :
   ?kind:string -> ?comp:Fbufs_metrics.Component.t -> t -> int -> float -> unit

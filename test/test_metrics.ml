@@ -20,16 +20,11 @@ module Check = Fbufs_check
 let check = Alcotest.check
 
 (* Run [f] with a fresh instance installed the way the harness installs
-   one: through [Machine.default_metrics], picked up by every machine
-   created inside. *)
+   one: through [Machine.with_obs], picked up by every machine created
+   inside. *)
 let metered f =
   let mx = Mx.create () in
-  let saved = !Machine.default_metrics in
-  Machine.default_metrics := Some mx;
-  let r =
-    Fun.protect ~finally:(fun () -> Machine.default_metrics := saved) f
-  in
-  (r, mx)
+  (Machine.with_obs { Machine.no_obs with metrics = Some mx } f, mx)
 
 let raises_invalid f =
   match f () with

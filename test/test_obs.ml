@@ -37,6 +37,14 @@ let tmp_dump_dir name =
   Filename.concat (Filename.get_temp_dir_name ())
     (Printf.sprintf "fbufs-%s-%d" name (Unix.getpid ()))
 
+(* Arm [r] over [base] (its own ring sinks where [base] has none) and run
+   [f] under the resulting record, which it receives. *)
+let armed ?(base = Machine.no_obs) r f =
+  let o = Recorder.arm r base in
+  Fun.protect
+    ~finally:(fun () -> Recorder.disarm r)
+    (fun () -> Machine.with_obs o (fun () -> f o))
+
 (* -- ring --------------------------------------------------------------- *)
 
 let test_ring_wraparound () =
@@ -73,8 +81,8 @@ let small = { Recorder.default with event_capacity = 64; reservoir = 16 }
    for byte within one process. *)
 let synthetic_dump config =
   let r = Recorder.create config in
-  Recorder.with_armed r (fun () ->
-      let tr = Option.get !Machine.default_trace in
+  armed r (fun o ->
+      let tr = Option.get o.Machine.trace in
       for i = 1 to 500 do
         let ts = float_of_int i *. 3.0 in
         if i mod 3 = 0 then
@@ -106,7 +114,7 @@ let test_same_seed_identical_dump () =
    process-global path and span ids). *)
 let test_recorder_taps_live_run () =
   let r = Recorder.create small in
-  Recorder.with_armed r (fun () ->
+  armed r (fun _ ->
       let tb = Testbed.create ~name:"obs-det" () in
       let src = Testbed.user_domain tb "src" in
       let dst = Testbed.user_domain tb "dst" in
@@ -159,8 +167,8 @@ let test_trigger_debounce_and_cap () =
         max_dumps = 2;
       }
   in
-  Recorder.with_armed r (fun () ->
-      let tr = Option.get !Machine.default_trace in
+  armed r (fun o ->
+      let tr = Option.get o.Machine.trace in
       let at ts = Trace.instant tr ~ts_us:ts ~machine:"m" "tick" in
       at 0.0;
       Alcotest.(check bool) "first fires" true (Recorder.trigger r ~reason:"a");
@@ -183,10 +191,6 @@ let test_planted_violation_monitors_and_dump () =
   Fun.protect ~finally:(fun () -> Policy.chaos_skip_threshold := false)
   @@ fun () ->
   let mx = Mx.create () in
-  let saved = !Machine.default_metrics in
-  Machine.default_metrics := Some mx;
-  Fun.protect ~finally:(fun () -> Machine.default_metrics := saved)
-  @@ fun () ->
   let r =
     Recorder.create
       {
@@ -196,18 +200,22 @@ let test_planted_violation_monitors_and_dump () =
       }
   in
   let mon = Monitor.create ~recorder:r { Monitor.default with grace = 0 } in
-  Recorder.with_armed r (fun () ->
-      Monitor.with_installed mon (fun () ->
-          Policy.chaos_skip_threshold := true;
-          (* Un-enforced admission leaks held pages until the arena is
-             exhausted; the crash is the fault's endgame — the monitors
-             must have flagged it (and dumped) well before. *)
-          try
-            ignore
-              (Scenario.run
-                 ~kind:(Policy.Fb_dynamic { alpha = 0.5 })
-                 Scenario.Incast)
-          with Fbufs_sim.Phys_mem.Out_of_memory -> ()));
+  armed r
+    ~base:
+      {
+        Machine.no_obs with
+        metrics = Some mx;
+        seq_hook = Some (Monitor.hook mon);
+      }
+    (fun _ ->
+      Policy.chaos_skip_threshold := true;
+      (* Un-enforced admission leaks held pages until the arena is
+         exhausted; the crash is the fault's endgame — the monitors must
+         have flagged it (and dumped) well before. *)
+      try
+        ignore
+          (Scenario.run ~kind:(Policy.Fb_dynamic { alpha = 0.5 }) Scenario.Incast)
+      with Fbufs_sim.Phys_mem.Out_of_memory -> ());
   (* the gauge rule saw held pages over an un-enforced threshold *)
   Alcotest.(check bool) "violations recorded" true
     (Monitor.violation_count mon > 0);
@@ -240,12 +248,10 @@ let test_planted_violation_still_fails_checker () =
 (* Monitors on a healthy metered run stay silent. *)
 let test_monitors_silent_on_healthy_run () =
   let mx = Mx.create () in
-  let saved = !Machine.default_metrics in
-  Machine.default_metrics := Some mx;
-  Fun.protect ~finally:(fun () -> Machine.default_metrics := saved)
-  @@ fun () ->
   let mon = Monitor.create Monitor.default in
-  Monitor.with_installed mon (fun () ->
+  Machine.with_obs
+    { Machine.no_obs with metrics = Some mx; seq_hook = Some (Monitor.hook mon) }
+    (fun () ->
       ignore
         (Scenario.run ~kind:(Policy.Fb_dynamic { alpha = 0.5 }) Scenario.Incast));
   Alcotest.(check bool) "sequence points observed" true (Monitor.checks mon > 0);

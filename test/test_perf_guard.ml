@@ -92,12 +92,10 @@ let test_metrics_disabled_not_slower_than_enabled () =
     Testbed.allocator unmetered ~domains:[ app_u ] Fbuf.cached_volatile
   in
   let mx = Fbufs_metrics.Metrics.create () in
-  let saved = !Fbufs_sim.Machine.default_metrics in
-  Fbufs_sim.Machine.default_metrics := Some mx;
   let metered =
-    Fun.protect
-      ~finally:(fun () -> Fbufs_sim.Machine.default_metrics := saved)
-      (fun () -> Testbed.create ())
+    Fbufs_sim.Machine.with_obs
+      { Fbufs_sim.Machine.no_obs with metrics = Some mx }
+      Testbed.create
   in
   let app_m = Testbed.user_domain metered "app" in
   let alloc_m =
@@ -129,7 +127,8 @@ let test_spans_disabled_not_slower_than_enabled () =
     Testbed.allocator plain ~domains:[ app_p ] Fbuf.cached_volatile
   in
   let spanned = Testbed.create () in
-  Machine.set_spans spanned.Testbed.m (Some (Fbufs_span.Span.create ()));
+  Machine.set_obs spanned.Testbed.m
+    (Some { Machine.no_obs with spans = Some (Fbufs_span.Span.create ()) });
   let app_s = Testbed.user_domain spanned "app" in
   let alloc_s =
     Testbed.allocator spanned ~domains:[ app_s ] Fbuf.cached_volatile
@@ -165,12 +164,10 @@ let test_sketch_disabled_not_slower_than_enabled () =
     Testbed.allocator unmetered ~domains:[ app_u ] Fbuf.cached_volatile
   in
   let mx = Mx.create () in
-  let saved = !Fbufs_sim.Machine.default_metrics in
-  Fbufs_sim.Machine.default_metrics := Some mx;
   let metered =
-    Fun.protect
-      ~finally:(fun () -> Fbufs_sim.Machine.default_metrics := saved)
-      (fun () -> Testbed.create ())
+    Fbufs_sim.Machine.with_obs
+      { Fbufs_sim.Machine.no_obs with metrics = Some mx }
+      Testbed.create
   in
   let app_m = Testbed.user_domain metered "app" in
   let alloc_m =
@@ -321,7 +318,7 @@ let test_obs_not_linked_into_bench () =
         (contains src "fbufs_obs"))
     [ "bench/dune"; "lib/harness/dune"; "examples/dune" ]
 
-(* The observability layer rides the same sink refs: with no recorder
+(* The observability layer rides the same record: with no recorder
    armed and no monitor installed, a cycle pays nothing beyond the
    existing pointer comparisons. The bare side must stay within noise of
    the armed side, which does strictly more (ring push, reservoir offer,
@@ -336,10 +333,12 @@ let test_obs_unarmed_pays_nothing () =
   in
   let r = R.create { R.default with dir = "obs-perf-unused" } in
   let mon = Mon.create ~recorder:r Mon.default in
+  let o =
+    { (R.arm r Fbufs_sim.Machine.no_obs) with seq_hook = Some (Mon.hook mon) }
+  in
   let armed_tb, armed_ns, bare_ns =
-    R.with_armed r @@ fun () ->
-    Mon.with_installed mon @@ fun () ->
-    let armed_tb = Testbed.create () in
+    Fun.protect ~finally:(fun () -> R.disarm r) @@ fun () ->
+    let armed_tb = Fbufs_sim.Machine.with_obs o Testbed.create in
     let app_a = Testbed.user_domain armed_tb "app" in
     let alloc_a =
       Testbed.allocator armed_tb ~domains:[ app_a ] Fbuf.cached_volatile
@@ -377,7 +376,10 @@ let test_recorder_armed_table1_overhead () =
   let bare () = ignore (Fbufs_harness.Exp_table1.run ()) in
   let armed () =
     let r = R.create { R.default with dir = "obs-perf-unused" } in
-    R.with_armed r bare
+    let o = R.arm r Fbufs_sim.Machine.no_obs in
+    Fun.protect
+      ~finally:(fun () -> R.disarm r)
+      (fun () -> Fbufs_sim.Machine.with_obs o bare)
   in
   let armed_s = ref [] and bare_s = ref [] in
   (* warmup one pair, then interleave *)

@@ -350,6 +350,60 @@ let test_machine_fresh_ids_unique () =
   let a = Machine.fresh_id m and b = Machine.fresh_id m in
   Alcotest.(check bool) "distinct" true (a <> b)
 
+(* Pay-for-play, measured in words: an unobserved charge is one pointer
+   comparison and a clock advance, and [with_comp] is just the call. *)
+let test_machine_unobserved_allocates_nothing () =
+  let m = Machine.create ~nframes:16 () in
+  let thunk () = () in
+  let loop () =
+    for _ = 1 to 10_000 do
+      Machine.charge m 1.0;
+      Machine.with_comp m Fbufs_metrics.Component.Copy thunk
+    done
+  in
+  loop ();
+  let w0 = Gc.minor_words () in
+  loop ();
+  let w1 = Gc.minor_words () in
+  check fl "minor words" 0.0 (w1 -. w0)
+
+let test_machine_with_comp_restores_on_raise () =
+  let module C = Fbufs_metrics.Component in
+  let mx = Fbufs_metrics.Metrics.create () in
+  let m = Machine.create ~nframes:16 () in
+  Machine.set_obs m (Some { Machine.no_obs with metrics = Some mx });
+  (try
+     Machine.with_comp m C.Copy (fun () ->
+         Machine.charge ~comp:C.Alloc m 1.0;
+         raise Exit)
+   with Exit -> ());
+  Alcotest.(check bool) "context cleared" true (m.Machine.comp_ctx = None);
+  Machine.charge ~comp:C.Alloc m 2.0;
+  let by = Fbufs_metrics.Ledger.by_component (Fbufs_metrics.Metrics.ledger mx) in
+  check fl "inside: the context's component" 1.0 (List.assoc C.Copy by);
+  check fl "after: the call site's own tag" 2.0 (List.assoc C.Alloc by)
+
+let traced () = { Machine.no_obs with trace = Some (Fbufs_trace.Trace.create ()) }
+
+let test_machine_with_obs_scope () =
+  let o = traced () in
+  let inside = Machine.with_obs o (fun () -> Machine.create ~nframes:16 ()) in
+  Alcotest.(check bool) "created inside: observed" true (Machine.tracing inside);
+  Alcotest.(check bool) "created after: not observed" false
+    (Machine.tracing (Machine.create ~nframes:16 ()));
+  (try Machine.with_obs o (fun () -> raise Exit) with Exit -> ());
+  Alcotest.(check bool) "created after a raise: not observed" false
+    (Machine.tracing (Machine.create ~nframes:16 ()))
+
+let test_machine_with_obs_nests () =
+  let outer = traced () and inner = traced () in
+  let obs_of m = Option.get m.Machine.obs in
+  Machine.with_obs outer (fun () ->
+      let b = Machine.with_obs inner (fun () -> Machine.create ~nframes:16 ()) in
+      let c = Machine.create ~nframes:16 () in
+      Alcotest.(check bool) "nested scope: inner record" true (obs_of b == inner);
+      Alcotest.(check bool) "after it: outer record" true (obs_of c == outer))
+
 (* ------------------------------------------------------------------ *)
 (* Des                                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -481,6 +535,12 @@ let () =
             test_machine_charge_advances_clock_and_busy;
           tc "load accounting" `Quick test_machine_load_accounting;
           tc "fresh ids unique" `Quick test_machine_fresh_ids_unique;
+          tc "unobserved charge + with_comp allocate nothing" `Quick
+            test_machine_unobserved_allocates_nothing;
+          tc "with_comp restores context on raise" `Quick
+            test_machine_with_comp_restores_on_raise;
+          tc "with_obs scope" `Quick test_machine_with_obs_scope;
+          tc "with_obs nests" `Quick test_machine_with_obs_nests;
         ] );
       ( "des",
         [

@@ -11,7 +11,6 @@ module Export = Fbufs_span.Span_export
 module Comp = Fbufs_metrics.Component
 module Sketch = Fbufs_metrics.Sketch
 module Mx = Fbufs_metrics.Metrics
-module Timeseries = Fbufs_metrics.Timeseries
 module Machine = Fbufs_sim.Machine
 module Json = Fbufs_trace.Json
 
@@ -339,39 +338,11 @@ let test_sketch_metric_kind () =
     (contains prom "quantile=\"0.99\"")
 
 (* ------------------------------------------------------------------ *)
-(* Gauge time series                                                   *)
-
-let depth_gauge =
-  Mx.gauge ~name:"fbufs_test_span_depth" ~help:"test gauge" ~labels:[ "q" ] ()
-
-let test_timeseries_ring () =
-  let ts = Timeseries.create ~capacity:4 () in
-  let mx = Mx.create () in
-  for i = 1 to 6 do
-    Mx.set mx depth_gauge ~labels:[ "a" ] (float_of_int i);
-    Timeseries.tick ts ~now_us:(float_of_int (i * 10)) mx
-  done;
-  check Alcotest.int "six ticks" 6 (Timeseries.ticks ts);
-  match Timeseries.find ts ~name:"fbufs_test_span_depth" ~labels:[ "a" ] with
-  | None -> Alcotest.fail "series missing"
-  | Some pts ->
-      check Alcotest.int "ring keeps the window" 4 (Array.length pts);
-      check
-        Alcotest.(list (pair (float 1e-9) (float 1e-9)))
-        "oldest points evicted"
-        [ (30.0, 3.0); (40.0, 4.0); (50.0, 5.0); (60.0, 6.0) ]
-        (Array.to_list pts)
-
-(* ------------------------------------------------------------------ *)
 (* End to end                                                          *)
 
 let test_fig5_run_is_well_formed_and_exact () =
   let sink = Span.create () in
-  let saved = !Machine.default_spans in
-  Machine.default_spans := Some sink;
-  Fun.protect
-    ~finally:(fun () -> Machine.default_spans := saved)
-    (fun () ->
+  Machine.with_obs { Machine.no_obs with spans = Some sink } (fun () ->
       ignore
         (Fbufs_harness.Exp_fig5.run_one ~uncached:false
            ~config:Fbufs_harness.Exp_fig5.User_user ~bytes:16384 ~window:4
@@ -399,11 +370,7 @@ let test_fig5_spans_follow_across_transfers () =
   (* With a window, later transfers are pumped from ack handlers: their
      roots must carry cross-transfer follows edges. *)
   let sink = Span.create () in
-  let saved = !Machine.default_spans in
-  Machine.default_spans := Some sink;
-  Fun.protect
-    ~finally:(fun () -> Machine.default_spans := saved)
-    (fun () ->
+  Machine.with_obs { Machine.no_obs with spans = Some sink } (fun () ->
       ignore
         (Fbufs_harness.Exp_fig5.run_one ~uncached:false
            ~config:Fbufs_harness.Exp_fig5.User_user ~bytes:16384 ~window:2
@@ -454,7 +421,6 @@ let () =
           tc "alpha mismatch" `Quick test_sketch_alpha_mismatch_rejected;
           tc "registry kind" `Quick test_sketch_metric_kind;
         ] );
-      ( "timeseries", [ tc "ring window" `Quick test_timeseries_ring ] );
       ( "end-to-end",
         [
           tc "fig5 exact partition" `Quick

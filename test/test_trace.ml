@@ -140,7 +140,7 @@ let test_machine_span_helpers () =
     (Machine.span_begin m "nope");
   Machine.span_end m 0 (* must not raise *);
   let tr = Trace.create () in
-  Machine.set_trace m (Some tr);
+  Machine.set_obs m (Some { Machine.no_obs with trace = Some tr });
   Machine.with_span m "work" (fun () -> Machine.charge ~kind:"step" m 5.0);
   check Alcotest.int "no leaked spans" 0 (Trace.open_spans tr);
   let h = List.assoc "work" (Trace.kind_summary tr) in
@@ -152,14 +152,10 @@ let test_machine_span_helpers () =
 (* ------------------------------------------------------------------ *)
 
 (* A small real workload with the sink installed the way the harness
-   does it: via [Machine.default_trace], picked up by [Machine.create]. *)
+   does it: via [Machine.with_obs], picked up by [Machine.create]. *)
 let traced_workload () =
   let tr = Trace.create () in
-  let saved = !Machine.default_trace in
-  Machine.default_trace := Some tr;
-  Fun.protect
-    ~finally:(fun () -> Machine.default_trace := saved)
-    (fun () ->
+  Machine.with_obs { Machine.no_obs with trace = Some tr } (fun () ->
       let tb = Testbed.create () in
       let app = Testbed.user_domain tb "app" in
       let recv = Testbed.user_domain tb "recv" in
@@ -259,11 +255,7 @@ let test_jsonl_lines_parse () =
    clock whether a sink is attached or not: tracing observes charges, it
    never adds any. *)
 let run_workload ~trace () =
-  let saved = !Machine.default_trace in
-  Machine.default_trace := trace;
-  Fun.protect
-    ~finally:(fun () -> Machine.default_trace := saved)
-    (fun () ->
+  Machine.with_obs { Machine.no_obs with trace } (fun () ->
       let tb = Testbed.create () in
       let app = Testbed.user_domain tb "app" in
       let recv = Testbed.user_domain tb "recv" in
