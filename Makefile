@@ -1,4 +1,4 @@
-.PHONY: all build test check lint model-check bench bench-json stats spans bench-diff bench-trend top clean ablation-tlb ablation-policy
+.PHONY: all build test check lint model-check bench bench-json stats spans bench-trend clean ablation-tlb ablation-policy
 
 all: build
 
@@ -31,14 +31,16 @@ bench:
 
 # Full-quota benchmark run that also writes the machine-readable
 # trajectory (one JSON object per benchmark: name, ns_per_run, r_square,
-# date). BENCH_PR10.json is the committed snapshot for this PR;
-# BENCH_PR8.json is the previous one the regression gate diffs against.
+# date). BENCH_PR10.json is the latest committed snapshot; bench-trend
+# gates the whole committed series.
 bench-json:
 	dune exec bench/main.exe -- --json BENCH_PR10.json
 
 # Per-component cost attribution of a Table 1 run (simulated
 # microseconds charged to alloc/map/unmap/tlb_flush/zero/secure/copy/...),
-# plus the full exposition written to metrics.json.
+# plus the full exposition written to metrics.json. Add --watch US for
+# periodic snapshot frames on the simulated timeline (throughput counters
+# with per-interval deltas, drops, cost shares, transfer-wall quantiles).
 stats:
 	dune exec bin/fbufs_cli.exe -- stats table1 --metrics metrics.json
 
@@ -49,29 +51,19 @@ stats:
 spans:
 	dune exec bin/fbufs_cli.exe -- spans --out spans.jsonl --chrome spans-chrome.json
 
-# The bench-trajectory regression gate: the committed snapshot of this
-# PR against the previous one, same-name benchmarks joined, nonzero exit
-# when any regresses beyond tolerance (or disappears). Both snapshots
-# were collected on the same machine with make bench-json, so the deltas
-# are meaningful; 50% tolerance absorbs scheduler noise on ~ms runs.
-bench-diff:
-	dune exec bin/fbufs_cli.exe -- bench-diff BENCH_PR8.json BENCH_PR10.json --tolerance-pct 50
-
-# The whole-series trend gate: every committed snapshot in chronological
-# order, per-benchmark OLS slope and two-segment changepoint. Fails when
-# any benchmark's post-changepoint mean exceeds the pre-changepoint mean
-# by more than tolerance, or a benchmark disappears from the latest
-# snapshot — a slow drift the pairwise diff cannot see.
+# The bench-trajectory trend gate: every committed snapshot in
+# chronological order, per-benchmark OLS slope and two-segment
+# changepoint. Fails when any benchmark's post-changepoint mean exceeds
+# the pre-changepoint mean by more than tolerance, or a benchmark
+# disappears from the latest snapshot — a slow drift no comparison of
+# two adjacent snapshots can see. Given just two snapshots it is the
+# pairwise gate (CI also runs it on BENCH_PR8.json BENCH_PR10.json).
+# All snapshots were collected on the same machine with make bench-json;
+# 50% tolerance absorbs scheduler noise on ~ms runs.
 bench-trend:
 	dune exec bin/fbufs_cli.exe -- bench-trend BENCH_PR2.json BENCH_PR4.json \
 	  BENCH_PR5.json BENCH_PR6.json BENCH_PR7.json BENCH_PR8.json \
 	  BENCH_PR10.json --tolerance-pct 50 --json bench-trend.json
-
-# Periodic snapshot frames of a Table 1 run on the simulated timeline:
-# throughput counters with per-interval deltas, drops, cost shares and
-# transfer-wall quantiles, one frame per simulated 50 ms.
-top:
-	dune exec bin/fbufs_cli.exe -- top table1 --interval-us 50000
 
 # TLB shootdown deferral/elision ablation: the on/off comparison table,
 # plus a folded-stack rendering of a Table 1 run in both modes and their

@@ -131,7 +131,7 @@ let run_benchmarks ~quick =
      land and allocator/GC noise dominates the OLS fit (r^2 of 0.58 and
      0.43 in the PR4 snapshot). They get a 6x quota and a stabilized
      heap; everything else keeps the cheap config. Benchmark names are
-     the bench-diff join key, so they never change. *)
+     the bench-trend join key, so they never change. *)
   let light =
     Benchmark.cfg ~limit:2000
       ~quota:(Time.second (if quick then 0.05 else 0.5))

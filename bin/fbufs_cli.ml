@@ -120,10 +120,11 @@ let spans_file =
 let record_dir =
   let doc =
     "Arm the flight recorder: bounded rings over recent trace events and \
-     head-sampled transfers, a seeded weighted event reservoir, and \
-     online invariant monitors at sequence points. Anomalies (monitor \
-     violations, policy drop spikes) write a post-mortem dump (JSONL, \
-     Chrome trace, span JSONL, meta) under $(docv)."
+     completed transfers, a seeded weighted event reservoir, and the \
+     online invariant monitor at sequence points (it reads the metrics \
+     registry, so it checks runs given $(b,--metrics)). Anomalies \
+     (monitor violations, policy drop spikes) write a post-mortem dump \
+     (JSONL, Chrome trace, span JSONL, meta) under $(docv)."
   in
   Arg.(
     value
@@ -147,15 +148,8 @@ let recorder ?dir ~dump_on_exit f =
   | None, false -> (None, f)
   | _ ->
       let module O = Fbufs_obs in
-      let config =
-        {
-          O.Recorder.default with
-          O.Recorder.dir =
-            Option.value dir ~default:O.Recorder.default.O.Recorder.dir;
-        }
-      in
-      let r = O.Recorder.create config in
-      let mon = O.Monitor.create ~recorder:r O.Monitor.default in
+      let r = O.Recorder.create ~dir:(Option.value dir ~default:"postmortem") in
+      let mon = O.Monitor.create ~recorder:r () in
       let extend o =
         { (O.Recorder.arm r o) with seq_hook = Some (O.Monitor.hook mon) }
       in
@@ -376,9 +370,7 @@ let check_cmd =
       | None -> run_jobs ()
       | Some dir ->
           let module O = Fbufs_obs in
-          let r =
-            O.Recorder.create { O.Recorder.default with O.Recorder.dir }
-          in
+          let r = O.Recorder.create ~dir in
           Fbufs_check.Driver.refusal_hook :=
             Some
               (fun what ->
@@ -556,9 +548,9 @@ let run_experiment experiment zero =
   | `Fig6 -> fig6 ()
   | `All -> all zero
 
-(* [stats --watch] and [top] share this: a Top renderer on the tick
-   callback, framing at fixed simulated intervals, with a span sink of
-   its own whose transfer walls feed the closing frame's quantiles. *)
+(* [stats --watch]: a Top renderer on the tick callback, framing at
+   fixed simulated intervals, with a span sink of its own whose transfer
+   walls feed the closing frame's quantiles. *)
 let watch_top ~interval_us f =
   let top = Fbufs_obs.Top.create ~interval_us () in
   let sink = Fbufs_span.Span.create () in
@@ -608,28 +600,6 @@ let stats_cmd =
       const run $ experiment_arg $ zero_flag $ no_elision_flag $ metrics_file
       $ folded $ watch)
 
-let top_cmd =
-  let interval =
-    let doc = "Frame interval in simulated microseconds." in
-    Arg.(value & opt float 1_000_000.0 & info [ "interval-us" ] ~doc ~docv:"US")
-  in
-  let run experiment zero no_elision interval =
-    let extend, f =
-      watch_top ~interval_us:interval (fun () -> run_experiment experiment zero)
-    in
-    with_elision no_elision (fun () -> H.Run.with_outputs ?extend f)
-  in
-  Cmd.v
-    (Cmd.info "top"
-       ~doc:
-         "Run an experiment with periodic snapshot frames on the simulated \
-          timeline: throughput and drop counters with per-interval deltas, \
-          held pages vs threshold, TLB shootdowns/elisions, per-component \
-          cost shares from the ledger and transfer-wall quantiles from the \
-          sketch")
-    Term.(
-      const run $ experiment_arg $ zero_flag $ no_elision_flag $ interval)
-
 let bench_trend_cmd =
   let files =
     let doc =
@@ -666,9 +636,7 @@ let bench_trend_cmd =
             output_string oc "\n";
             close_out oc);
         if r.T.failed then exit 1
-    | exception
-        ( Fbufs_metrics.Bench_diff.Bad_snapshot msg
-        | Fbufs_trace.Json.Parse_error msg ) ->
+    | exception (T.Bad_snapshot msg | Fbufs_trace.Json.Parse_error msg) ->
         Format.eprintf "bench-trend: %s@." msg;
         exit 2
   in
@@ -680,39 +648,6 @@ let bench_trend_cmd =
           benchmark stepped up beyond the tolerance across its changepoint \
           or disappeared from the latest snapshot")
     Term.(const run $ files $ tolerance $ json_out)
-
-let bench_diff_cmd =
-  let old_file =
-    let doc = "Baseline bench snapshot (JSON from bench --json)." in
-    Arg.(required & pos 0 (some file) None & info [] ~doc ~docv:"OLD.json")
-  in
-  let new_file =
-    let doc = "Candidate bench snapshot." in
-    Arg.(required & pos 1 (some file) None & info [] ~doc ~docv:"NEW.json")
-  in
-  let tolerance =
-    let doc = "Allowed ns/run growth per benchmark, in percent." in
-    Arg.(value & opt float 25.0 & info [ "tolerance-pct" ] ~doc ~docv:"PCT")
-  in
-  let run old_file new_file tolerance_pct =
-    let module B = Fbufs_metrics.Bench_diff in
-    match
-      B.diff ~old_:(B.load_file old_file) ~new_:(B.load_file new_file)
-        ~tolerance_pct
-    with
-    | r ->
-        print_string (B.render r);
-        if r.B.failed then exit 1
-    | exception (B.Bad_snapshot msg | Fbufs_trace.Json.Parse_error msg) ->
-        Format.eprintf "bench-diff: %s@." msg;
-        exit 2
-  in
-  Cmd.v
-    (Cmd.info "bench-diff"
-       ~doc:
-         "Compare two bench JSON snapshots and fail (exit 1) when any \
-          benchmark regressed beyond the tolerance or disappeared")
-    Term.(const run $ old_file $ new_file $ tolerance)
 
 let cmds =
   [
@@ -742,8 +677,6 @@ let cmds =
     cmd "info" "Print the calibrated cost model" Term.(const info_cmd $ const ());
     cmd "all" "Run every experiment" (traced (thunk1 all));
     stats_cmd;
-    top_cmd;
-    bench_diff_cmd;
     bench_trend_cmd;
     trace_cmd;
     spans_cmd;

@@ -43,7 +43,6 @@ let label = function
   | Other -> "other"
   | Policy -> "policy"
 
-let of_label s = List.find_opt (fun c -> label c = s) all
 
 let index = function
   | Alloc -> 0

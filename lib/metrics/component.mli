@@ -32,8 +32,6 @@ val all : t list
 val label : t -> string
 (** Stable lower-case name, e.g. ["tlb_flush"]. *)
 
-val of_label : string -> t option
-
 val index : t -> int
 (** Dense index in [0, List.length all); follows the order of {!all}. *)
 

@@ -6,36 +6,21 @@ module Span = Fbufs_span.Span
 module Span_export = Fbufs_span.Span_export
 module Mx = Fbufs_metrics.Metrics
 
-type config = {
-  seed : int;
-  event_capacity : int;
-  reservoir : int;
-  span_capacity : int;
-  span_denom : int;
-  debounce_us : float;
-  max_dumps : int;
-  dir : string;
-  gc_minor_words : int;
-      (* Nursery size (words) to guarantee while armed; 0 leaves the GC
-         alone. The recorder's churn — event records on the slow paths,
-         boxed floats at emission calls — otherwise raises the minor-GC
-         rate of the host run; a pre-sized nursery absorbs it the same
-         way flight recorders pre-size their arenas. Restored on
-         disarm. *)
-}
+(* Recorder parameters. Every caller uses these values; the dump
+   directory is the only setting. *)
+let seed = 1 (* the reservoir draws from substream [seed + 1] *)
+let event_capacity = 4096 (* recent-event ring (recorder-owned sink) *)
+let reservoir = 256 (* weighted event reservoir *)
+let span_capacity = 64 (* completed transfer roots *)
+let debounce_us = 10_000.0 (* min simulated time between dumps *)
+let max_dumps = 4 (* lifetime dump cap *)
 
-let default =
-  {
-    seed = 1;
-    event_capacity = 4096;
-    reservoir = 256;
-    span_capacity = 64;
-    span_denom = 1;
-    debounce_us = 10_000.0;
-    max_dumps = 4;
-    dir = "postmortem";
-    gc_minor_words = 8_000_000;
-  }
+(* Nursery size (words) guaranteed while armed. The recorder's churn —
+   event records materialized on acceptance, boxed floats at emission
+   calls — otherwise raises the minor-GC rate of the host run; a
+   pre-sized nursery absorbs it the same way flight recorders pre-size
+   their arenas. Restored on disarm. *)
+let gc_minor_words = 8_000_000
 
 let dumps_total =
   Mx.counter ~name:"fbufs_obs_dumps_total"
@@ -48,8 +33,7 @@ let suppressed_total =
     ~labels:[ "reason" ] ()
 
 type t = {
-  config : config;
-  head : Sample.Head.t;
+  dir : string;
   res : Trace.event Sample.Reservoir.t;
   roots : Span.transfer Ring.t;
   mutable trace : Trace.t option;  (* sink being tapped while armed *)
@@ -59,20 +43,17 @@ type t = {
   mutable armed : bool;
   mutable last_ts : float; (* span-side; merge with the trace via [last_ts t] *)
   mutable seen0 : int; (* events already in the trace when we armed *)
-  mutable roots_seen : int;
-  mutable roots_kept : int;
   mutable dumps : int;
   mutable suppressed : int;
   mutable last_dump_ts : float;
   mutable saved_minor : int; (* nursery size to restore on disarm; 0 = none *)
 }
 
-let create config =
+let create ~dir =
   {
-    config;
-    head = Sample.Head.create ~seed:config.seed ~denom:config.span_denom;
-    res = Sample.Reservoir.create ~seed:(config.seed + 1) ~k:config.reservoir;
-    roots = Ring.create ~capacity:config.span_capacity;
+    dir;
+    res = Sample.Reservoir.create ~seed:(seed + 1) ~k:reservoir;
+    roots = Ring.create ~capacity:span_capacity;
     trace = None;
     spans = None;
     metrics = None;
@@ -80,8 +61,6 @@ let create config =
     armed = false;
     last_ts = 0.0;
     seen0 = 0;
-    roots_seen = 0;
-    roots_kept = 0;
     dumps = 0;
     suppressed = 0;
     last_dump_ts = Float.neg_infinity;
@@ -109,45 +88,28 @@ let last_ts t =
   | Some tr -> Float.max t.last_ts (Trace.last_ts tr)
   | None -> t.last_ts
 
-let root_path (tr : Span.transfer) =
-  (* The root span was recorded first; [spans] is newest-first. *)
-  match List.rev tr.Span.spans with
-  | (sp : Span.span) :: _ when sp.Span.id = tr.Span.root -> sp.Span.path_id
-  | _ -> 0
-
+(* Every completed transfer joins the root ring; when the recorder owns
+   the span sink, the transfer the ring evicts is forgotten from it. *)
 let span_tap t (tr : Span.transfer) =
-  t.roots_seen <- t.roots_seen + 1;
   if tr.Span.t_start_us > t.last_ts then t.last_ts <- tr.Span.t_start_us;
-  let keep =
-    Sample.Head.keep t.head ~path:(root_path tr) ~label:tr.Span.label
-  in
-  if keep then begin
-    t.roots_kept <- t.roots_kept + 1;
-    match Ring.push t.roots tr with
-    | Some evicted when t.own_spans -> (
-        match t.spans with
-        | Some s -> Span.forget s evicted.Span.tid
-        | None -> ())
-    | Some _ | None -> ()
-  end
-  else if t.own_spans then
-    match t.spans with Some s -> Span.forget s tr.Span.tid | None -> ()
+  match (Ring.push t.roots tr, t.spans) with
+  | Some evicted, Some s when t.own_spans -> Span.forget s evicted.Span.tid
+  | _ -> ()
 
 let arm t (o : Machine.obs) =
   if t.armed then o
   else begin
     t.armed <- true;
     (let cur = (Gc.get ()).Gc.minor_heap_size in
-     if t.config.gc_minor_words > cur then begin
+     if gc_minor_words > cur then begin
        t.saved_minor <- cur;
-       Gc.set { (Gc.get ()) with Gc.minor_heap_size = t.config.gc_minor_words }
+       Gc.set { (Gc.get ()) with Gc.minor_heap_size = gc_minor_words }
      end);
     let tr =
       match o.trace with
       | Some tr -> tr
       | None ->
-          Trace.create ~ring:true ~latency:false
-            ~capacity:t.config.event_capacity ()
+          Trace.create ~ring:true ~latency:false ~capacity:event_capacity ()
     in
     t.seen0 <- pushed tr;
     Trace.set_sampler tr (Some (sampler t));
@@ -186,29 +148,17 @@ let note t ~kind ?(args = []) () =
 
 (* -- dumps -------------------------------------------------------------- *)
 
-let tail n l =
-  let len = List.length l in
-  if len <= n then l else List.filteri (fun i _ -> i >= len - n) l
-
-let jsonl_of_events evs =
-  let buf = Buffer.create 65536 in
-  List.iter
-    (fun ev ->
-      Buffer.add_string buf (Json.to_string (Chrome.jsonl_event ev));
-      Buffer.add_char buf '\n')
-    evs;
-  Buffer.contents buf
-
 let meta_json t ~reason =
+  (* Every completed transfer is kept; the ring bounds how many survive. *)
+  let roots = Ring.pushed t.roots in
   Json.Obj
     [
       ("reason", Json.String reason);
       ("ts_us", Json.Float (last_ts t));
-      ("seed", Json.Int t.config.seed);
-      ("span_denom", Json.Int t.config.span_denom);
+      ("seed", Json.Int seed);
       ("events_seen", Json.Int (events_seen t));
-      ("roots_seen", Json.Int t.roots_seen);
-      ("roots_kept", Json.Int t.roots_kept);
+      ("roots_seen", Json.Int roots);
+      ("roots_kept", Json.Int roots);
       ("reservoir_accepts", Json.Int (Sample.Reservoir.offered t.res));
       ("dumps", Json.Int t.dumps);
       ("suppressed", Json.Int t.suppressed);
@@ -218,14 +168,14 @@ let render_dump t ~reason =
   let events, chrome =
     match t.trace with
     | Some tr ->
-        ( jsonl_of_events (tail t.config.event_capacity (Trace.events tr)),
+        ( Chrome.jsonl (Trace.events ~last:event_capacity tr),
           Chrome.to_string tr )
     | None -> ("", "{\"traceEvents\":[]}")
   in
   [
     ("events.jsonl", events);
     ("chrome.json", chrome);
-    ("sampled.jsonl", jsonl_of_events (Sample.Reservoir.items t.res));
+    ("sampled.jsonl", Chrome.jsonl (Sample.Reservoir.items t.res));
     ("spans.jsonl", Span_export.jsonl_of_transfers (Ring.to_list t.roots));
     ("meta.json", Json.to_string (meta_json t ~reason));
   ]
@@ -237,13 +187,13 @@ let metric_label reason =
   | None -> reason
 
 let write_dump t ~reason =
-  if not (Sys.file_exists t.config.dir) then Sys.mkdir t.config.dir 0o755;
+  if not (Sys.file_exists t.dir) then Sys.mkdir t.dir 0o755;
   t.dumps <- t.dumps + 1;
   t.last_dump_ts <- last_ts t;
   let prefix = Printf.sprintf "postmortem-%d-" t.dumps in
   List.iter
     (fun (name, content) ->
-      let path = Filename.concat t.config.dir (prefix ^ name) in
+      let path = Filename.concat t.dir (prefix ^ name) in
       let oc = open_out path in
       Fun.protect
         ~finally:(fun () -> close_out oc)
@@ -256,8 +206,7 @@ let write_dump t ~reason =
 let trigger ?(force = false) t ~reason =
   let allowed =
     force
-    || t.dumps < t.config.max_dumps
-       && last_ts t -. t.last_dump_ts >= t.config.debounce_us
+    || t.dumps < max_dumps && last_ts t -. t.last_dump_ts >= debounce_us
   in
   if allowed then begin
     write_dump t ~reason;
@@ -272,5 +221,4 @@ let trigger ?(force = false) t ~reason =
   end
 
 let dumps t = t.dumps
-let roots_seen t = t.roots_seen
-let roots_kept t = t.roots_kept
+let roots_seen t = Ring.pushed t.roots

@@ -1,45 +1,19 @@
 module Rng = Fbufs_sim.Rng
 
-module Head = struct
-  type t = { base : Rng.t; denom : int }
-
-  let create ~seed ~denom =
-    if denom <= 0 then invalid_arg "Head.create: denom must be positive";
-    { base = Rng.create seed; denom }
-
-  (* FNV-1a, so label-keyed decisions are stable across runs and OCaml
-     versions (Hashtbl.hash promises neither). *)
-  let fnv1a s =
-    let h = ref 0x811c9dc5 in
-    String.iter
-      (fun c ->
-        h := (!h lxor Char.code c) * 0x01000193 land 0x3fffffff)
-      s;
-    !h
-
-  let keep t ~path ~label =
-    t.denom = 1
-    ||
-    let key = if path <> 0 then path else fnv1a label lor 0x40000000 in
-    (* [fork] does not advance [base], so decisions are order-free. *)
-    Rng.int (Rng.fork t.base key) t.denom = 0
-end
-
 module Reservoir = struct
   type 'a slot = { key : float; seq : int; item : 'a }
 
   (* A-ExpJ over a binary min-heap: once the reservoir is full, a
-     pre-drawn weight budget [skip] decides how much total weight
-     passes untouched before the next replacement, so the common case
-     per offer is one subtraction and one comparison — no RNG draw, no
-     transcendental, no scan. Replacements (expected k·ln(n/k) over a
-     run) pay the O(log k) sift. *)
+     pre-drawn weight budget (the skip, held by the caller) decides how
+     much total weight passes untouched before the next replacement, so
+     the common case per item is one subtraction and one comparison —
+     no RNG draw, no transcendental, no scan. Replacements (expected
+     k·ln(n/k) over a run) pay the O(log k) sift. *)
   type 'a t = {
     rng : Rng.t;
     slots : 'a slot option array;  (* min-heap by key over [0, filled) *)
     mutable filled : int;
     mutable offered : int;
-    mutable skip : float;  (* weight left to pass before the next replacement *)
   }
 
   let create ~seed ~k =
@@ -49,7 +23,6 @@ module Reservoir = struct
       slots = Array.make k None;
       filled = 0;
       offered = 0;
-      skip = 0.0;
     }
 
   let key_at t i = match t.slots.(i) with Some s -> s.key | None -> infinity
@@ -85,16 +58,14 @@ module Reservoir = struct
     (* Threshold is the smallest retained key; clamp away from 1 so the
        log below cannot vanish when a key drew exactly 1. *)
     let tw = Float.min (key_at t 0) (1.0 -. 1e-12) in
-    t.skip <- Float.log (u01 t) /. Float.log tw
+    Float.log (u01 t) /. Float.log tw
 
-  (* Inverted entry point for a hot emission path: the CALLER owns the
-     skip budget (decrementing it by each event's weight inline, with
-     no call and no allocation) and only invokes [accept_weighted] when
-     the budget reaches zero — i.e. when the item is retained. Returns
-     the next skip budget: 0.0 while the reservoir is still filling (so
-     every item is an acceptance), the freshly drawn A-ExpJ skip after
-     that. The RNG draw sequence is identical to eager per-item A-Res,
-     so the retained set matches what [offer] alone would keep. *)
+  (* The caller owns the skip budget (decrementing it by each event's
+     weight inline, with no call and no allocation) and only invokes
+     [accept_weighted] when the budget reaches zero — i.e. when the item
+     is retained. Returns the next skip budget: 0.0 while the reservoir
+     is still filling (so every item is an acceptance), the freshly
+     drawn A-ExpJ skip after that. *)
   let accept_weighted t ~weight item =
     t.offered <- t.offered + 1;
     let w = Float.max weight 1e-9 in
@@ -106,8 +77,7 @@ module Reservoir = struct
       t.slots.(t.filled) <- Some { key; seq = t.offered; item };
       t.filled <- t.filled + 1;
       sift_up t (t.filled - 1);
-      if t.filled = k then draw_skip t else t.skip <- 0.0;
-      t.skip
+      if t.filled = k then draw_skip t else 0.0
     end
     else begin
       (* Replace the minimum; the new key is drawn from (Tw^w, 1] so
@@ -119,17 +89,7 @@ module Reservoir = struct
       let key = Float.exp (Float.log u /. w) in
       t.slots.(0) <- Some { key; seq = t.offered; item };
       sift_down t 0;
-      draw_skip t;
-      t.skip
-    end
-
-  let offer t ~weight item =
-    let w = Float.max weight 1e-9 in
-    if t.filled < Array.length t.slots then
-      ignore (accept_weighted t ~weight:w item)
-    else begin
-      t.skip <- t.skip -. w;
-      if t.skip <= 0.0 then ignore (accept_weighted t ~weight:w item)
+      draw_skip t
     end
 
   let offered t = t.offered

@@ -1,28 +1,9 @@
 (** Seeded, deterministic sampling for the flight recorder.
 
-    Both samplers draw exclusively from {!Fbufs_sim.Rng} substreams of
-    one configured seed, so two runs over the same deterministic event
-    stream make identical keep/drop decisions — the property the
-    recorder's byte-identical-dump tests pin. *)
-
-module Head : sig
-  (** Per-path head sampling: the keep/drop decision for a path is made
-      once (a keyed {!Fbufs_sim.Rng.fork} of the seed, so no draw order
-      is involved) and applies to every transfer on that path. Sampling
-      whole paths, not individual transfers, keeps causally related
-      transfers together in the dump. *)
-
-  type t
-
-  val create : seed:int -> denom:int -> t
-  (** Keep roughly 1-in-[denom] paths; [denom = 1] keeps everything.
-      Raises [Invalid_argument] unless [denom] is positive. *)
-
-  val keep : t -> path:int -> label:string -> bool
-  (** Decision for a transfer root. Keyed by [path] when it is bound to
-      an I/O path (non-zero), otherwise by a hash of [label], so
-      unbound transfers of the same kind sample consistently. *)
-end
+    The reservoir draws exclusively from a {!Fbufs_sim.Rng} stream of
+    its seed, so two runs over the same deterministic event stream make
+    identical keep/drop decisions — the property the recorder's
+    byte-identical-dump tests pin. *)
 
 module Reservoir : sig
   (** Weighted reservoir of size [k]: each offered item gets priority
@@ -31,26 +12,21 @@ module Reservoir : sig
       slices) are proportionally more likely to survive, giving a
       duration-biased long-horizon sample to complement the recent
       ring. Implemented as A-ExpJ over a min-heap: once full, skipped
-      items cost one subtraction — no RNG draw — so offering is cheap
-      enough for an always-armed recorder. *)
+      items cost the caller one subtraction — no RNG draw — which is
+      cheap enough for an always-armed recorder. *)
 
   type 'a t
 
   val create : seed:int -> k:int -> 'a t
   (** Raises [Invalid_argument] unless [k] is positive. *)
 
-  val offer : 'a t -> weight:float -> 'a -> unit
-  (** Weights [<= 0] are clamped to a small positive minimum. *)
-
   val accept_weighted : 'a t -> weight:float -> 'a -> float
-  (** Inverted flow for a hot emission path that owns the skip budget
-      itself: decrement the budget by each item's weight inline and
-      call this only when it reaches zero — the item is retained and
-      the next budget is returned (0.0 while the reservoir is still
-      filling, so every item is an acceptance until it is full). Items
-      skipped this way must NOT also be [offer]ed. The RNG draw
-      sequence matches the eager path, so either flow keeps the same
-      sample. *)
+  (** The caller owns the skip budget: it decrements the budget by each
+      item's weight inline and calls this only when it reaches zero —
+      the item is retained and the next budget is returned (0.0 while
+      the reservoir is still filling, so every item is an acceptance
+      until it is full). Weights [<= 0] are clamped to a small positive
+      minimum. *)
 
   val items : 'a t -> 'a list
   (** Retained items in offer order. *)

@@ -7,7 +7,6 @@ module Comp = Fbufs_metrics.Component
 type t = {
   interval_us : float;
   ppf : Format.formatter;
-  monitor : Monitor.t option;
   mutable metrics : Mx.t;
   prev : (string, float) Hashtbl.t;  (* counter totals at the last frame *)
   mutable next_due : float;
@@ -15,14 +14,12 @@ type t = {
   mutable frames : int;
 }
 
-let create ?(interval_us = 1_000_000.0) ?(ppf = Format.std_formatter) ?monitor
-    () =
+let create ?(interval_us = 1_000_000.0) ?(ppf = Format.std_formatter) () =
   if interval_us <= 0.0 then
     invalid_arg "Top.create: interval must be positive";
   {
     interval_us;
     ppf;
-    monitor;
     metrics = Mx.create ();
     prev = Hashtbl.create 16;
     next_due = interval_us;
@@ -105,14 +102,8 @@ let frame t ~now_us =
   let elided, d_elided = delta t "fbufs_tlb_flushes_elided_total" in
   p ppf "  tlb shootdowns %3.0f (+%.0f)   elided %14.0f (+%.0f)@." shoot
     d_shoot elided d_elided;
-  (match t.monitor with
-  | Some mon ->
-      p ppf "  monitor violations %.0f   checks %d@."
-        (float_of_int (Monitor.violation_count mon))
-        (Monitor.checks mon)
-  | None ->
-      let v = Mx.total_by_name t.metrics ~name:"fbufs_monitor_violations_total" in
-      if v > 0.0 then p ppf "  monitor violations %.0f@." v);
+  (let v = Mx.total_by_name t.metrics ~name:"fbufs_monitor_violations_total" in
+   if v > 0.0 then p ppf "  monitor violations %.0f@." v);
   let ledger = Mx.ledger t.metrics in
   let total = Ledger.total_us ledger in
   if total > 0.0 then begin

@@ -10,17 +10,11 @@
     state, so frames are deterministic and goldenable; rendering reads
     the registry without charging, so installing Top perturbs nothing.
 
-    Both [fbufs_cli top] and [fbufs_cli stats --watch] share this
-    renderer. *)
+    [fbufs_cli stats --watch] drives this renderer. *)
 
 type t
 
-val create :
-  ?interval_us:float ->
-  ?ppf:Format.formatter ->
-  ?monitor:Monitor.t ->
-  unit ->
-  t
+val create : ?interval_us:float -> ?ppf:Format.formatter -> unit -> t
 (** Default interval 1 s of simulated time, output to stdout, reading a
     registry of its own until {!attach}ed. Raises [Invalid_argument]
     unless the interval is positive. *)

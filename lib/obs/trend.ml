@@ -1,5 +1,33 @@
-module Bench_diff = Fbufs_metrics.Bench_diff
 module Json = Fbufs_trace.Json
+
+type row = { name : string; ns_per_run : float option }
+
+exception Bad_snapshot of string
+
+let num = function
+  | Json.Float f -> Some f
+  | Json.Int i -> Some (float_of_int i)
+  | _ -> None
+
+let load_string s =
+  match Json.parse s with
+  | Json.List items ->
+      List.map
+        (fun item ->
+          let name =
+            match Json.member "name" item with
+            | Some (Json.String s) -> s
+            | _ -> raise (Bad_snapshot "benchmark entry without name")
+          in
+          { name; ns_per_run = Option.bind (Json.member "ns_per_run" item) num })
+        items
+  | _ -> raise (Bad_snapshot "snapshot is not a JSON list")
+
+let load_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () -> load_string (really_input_string ic (in_channel_length ic)))
 
 type verdict = {
   bench : string;
@@ -91,10 +119,8 @@ let analyze_rows ~named ~tolerance_pct =
   let latest = List.nth snapshots (List.length snapshots - 1) in
   let names =
     List.concat_map
-      (List.filter_map (fun (r : Bench_diff.row) ->
-           match r.Bench_diff.ns_per_run with
-           | Some _ -> Some r.Bench_diff.name
-           | None -> None))
+      (List.filter_map (fun r ->
+           match r.ns_per_run with Some _ -> Some r.name | None -> None))
       snapshots
     |> List.sort_uniq String.compare
   in
@@ -105,9 +131,7 @@ let analyze_rows ~named ~tolerance_pct =
           List.filter_map
             (fun rows ->
               List.find_map
-                (fun (r : Bench_diff.row) ->
-                  if r.Bench_diff.name = bench then r.Bench_diff.ns_per_run
-                  else None)
+                (fun r -> if r.name = bench then r.ns_per_run else None)
                 rows)
             snapshots
         in
@@ -116,9 +140,7 @@ let analyze_rows ~named ~tolerance_pct =
         let missing_latest =
           not
             (List.exists
-               (fun (r : Bench_diff.row) ->
-                 r.Bench_diff.name = bench
-                 && r.Bench_diff.ns_per_run <> None)
+               (fun r -> r.name = bench && r.ns_per_run <> None)
                latest)
         in
         if n < 2 then
@@ -172,7 +194,7 @@ let analyze_rows ~named ~tolerance_pct =
   }
 
 let analyze ~files ~tolerance_pct =
-  let named = List.map (fun f -> (f, Bench_diff.load_file f)) files in
+  let named = List.map (fun f -> (f, load_file f)) files in
   analyze_rows ~named ~tolerance_pct
 
 let render r =

@@ -1,5 +1,4 @@
-(** Bench-trajectory trend gate: the whole-series generalization of the
-    pairwise [bench-diff].
+(** Bench-trajectory trend gate over the committed bench snapshots.
 
     Given the committed [BENCH_*.json] snapshots in chronological order,
     each benchmark's ns/run series gets (1) an ordinary-least-squares
@@ -11,11 +10,25 @@
     a generous pairwise tolerance would wave through accumulates no
     matter how it is split across adjacent snapshots — or when the
     benchmark was present earlier but is missing from the latest
-    snapshot. Two-point series degenerate to exactly the pairwise
-    [bench-diff] comparison.
+    snapshot. A two-point series is the pairwise comparison: it fails
+    when the newer ns/run exceeds the older by more than the tolerance,
+    or the benchmark is gone.
 
-    All snapshots must come from the same collection machine (the same
-    rule the pairwise gate relies on); runner speed never enters. *)
+    All snapshots must come from the same collection machine; runner
+    speed never enters. *)
+
+type row = { name : string; ns_per_run : float option }
+(** One benchmark of a snapshot (the JSON list [bench/main.ml --json]
+    writes). *)
+
+exception Bad_snapshot of string
+
+val load_string : string -> row list
+(** Raises {!Bad_snapshot} on structural problems and
+    [Fbufs_trace.Json.Parse_error] on malformed JSON. *)
+
+val load_file : string -> row list
+(** {!load_string} of a file; also raises [Sys_error]. *)
 
 type verdict = {
   bench : string;
@@ -40,15 +53,15 @@ type result = {
 }
 
 val analyze_rows :
-  named:(string * Fbufs_metrics.Bench_diff.row list) list ->
+  named:(string * row list) list ->
   tolerance_pct:float ->
   result
 (** [named] pairs a snapshot label with its rows, oldest first. Raises
     [Invalid_argument] on fewer than two snapshots. *)
 
 val analyze : files:string list -> tolerance_pct:float -> result
-(** {!analyze_rows} over [Bench_diff.load_file] of each path; raises as
-    that loader on malformed snapshots. *)
+(** {!analyze_rows} over {!load_file} of each path; raises as that
+    loader on malformed snapshots. *)
 
 val render : result -> string
 (** Fixed-width table plus a PASS/FAIL trailer line. *)

@@ -143,13 +143,6 @@ let span_end m ?args id =
   | None -> ()
   | Some tr -> if id <> 0 then Trace.end_span tr ~ts_us:(Clock.now m.clock) ?args id
 
-let with_span m ?domain ?path_id kind f =
-  match trace m with
-  | None -> f ()
-  | Some _ ->
-      let id = span_begin m ?domain ?path_id kind in
-      Fun.protect ~finally:(fun () -> span_end m id) f
-
 let async_begin m ?domain ?path_id ?args ~id kind =
   match trace m with
   | None -> ()
@@ -222,11 +215,6 @@ let current_transfer m =
   | None -> 0
   | Some s -> Fbufs_span.Span.current s ~machine:m.name
 
-let span_context m =
-  match spans m with
-  | None -> (0, 0)
-  | Some s -> Fbufs_span.Span.context s ~machine:m.name
-
 let elapse_to ?kind m t =
   match m.obs with
   | None -> Clock.advance_to m.clock t
@@ -279,5 +267,3 @@ let domain_crossing_tlb_pressure ?entries m =
     Tlb.insert m.tlb ~asid:0 ~vpn:(0x70000 + (i * 7) + Rng.int m.rng 5)
       ~writable:false
   done
-
-let reset_stats m = Stats.reset m.stats

@@ -161,9 +161,6 @@ val current_transfer : t -> int
 (** The machine's current transfer context (0 when none or disabled) —
     what {!Fbufs.Allocator.alloc} stamps into new fbufs. *)
 
-val span_context : t -> int * int
-(** [(transfer id, innermost open span id)], 0s when absent. *)
-
 val trace_instant :
   t ->
   ?domain:string ->
@@ -186,8 +183,6 @@ val span_begin :
 
 val span_end :
   t -> ?args:(string * Fbufs_trace.Trace.arg) list -> int -> unit
-
-val with_span : t -> ?domain:string -> ?path_id:int -> string -> (unit -> 'a) -> 'a
 
 val async_begin :
   t ->
@@ -234,5 +229,3 @@ val domain_crossing_tlb_pressure : ?entries:int -> t -> unit
     crossing. Costless in time (the control-transfer latency is charged
     separately by the IPC layer); its effect is the refill work later
     accesses must redo. *)
-
-val reset_stats : t -> unit

@@ -21,11 +21,9 @@ let cell t name =
       Hashtbl.add t name r;
       r
 
-let add_float t name v =
+let add t name n =
   let r = cell t name in
-  r.v <- r.v +. v
-
-let add t name n = add_float t name (float_of_int n)
+  r.v <- r.v +. float_of_int n
 
 let incr t name = add t name 1
 
@@ -54,12 +52,3 @@ let diff ~before ~after =
     keys
 
 let since t before = diff ~before ~after:(snapshot t)
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>";
-  List.iter
-    (fun (k, v) ->
-      if Float.is_integer v then Format.fprintf ppf "%-32s %12.0f@," k v
-      else Format.fprintf ppf "%-32s %12.2f@," k v)
-    (to_list t);
-  Format.fprintf ppf "@]"

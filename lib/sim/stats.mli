@@ -13,7 +13,6 @@ val incr : t -> string -> unit
 (** Add one to a counter, creating it at zero if needed. *)
 
 val add : t -> string -> int -> unit
-val add_float : t -> string -> float -> unit
 
 val get : t -> string -> int
 (** Current value of a counter; 0 when never touched. *)
@@ -39,5 +38,3 @@ val diff :
 
 val since : t -> (string * float) list -> (string * float) list
 (** [since t before = diff ~before ~after:(snapshot t)]. *)
-
-val pp : Format.formatter -> t -> unit

@@ -139,8 +139,9 @@ val set_tap : t -> (transfer -> unit) option -> unit
 (** Install (or clear) a callback fired by {!transfer_end} with the
     completed transfer, after its root span closes. Late adoptions (an
     ack continuing the transfer after the root closed) are not yet in
-    [spans] when the tap fires. Used by the flight recorder's head
-    sampler; [None] by default, costing one pointer compare per close. *)
+    [spans] when the tap fires. Used by the flight recorder's ring of
+    recent transfers; [None] by default, costing one pointer compare per
+    close. *)
 
 val forget : t -> int -> unit
 (** Evict a transfer and its spans from the sink, bounding memory for

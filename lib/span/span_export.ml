@@ -1,12 +1,14 @@
 module Json = Fbufs_trace.Json
+module Chrome = Fbufs_trace.Chrome
 module Comp = Fbufs_metrics.Component
 
 (* Exporters for recorded span trees.
 
-   Chrome trace_event: each machine becomes a pid, each domain a tid,
-   spans become "X" complete events and follows-from edges become flow
-   event pairs ("s" at the source, "f"/bp:"e" at the destination), so
-   about:tracing / Perfetto draws the causal arrows across machines.
+   Chrome trace_event: spans become "X" complete events and follows-from
+   edges become flow event pairs ("s" at the source, "f"/bp:"e" at the
+   destination), so about:tracing / Perfetto draws the causal arrows
+   across machines; lanes (a pid per machine, tid 1 for the machine
+   lane, domains after it) come from Fbufs_trace.Chrome.
 
    JSONL: one self-contained object per line — a "transfer" line then
    its "span" lines — with a round-trip parser used by the tests and by
@@ -18,65 +20,36 @@ let float_or_null f = if Float.is_nan f then Json.Null else Json.Float f
 
 (* -- Chrome trace_event ------------------------------------------------- *)
 
+(* Only the events are built here; lanes, metadata and the envelope
+   come from the one Chrome writer. *)
 let chrome t =
-  let pids = Hashtbl.create 8 in
-  let tids = Hashtbl.create 8 in
-  let meta = ref [] in
-  let pid_of machine =
-    match Hashtbl.find_opt pids machine with
-    | Some p -> p
-    | None ->
-        let p = Hashtbl.length pids + 1 in
-        Hashtbl.add pids machine p;
-        meta :=
-          Json.Obj
-            [
-              ("name", Json.String "process_name");
-              ("ph", Json.String "M");
-              ("pid", Json.Int p);
-              ("args", Json.Obj [ ("name", Json.String machine) ]);
-            ]
-          :: !meta;
-        p
-  in
-  let tid_of machine domain =
-    let key = (machine, domain) in
-    match Hashtbl.find_opt tids key with
-    | Some i -> i
-    | None ->
-        let i =
-          1
-          + Hashtbl.fold
-              (fun (m, _) _ acc -> if m = machine then acc + 1 else acc)
-              tids 0
-        in
-        Hashtbl.add tids key i;
-        let pid = pid_of machine in
-        meta :=
-          Json.Obj
-            [
-              ("name", Json.String "thread_name");
-              ("ph", Json.String "M");
-              ("pid", Json.Int pid);
-              ("tid", Json.Int i);
-              ( "args",
-                Json.Obj
-                  [
-                    ( "name",
-                      Json.String (if domain = "" then machine else domain) );
-                  ] );
-            ]
-          :: !meta;
-        i
+  let lanes = Chrome.lanes () in
+  let lane (sp : Span.span) =
+    Chrome.lane lanes ~machine:sp.Span.machine ~domain:sp.Span.domain
   in
   let events = ref [] in
   let emit e = events := e :: !events in
+  let flow ph ~id ~ts (pid, tid) extra =
+    emit
+      (Json.Obj
+         ([
+            ("name", Json.String "follows");
+            ("cat", Json.String "flow");
+            ("ph", Json.String ph);
+          ]
+         @ extra
+         @ [
+             ("id", Json.Int id);
+             ("ts", Json.Float ts);
+             ("pid", Json.Int pid);
+             ("tid", Json.Int tid);
+           ]))
+  in
   List.iter
     (fun (tr : Span.transfer) ->
       List.iter
         (fun (sp : Span.span) ->
-          let pid = pid_of sp.Span.machine in
-          let tid = tid_of sp.Span.machine sp.Span.domain in
+          let pid, tid = lane sp in
           let dur =
             if Span.is_closed sp then sp.Span.end_us -. sp.Span.start_us
             else 0.0
@@ -108,42 +81,16 @@ let chrome t =
             match Span.find_span t sp.Span.follows with
             | None -> ()
             | Some src ->
-                let spid = pid_of src.Span.machine in
-                let stid = tid_of src.Span.machine src.Span.domain in
                 let sts =
                   if Span.is_closed src then src.Span.end_us
                   else src.Span.start_us
                 in
-                emit
-                  (Json.Obj
-                     [
-                       ("name", Json.String "follows");
-                       ("cat", Json.String "flow");
-                       ("ph", Json.String "s");
-                       ("id", Json.Int sp.Span.id);
-                       ("ts", Json.Float sts);
-                       ("pid", Json.Int spid);
-                       ("tid", Json.Int stid);
-                     ]);
-                emit
-                  (Json.Obj
-                     [
-                       ("name", Json.String "follows");
-                       ("cat", Json.String "flow");
-                       ("ph", Json.String "f");
-                       ("bp", Json.String "e");
-                       ("id", Json.Int sp.Span.id);
-                       ("ts", Json.Float sp.Span.start_us);
-                       ("pid", Json.Int pid);
-                       ("tid", Json.Int tid);
-                     ]))
+                flow "s" ~id:sp.Span.id ~ts:sts (lane src) [];
+                flow "f" ~id:sp.Span.id ~ts:sp.Span.start_us (pid, tid)
+                  [ ("bp", Json.String "e") ])
         (Span.spans_of tr))
     (Span.transfers t);
-  Json.Obj
-    [
-      ("traceEvents", Json.List (List.rev !meta @ List.rev !events));
-      ("displayTimeUnit", Json.String "ms");
-    ]
+  Chrome.document lanes (List.rev !events)
 
 let write_chrome path t =
   let oc = open_out path in

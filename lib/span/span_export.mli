@@ -2,10 +2,11 @@
     follows-from edges) and JSONL with a round-trip parser. *)
 
 val chrome : Span.t -> Fbufs_trace.Json.t
-(** Chrome [trace_event] document: machines map to pids, domains to
-    tids, spans to ["X"] complete events (component charges in [args]),
-    follows-from edges to flow-event pairs (["s"]/["f"] with
-    [bp = "e"]). Loadable in about:tracing / Perfetto. *)
+(** Chrome [trace_event] document: spans as ["X"] complete events
+    (component charges in [args]), follows-from edges as flow-event
+    pairs (["s"]/["f"] with [bp = "e"]), on the lanes and inside the
+    envelope of {!Fbufs_trace.Chrome.document} (domain-less spans sit on
+    their machine's tid 1 lane). Loadable in about:tracing / Perfetto. *)
 
 val write_chrome : string -> Span.t -> unit
 

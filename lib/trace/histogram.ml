@@ -32,8 +32,6 @@ let bucket_of v =
 let upper_bound i =
   if i = 0 then base else base *. exp (float_of_int i *. log_g)
 
-let lower_bound i = if i = 0 then 0.0 else upper_bound (i - 1)
-
 let add t v =
   let v = Float.max 0.0 v in
   let b = bucket_of v in
@@ -73,25 +71,3 @@ let percentile t p =
     let v = walk 0 (sorted_buckets t) in
     Float.min t.max_v (Float.max t.min_v v)
   end
-
-let buckets t =
-  List.map (fun (b, n) -> (lower_bound b, upper_bound b, n)) (sorted_buckets t)
-
-let merge a b =
-  let t = create () in
-  let blit src =
-    Hashtbl.iter
-      (fun k n ->
-        Hashtbl.replace t.counts k
-          (n + Option.value ~default:0 (Hashtbl.find_opt t.counts k)))
-      src.counts;
-    t.count <- t.count + src.count;
-    t.sum <- t.sum +. src.sum;
-    if src.count > 0 then begin
-      if src.min_v < t.min_v then t.min_v <- src.min_v;
-      if src.max_v > t.max_v then t.max_v <- src.max_v
-    end
-  in
-  blit a;
-  blit b;
-  t

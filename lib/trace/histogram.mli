@@ -29,9 +29,3 @@ val percentile : t -> float -> float
     rank [ceil(p/100 * count)], clamped to the exact observed [min]/[max];
     the first and last ranks return [min] and [max] exactly. 0 when empty.
     Deterministic for a given sample multiset. *)
-
-val buckets : t -> (float * float * int) list
-(** Non-empty buckets as [(low, high, count)], ascending. *)
-
-val merge : t -> t -> t
-(** Pointwise sum of two histograms (does not mutate its arguments). *)

@@ -27,15 +27,16 @@ type open_span = {
   o_kind : string;
 }
 
-(* Ring-mode storage is struct-of-arrays rather than an array of event
-   records: an always-armed flight recorder keeps its window live across
-   every minor GC, and a window of boxed records turns each collection
-   into a promotion of the whole window. Columns of unboxed floats and
-   ints hold no minor-heap pointers at all, and the string columns almost
-   always point at shared literals (kinds) or interned machine names, so
-   the retained window costs the GC nothing. The common single
-   [("comp", Str _)] argument is split into its own string column; only
-   the rare richer argument lists are retained boxed. *)
+(* Every trace stores its events struct-of-arrays rather than as an
+   array of event records: an always-armed flight recorder keeps its
+   window live across every minor GC, and a window of boxed records
+   turns each collection into a promotion of the whole window. Columns
+   of unboxed floats and ints hold no minor-heap pointers at all, and the
+   string columns almost always point at shared literals (kinds) or
+   interned machine names, so the retained window costs the GC nothing.
+   The common single [("comp", Str _)] argument is split into its own
+   string column; only the rare richer argument lists are retained
+   boxed. *)
 type cols = {
   c_ts : float array;
   c_dur : float array; (* Complete duration; 0.0 for other phases *)
@@ -58,16 +59,14 @@ type sampler = {
 }
 
 type t = {
-  mutable buf : event array; (* non-ring storage; [||] in ring mode *)
-  cols : cols option; (* ring storage; None otherwise *)
-  mutable len : int;
-  capacity : int option;
+  mutable cols : cols; (* grown geometrically up to [cap] *)
+  mutable len : int; (* retained events *)
+  mutable start : int; (* oldest retained event; moves once a ring is full *)
+  cap : int; (* retention bound; max_int when unbounded *)
   ring : bool;
   latency : bool; (* maintain per-(kind, path) histograms *)
-  mutable start : int; (* index of the oldest retained event (ring mode) *)
   mutable dropped : int;
   mutable next_span : int;
-  mutable tap : (event -> unit) option;
   mutable sampler : sampler option;
   last : float array; (* newest timestamp seen; float array so the
                          per-event update is an unboxed store *)
@@ -76,102 +75,79 @@ type t = {
   hist : (string * int, Histogram.t) Hashtbl.t;
 }
 
-let phase_code = function
-  | Instant -> 0
-  | Complete _ -> 1
-  | Span_begin -> 2
-  | Span_end -> 3
-  | Async_begin -> 4
-  | Async_end -> 5
+(* Column codes of [phase]; a Complete's duration lives in [c_dur]. *)
+let ph_instant = 0
+let ph_complete = 1
+let ph_span_begin = 2
+let ph_span_end = 3
+let ph_async_begin = 4
+let ph_async_end = 5
 
-let make_cols c =
+let phase_of_code code dur =
+  match code with
+  | 0 -> Instant
+  | 1 -> Complete dur
+  | 2 -> Span_begin
+  | 3 -> Span_end
+  | 4 -> Async_begin
+  | _ -> Async_end
+
+let make_event ~ts ~dur ~machine ~domain ~path ~kind ~phase ~span ~comp ~extra
+    =
   {
-    c_ts = Array.make c 0.0;
-    c_dur = Array.make c 0.0;
-    c_machine = Array.make c "";
-    c_domain = Array.make c "";
-    c_kind = Array.make c "";
-    c_path = Array.make c 0;
-    c_phase = Array.make c 0;
-    c_span = Array.make c 0;
-    c_comp = Array.make c "";
-    c_extra = Array.make c [];
+    ts_us = ts;
+    machine;
+    domain;
+    path_id = path;
+    kind;
+    phase = phase_of_code phase dur;
+    span;
+    args =
+      (match extra with
+      | [] -> if comp = "" then [] else [ ("comp", Str comp) ]
+      | l -> l);
   }
-
-let set_cols c i ev =
-  c.c_ts.(i) <- ev.ts_us;
-  c.c_dur.(i) <- (match ev.phase with Complete d -> d | _ -> 0.0);
-  c.c_machine.(i) <- ev.machine;
-  c.c_domain.(i) <- ev.domain;
-  c.c_kind.(i) <- ev.kind;
-  c.c_path.(i) <- ev.path_id;
-  c.c_phase.(i) <- phase_code ev.phase;
-  c.c_span.(i) <- ev.span;
-  match ev.args with
-  | [] ->
-      c.c_comp.(i) <- "";
-      if c.c_extra.(i) != [] then c.c_extra.(i) <- []
-  | [ (k, Str comp) ] when String.equal k "comp" ->
-      c.c_comp.(i) <- comp;
-      if c.c_extra.(i) != [] then c.c_extra.(i) <- []
-  | args ->
-      c.c_comp.(i) <- "";
-      c.c_extra.(i) <- args
 
 let event_of_cols c i =
-  let phase =
-    match c.c_phase.(i) with
-    | 0 -> Instant
-    | 1 -> Complete c.c_dur.(i)
-    | 2 -> Span_begin
-    | 3 -> Span_end
-    | 4 -> Async_begin
-    | _ -> Async_end
-  in
-  let args =
-    match c.c_extra.(i) with
-    | [] -> if c.c_comp.(i) = "" then [] else [ ("comp", Str c.c_comp.(i)) ]
-    | l -> l
-  in
+  make_event ~ts:c.c_ts.(i) ~dur:c.c_dur.(i) ~machine:c.c_machine.(i)
+    ~domain:c.c_domain.(i) ~path:c.c_path.(i) ~kind:c.c_kind.(i)
+    ~phase:c.c_phase.(i) ~span:c.c_span.(i) ~comp:c.c_comp.(i)
+    ~extra:c.c_extra.(i)
+
+let make_cols n =
   {
-    ts_us = c.c_ts.(i);
-    machine = c.c_machine.(i);
-    domain = c.c_domain.(i);
-    path_id = c.c_path.(i);
-    kind = c.c_kind.(i);
-    phase;
-    span = c.c_span.(i);
-    args;
+    c_ts = Array.make n 0.0;
+    c_dur = Array.make n 0.0;
+    c_machine = Array.make n "";
+    c_domain = Array.make n "";
+    c_kind = Array.make n "";
+    c_path = Array.make n 0;
+    c_phase = Array.make n 0;
+    c_span = Array.make n 0;
+    c_comp = Array.make n "";
+    c_extra = Array.make n [];
   }
 
-let dummy_event =
-  {
-    ts_us = 0.0;
-    machine = "";
-    domain = "";
-    path_id = -1;
-    kind = "";
-    phase = Instant;
-    span = 0;
-    args = [];
-  }
+let initial_cols = 1024
 
 let create ?(ring = false) ?(latency = true) ?capacity () =
-  (match capacity with
-  | Some c when c <= 0 -> invalid_arg "Trace.create: capacity must be positive"
-  | None when ring -> invalid_arg "Trace.create: ring requires a capacity"
-  | _ -> ());
+  let cap =
+    match capacity with
+    | Some c when c <= 0 ->
+        invalid_arg "Trace.create: capacity must be positive"
+    | Some c -> c
+    | None when ring -> invalid_arg "Trace.create: ring requires a capacity"
+    | None -> max_int
+  in
   {
-    buf = (if ring then [||] else Array.make 1024 dummy_event);
-    cols = (match capacity with Some c when ring -> Some (make_cols c) | _ -> None);
+    cols = make_cols (min cap initial_cols);
     len = 0;
-    capacity;
+    start = 0;
+    cap;
     ring;
     latency;
-    start = 0;
     dropped = 0;
     next_span = 1;
-    tap = None;
     sampler = None;
     last = [| 0.0 |];
     spans = Hashtbl.create 16;
@@ -179,153 +155,149 @@ let create ?(ring = false) ?(latency = true) ?capacity () =
     hist = Hashtbl.create 64;
   }
 
-let set_tap t f = t.tap <- f
 let set_sampler t s = t.sampler <- s
 let last_ts t = t.last.(0)
-
-let clear t =
-  (match t.cols with
-  | Some c ->
-      (* Drop retained references so cleared rings hold no old strings. *)
-      Array.fill c.c_machine 0 (Array.length c.c_machine) "";
-      Array.fill c.c_domain 0 (Array.length c.c_domain) "";
-      Array.fill c.c_kind 0 (Array.length c.c_kind) "";
-      Array.fill c.c_comp 0 (Array.length c.c_comp) "";
-      Array.fill c.c_extra 0 (Array.length c.c_extra) []
-  | None -> ());
-  t.last.(0) <- 0.0;
-  t.len <- 0;
-  t.start <- 0;
-  t.dropped <- 0;
-  Hashtbl.reset t.spans;
-  Hashtbl.reset t.asyncs;
-  Hashtbl.reset t.hist
-
 let event_count t = t.len
 let dropped t = t.dropped
-let open_spans t = Hashtbl.length t.spans
 
-let events t =
-  match t.cols with
-  | None -> Array.to_list (Array.sub t.buf 0 t.len)
-  | Some c ->
-      let cap = Array.length c.c_ts in
-      List.init t.len (fun i -> event_of_cols c ((t.start + i) mod cap))
+let iter_from t first f =
+  let c = t.cols in
+  let n = Array.length c.c_ts in
+  for i = first to t.len - 1 do
+    let j = t.start + i in
+    f (event_of_cols c (if j >= n then j - n else j))
+  done
 
-(* Claim the slot the next ring event lands in, advancing the window.
-   [start < cap] and [len <= cap], so a compare-and-subtract replaces
-   the integer division a [mod] would cost on every event. *)
-let ring_slot t cap =
-  if t.len < cap then begin
-    let i = t.start + t.len in
-    let i = if i >= cap then i - cap else i in
-    t.len <- t.len + 1;
+let iter t f = iter_from t 0 f
+
+let events ?last t =
+  let first = match last with Some k -> max 0 (t.len - k) | None -> 0 in
+  let acc = ref [] in
+  iter_from t first (fun ev -> acc := ev :: !acc);
+  List.rev !acc
+
+(* Double the columns, up to [cap]. Only called before the window first
+   fills, so the retained events are exactly [0, len). *)
+let grow t =
+  let c = t.cols in
+  let n = Array.length c.c_ts in
+  let extra = (if n > t.cap / 2 then t.cap else 2 * n) - n in
+  let ext a fill = Array.append a (Array.make extra fill) in
+  t.cols <-
+    {
+      c_ts = ext c.c_ts 0.0;
+      c_dur = ext c.c_dur 0.0;
+      c_machine = ext c.c_machine "";
+      c_domain = ext c.c_domain "";
+      c_kind = ext c.c_kind "";
+      c_path = ext c.c_path 0;
+      c_phase = ext c.c_phase 0;
+      c_span = ext c.c_span 0;
+      c_comp = ext c.c_comp "";
+      c_extra = ext c.c_extra [];
+    }
+
+(* Claim the slot the next event lands in, or -1 when a full bounded
+   trace drops it. A full ring overwrites its oldest event instead
+   (counted as dropped); [start < cap], so a compare-and-subtract
+   replaces the integer division a [mod] would cost on every event. *)
+let slot t =
+  if t.len < t.cap then begin
+    if t.len = Array.length t.cols.c_ts then grow t;
+    let i = t.len in
+    t.len <- i + 1;
     i
   end
   else begin
-    (* full: overwrite the oldest event, counting it as dropped *)
-    let i = t.start in
-    let s = i + 1 in
-    t.start <- (if s >= cap then 0 else s);
     t.dropped <- t.dropped + 1;
-    i
+    if t.ring then begin
+      let i = t.start in
+      let s = i + 1 in
+      t.start <- (if s >= t.cap then 0 else s);
+      i
+    end
+    else -1
   end
 
-let push t ev =
-  (match t.tap with Some f -> f ev | None -> ());
-  (match t.sampler with
+(* The one write path. Fields go straight into the columns — stores of
+   the same shared string a slot already holds are skipped, so rewriting
+   a ring slot costs no write barrier — and the sampler's budget is
+   decremented inline; an event record is only materialized when the
+   sampler accepts one. The sampler sees every event, including those a
+   full bounded trace drops. *)
+let write t ~ts ~dur ~machine ~domain ~path ~kind ~phase ~span ~comp ~extra =
+  if ts > t.last.(0) then t.last.(0) <- ts;
+  let i = slot t in
+  if i >= 0 then begin
+    let c = t.cols in
+    c.c_ts.(i) <- ts;
+    c.c_dur.(i) <- dur;
+    if c.c_machine.(i) != machine then c.c_machine.(i) <- machine;
+    if c.c_domain.(i) != domain then c.c_domain.(i) <- domain;
+    if c.c_kind.(i) != kind then c.c_kind.(i) <- kind;
+    c.c_path.(i) <- path;
+    c.c_phase.(i) <- phase;
+    c.c_span.(i) <- span;
+    if c.c_comp.(i) != comp then c.c_comp.(i) <- comp;
+    if c.c_extra.(i) != extra then c.c_extra.(i) <- extra
+  end;
+  match t.sampler with
+  | None -> ()
   | Some s ->
-      let w = match ev.phase with Complete d -> Float.max d 1e-9 | _ -> 1.0 in
+      let w = if phase = ph_complete then Float.max dur 1e-9 else 1.0 in
       let sk = s.skip.(0) -. w in
-      if sk <= 0.0 then s.skip.(0) <- s.accept ev w else s.skip.(0) <- sk
-  | None -> ());
-  if ev.ts_us > t.last.(0) then t.last.(0) <- ev.ts_us;
-  match t.cols with
-  | Some c ->
-      let i = ring_slot t (Array.length c.c_ts) in
-      set_cols c i ev
-  | None -> (
-      match t.capacity with
-      | Some c when t.len >= c -> t.dropped <- t.dropped + 1
-      | _ ->
-          if t.len = Array.length t.buf then begin
-            let bigger = Array.make (2 * t.len) dummy_event in
-            Array.blit t.buf 0 bigger 0 t.len;
-            t.buf <- bigger
-          end;
-          t.buf.(t.len) <- ev;
-          t.len <- t.len + 1)
+      if sk > 0.0 then s.skip.(0) <- sk
+      else
+        let ev =
+          if i >= 0 then event_of_cols t.cols i
+          else
+            make_event ~ts ~dur ~machine ~domain ~path ~kind ~phase ~span
+              ~comp ~extra
+        in
+        s.skip.(0) <- s.accept ev w
 
-let record_latency_on t ~kind ~path_id dur =
-  let key = (kind, path_id) in
-  let h =
-    match Hashtbl.find_opt t.hist key with
-    | Some h -> h
-    | None ->
-        let h = Histogram.create () in
-        Hashtbl.add t.hist key h;
-        h
-  in
-  Histogram.add h dur
+let write_args t ~ts ~dur ~machine ~domain ~path ~kind ~phase ~span args =
+  match args with
+  | [ ("comp", Str comp) ] ->
+      write t ~ts ~dur ~machine ~domain ~path ~kind ~phase ~span ~comp
+        ~extra:[]
+  | extra ->
+      write t ~ts ~dur ~machine ~domain ~path ~kind ~phase ~span ~comp:""
+        ~extra
 
 let record_latency t ~kind ~path_id dur =
-  if t.latency then record_latency_on t ~kind ~path_id dur
+  if t.latency then begin
+    let key = (kind, path_id) in
+    let h =
+      match Hashtbl.find_opt t.hist key with
+      | Some h -> h
+      | None ->
+          let h = Histogram.create () in
+          Hashtbl.add t.hist key h;
+          h
+    in
+    Histogram.add h dur
+  end
 
 let instant t ~ts_us ~machine ?(domain = "") ?(path_id = -1) ?(args = []) kind
     =
-  push t
-    { ts_us; machine; domain; path_id; kind; phase = Instant; span = 0; args }
+  write_args t ~ts:ts_us ~dur:0.0 ~machine ~domain ~path:path_id ~kind
+    ~phase:ph_instant ~span:0 args
 
 let complete t ~ts_us ~dur_us ~machine ?(domain = "") ?(path_id = -1)
     ?(args = []) kind =
-  push t
-    {
-      ts_us;
-      machine;
-      domain;
-      path_id;
-      kind;
-      phase = Complete dur_us;
-      span = 0;
-      args;
-    };
+  write_args t ~ts:ts_us ~dur:dur_us ~machine ~domain ~path:path_id ~kind
+    ~phase:ph_complete ~span:0 args;
   record_latency t ~kind ~path_id dur_us
 
 (* The per-charge slice is by far the hottest emission site (tens of
-   thousands per run), so it gets a record-free entry point: in ring
-   mode with no generic tap installed, the fields go straight into the
-   columns and an event record is only materialized when the sampler
-   accepts one. With a tap (or without a ring) this degrades to the
-   ordinary [complete] with an identical args list, so dumps are
-   byte-identical either way. [comp = ""] means no component tag. *)
+   thousands per run), so it skips the optional arguments and the args
+   list: the component tag goes straight into its column. [comp = ""]
+   means no component tag. *)
 let complete_comp t ~ts_us ~dur_us ~machine ~comp kind =
-  match (t.cols, t.tap) with
-  | Some c, None ->
-      if ts_us > t.last.(0) then t.last.(0) <- ts_us;
-      let i = ring_slot t (Array.length c.c_ts) in
-      c.c_ts.(i) <- ts_us;
-      c.c_dur.(i) <- dur_us;
-      if c.c_machine.(i) != machine then c.c_machine.(i) <- machine;
-      if String.length c.c_domain.(i) <> 0 then c.c_domain.(i) <- "";
-      if c.c_kind.(i) != kind then c.c_kind.(i) <- kind;
-      c.c_path.(i) <- -1;
-      c.c_phase.(i) <- 1 (* Complete *);
-      c.c_span.(i) <- 0;
-      if c.c_comp.(i) != comp then c.c_comp.(i) <- comp;
-      if c.c_extra.(i) != [] then c.c_extra.(i) <- [];
-      (match t.sampler with
-      | Some s ->
-          let w = Float.max dur_us 1e-9 in
-          let sk = s.skip.(0) -. w in
-          if sk <= 0.0 then s.skip.(0) <- s.accept (event_of_cols c i) w
-          else s.skip.(0) <- sk
-      | None -> ());
-      record_latency t ~kind ~path_id:(-1) dur_us
-  | _ ->
-      let args =
-        if String.length comp = 0 then [] else [ ("comp", Str comp) ]
-      in
-      complete t ~ts_us ~dur_us ~machine ~args kind
+  write t ~ts:ts_us ~dur:dur_us ~machine ~domain:"" ~path:(-1) ~kind
+    ~phase:ph_complete ~span:0 ~comp ~extra:[];
+  record_latency t ~kind ~path_id:(-1) dur_us
 
 let begin_span t ~ts_us ~machine ?(domain = "") ?(path_id = -1) ?(args = [])
     kind =
@@ -339,17 +311,8 @@ let begin_span t ~ts_us ~machine ?(domain = "") ?(path_id = -1) ?(args = [])
       o_path = path_id;
       o_kind = kind;
     };
-  push t
-    {
-      ts_us;
-      machine;
-      domain;
-      path_id;
-      kind;
-      phase = Span_begin;
-      span = id;
-      args;
-    };
+  write_args t ~ts:ts_us ~dur:0.0 ~machine ~domain ~path:path_id ~kind
+    ~phase:ph_span_begin ~span:id args;
   id
 
 let end_span t ~ts_us ?(args = []) id =
@@ -357,33 +320,15 @@ let end_span t ~ts_us ?(args = []) id =
   | None -> ()
   | Some o ->
       Hashtbl.remove t.spans id;
-      push t
-        {
-          ts_us;
-          machine = o.o_machine;
-          domain = o.o_domain;
-          path_id = o.o_path;
-          kind = o.o_kind;
-          phase = Span_end;
-          span = id;
-          args;
-        };
+      write_args t ~ts:ts_us ~dur:0.0 ~machine:o.o_machine ~domain:o.o_domain
+        ~path:o.o_path ~kind:o.o_kind ~phase:ph_span_end ~span:id args;
       record_latency t ~kind:o.o_kind ~path_id:o.o_path (ts_us -. o.o_ts)
 
 let async_begin t ~ts_us ~machine ?(domain = "") ?(path_id = -1) ?(args = [])
     ~id kind =
   Hashtbl.replace t.asyncs (kind, id) (ts_us, path_id);
-  push t
-    {
-      ts_us;
-      machine;
-      domain;
-      path_id;
-      kind;
-      phase = Async_begin;
-      span = id;
-      args;
-    }
+  write_args t ~ts:ts_us ~dur:0.0 ~machine ~domain ~path:path_id ~kind
+    ~phase:ph_async_begin ~span:id args
 
 let async_end t ~ts_us ~machine ?(domain = "") ?(path_id = -1) ?(args = [])
     ~id kind =
@@ -395,30 +340,10 @@ let async_end t ~ts_us ~machine ?(domain = "") ?(path_id = -1) ?(args = [])
         begin_path
     | None -> path_id
   in
-  push t
-    {
-      ts_us;
-      machine;
-      domain;
-      path_id;
-      kind;
-      phase = Async_end;
-      span = id;
-      args;
-    }
+  write_args t ~ts:ts_us ~dur:0.0 ~machine ~domain ~path:path_id ~kind
+    ~phase:ph_async_end ~span:id args
 
 let summary t =
   Hashtbl.fold (fun k h acc -> (k, h) :: acc) t.hist []
   |> List.sort (fun ((ka, pa), _) ((kb, pb), _) ->
          match String.compare ka kb with 0 -> compare pa pb | c -> c)
-
-let kind_summary t =
-  let merged = Hashtbl.create 32 in
-  List.iter
-    (fun ((kind, _), h) ->
-      match Hashtbl.find_opt merged kind with
-      | Some prev -> Hashtbl.replace merged kind (Histogram.merge prev h)
-      | None -> Hashtbl.replace merged kind h)
-    (summary t);
-  Hashtbl.fold (fun k h acc -> (k, h) :: acc) merged []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)

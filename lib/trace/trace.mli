@@ -40,26 +40,18 @@ type event = {
 type t
 
 val create : ?ring:bool -> ?latency:bool -> ?capacity:int -> unit -> t
-(** [capacity] bounds the number of buffered events. By default, once
-    full, further events are counted in {!dropped} but not stored
-    (histograms still update). With [~ring:true] the sink becomes a
-    flight-recorder ring instead: when full, each new event overwrites
-    the {e oldest} retained one (the overwritten event counts in
-    {!dropped}), so the buffer always holds the most recent [capacity]
-    events. [~latency:false] skips the per-[(kind, path)] latency
-    histograms entirely — the log-bucketing is the most expensive part
-    of accepting an event, and an always-armed recorder ring has no
-    use for it ({!latency_table} renders empty). Unbounded by default.
-    Raises [Invalid_argument] when [capacity] is not positive, or when
-    [ring] is set without a [capacity]. *)
-
-val set_tap : t -> (event -> unit) option -> unit
-(** Install (or clear) a callback observing every event as it is pushed,
-    before any capacity/ring bookkeeping — the tap sees events the buffer
-    subsequently drops or overwrites. [None] by default, costing one
-    pointer compare per push. A generic tap forces the hot charge path
-    ({!complete_comp}) to materialize full event records; the flight
-    recorder uses the cheaper {!set_sampler} hook instead. *)
+(** Every trace keeps its events in one columnar store that grows
+    geometrically up to [capacity] (unbounded by default). Once a
+    bounded trace is full, further events are counted in {!dropped} but
+    not stored (histograms still update). With [~ring:true] the trace
+    becomes a flight-recorder ring instead: when full, each new event
+    overwrites the {e oldest} retained one (the overwritten event counts
+    in {!dropped}), so the store always holds the most recent
+    [capacity] events. [~latency:false] skips the per-[(kind, path)]
+    latency histograms entirely — the log-bucketing is the most
+    expensive part of accepting an event, and an always-armed recorder
+    ring has no use for it. Raises [Invalid_argument] when [capacity]
+    is not positive, or when [ring] is set without a [capacity]. *)
 
 type sampler = {
   skip : float array;
@@ -70,13 +62,15 @@ type sampler = {
   accept : event -> float -> float;
       (** Called with the event and its weight when the budget reaches
           zero; returns the next budget. Only now is the event record
-          materialized from the ring columns, so a sampler whose
+          materialized from the columns, so a sampler whose
           steady-state accept rate is low (a full weighted reservoir
           skipping in weight units) costs a float subtract and compare
           per event. *)
 }
 
 val set_sampler : t -> sampler option -> unit
+(** Install (or clear) the sampler. It sees every event, including the
+    ones a full bounded trace drops. *)
 
 val complete_comp :
   t ->
@@ -88,21 +82,23 @@ val complete_comp :
   unit
 (** [complete] specialized to the per-charge slice: at most one
     [("comp", Str comp)] argument ([comp = ""] for none), no domain, no
-    path. In ring mode with no generic tap this writes the ring columns
-    directly without allocating an event record; otherwise it behaves
-    exactly like [complete], and the stored events are identical. *)
+    path. Writes the columns without allocating an event record or an
+    argument list; the stored event equals what [complete] would store. *)
 
 val last_ts : t -> float
-(** Largest timestamp pushed so far (0.0 when none — reset by
-    {!clear}). *)
+(** Largest timestamp pushed so far (0.0 when none). *)
 
-val clear : t -> unit
 val event_count : t -> int
 val dropped : t -> int
 
-val events : t -> event list
+val events : ?last:int -> t -> event list
 (** Buffered events in emission order (oldest retained first, including
-    across ring wraparound). *)
+    across ring wraparound); with [last], only the newest [last] of
+    them. *)
+
+val iter : t -> (event -> unit) -> unit
+(** [iter t f] applies [f] to each of {!events} in turn, materializing
+    one event record at a time — how the exporters walk large traces. *)
 
 val instant :
   t ->
@@ -170,12 +166,6 @@ val async_end :
     is still recorded but no latency sample is taken. The histogram key
     uses the [path_id] of the [async_begin] side. *)
 
-val open_spans : t -> int
-(** Currently open synchronous spans (for leak checks in tests). *)
-
 val summary : t -> ((string * int) * Histogram.t) list
 (** Latency histograms keyed by [(kind, path_id)], sorted by kind then
     path id. Populated by [complete], [end_span] and [async_end]. *)
-
-val kind_summary : t -> (string * Histogram.t) list
-(** {!summary} merged across paths: one histogram per kind. *)

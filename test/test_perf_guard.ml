@@ -321,8 +321,8 @@ let test_obs_not_linked_into_bench () =
 (* The observability layer rides the same record: with no recorder
    armed and no monitor installed, a cycle pays nothing beyond the
    existing pointer comparisons. The bare side must stay within noise of
-   the armed side, which does strictly more (ring push, reservoir offer,
-   rule evaluation per sequence point). *)
+   the armed side, which does strictly more (ring push, reservoir skip,
+   the monitor hook per sequence point). *)
 let test_obs_unarmed_pays_nothing () =
   let module R = Fbufs_obs.Recorder in
   let module Mon = Fbufs_obs.Monitor in
@@ -331,8 +331,8 @@ let test_obs_unarmed_pays_nothing () =
   let alloc_b =
     Testbed.allocator bare_tb ~domains:[ app_b ] Fbuf.cached_volatile
   in
-  let r = R.create { R.default with dir = "obs-perf-unused" } in
-  let mon = Mon.create ~recorder:r Mon.default in
+  let r = R.create ~dir:"obs-perf-unused" in
+  let mon = Mon.create ~recorder:r () in
   let o =
     { (R.arm r Fbufs_sim.Machine.no_obs) with seq_hook = Some (Mon.hook mon) }
   in
@@ -375,7 +375,7 @@ let test_recorder_armed_table1_overhead () =
   in
   let bare () = ignore (Fbufs_harness.Exp_table1.run ()) in
   let armed () =
-    let r = R.create { R.default with dir = "obs-perf-unused" } in
+    let r = R.create ~dir:"obs-perf-unused" in
     let o = R.arm r Fbufs_sim.Machine.no_obs in
     Fun.protect
       ~finally:(fun () -> R.disarm r)

@@ -230,6 +230,66 @@ let test_chrome_export_shape () =
         [ "X"; "M"; "s"; "f" ]
   | _ -> Alcotest.fail "no traceEvents array"
 
+(* Every lane an X or flow event uses is named by process_name /
+   thread_name metadata, every flow start has its finish, and spans
+   without a domain sit on their machine's lane (tid 1, "machine"). *)
+let test_chrome_lanes_named_and_flows_paired () =
+  let t, _, _ = crafted () in
+  let doc = Json.parse (Json.to_string (Export.chrome t)) in
+  let evs =
+    match Json.member "traceEvents" doc with
+    | Some (Json.List evs) -> evs
+    | _ -> Alcotest.fail "no traceEvents array"
+  in
+  let str k e =
+    match Json.member k e with Some (Json.String s) -> s | _ -> ""
+  in
+  let int k e = match Json.member k e with Some (Json.Int i) -> i | _ -> -1 in
+  let meta what =
+    List.filter (fun e -> str "ph" e = "M" && str "name" e = what) evs
+  in
+  let arg_name e =
+    match Json.member "args" e with Some a -> str "name" a | None -> ""
+  in
+  let procs =
+    List.map (fun e -> (int "pid" e, arg_name e)) (meta "process_name")
+  in
+  let threads =
+    List.map
+      (fun e -> ((int "pid" e, int "tid" e), arg_name e))
+      (meta "thread_name")
+  in
+  let used =
+    List.filter (fun e -> List.mem (str "ph" e) [ "X"; "s"; "f" ]) evs
+  in
+  Alcotest.(check bool) "X and flow events present" true (used <> []);
+  List.iter
+    (fun e ->
+      let pid = int "pid" e and tid = int "tid" e in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s event: pid %d named" (str "ph" e) pid)
+        true (List.mem_assoc pid procs);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s event: tid %d of pid %d named" (str "ph" e) tid pid)
+        true
+        (List.mem_assoc (pid, tid) threads))
+    used;
+  let ids ph =
+    List.filter (fun e -> str "ph" e = ph) used
+    |> List.map (int "id")
+    |> List.sort compare
+  in
+  Alcotest.(check bool) "flows present" true (ids "s" <> []);
+  Alcotest.(check (list int)) "every s has its f" (ids "s") (ids "f");
+  let stray =
+    List.find (fun e -> str "ph" e = "X" && str "name" e = "stray") used
+  in
+  check Alcotest.int "domain-less span on tid 1" 1 (int "tid" stray);
+  check Alcotest.string "tid 1 is the machine lane" "machine"
+    (List.assoc (int "pid" stray, 1) threads);
+  check Alcotest.string "its process is the machine" "tx"
+    (List.assoc (int "pid" stray) procs)
+
 (* ------------------------------------------------------------------ *)
 (* Quantile sketch                                                     *)
 
@@ -409,6 +469,8 @@ let () =
           tc "JSONL round-trip" `Quick test_jsonl_round_trip;
           tc "orphan span rejected" `Quick test_jsonl_rejects_orphan_span;
           tc "chrome shape" `Quick test_chrome_export_shape;
+          tc "chrome lanes named, flows paired" `Quick
+            test_chrome_lanes_named_and_flows_paired;
         ] );
       ( "sketch",
         [

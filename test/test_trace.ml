@@ -66,28 +66,34 @@ let test_hist_empty_and_zero () =
   check (Alcotest.float 1e-9) "all-zero percentile" 0.0
     (Histogram.percentile h 99.0)
 
-let test_hist_merge () =
-  let a = Histogram.create () and b = Histogram.create () in
-  List.iter (Histogram.add a) [ 1.0; 2.0 ];
-  List.iter (Histogram.add b) [ 100.0 ];
-  let m = Histogram.merge a b in
-  check Alcotest.int "merged count" 3 (Histogram.count m);
-  check (Alcotest.float 1e-9) "merged min" 1.0 (Histogram.min_value m);
-  check (Alcotest.float 1e-9) "merged max" 100.0 (Histogram.max_value m);
-  check Alcotest.int "merge does not mutate" 2 (Histogram.count a)
-
 (* ------------------------------------------------------------------ *)
 (* Spans and event bookkeeping                                         *)
 (* ------------------------------------------------------------------ *)
+
+(* The latency histogram of [kind] on no path. *)
+let hist tr kind =
+  match List.assoc_opt (kind, -1) (Trace.summary tr) with
+  | Some h -> h
+  | None -> Alcotest.failf "no histogram for %s" kind
+
+(* Open minus closed synchronous spans among the retained events. *)
+let open_spans tr =
+  List.fold_left
+    (fun n (e : Trace.event) ->
+      match e.phase with
+      | Trace.Span_begin -> n + 1
+      | Trace.Span_end -> n - 1
+      | _ -> n)
+    0 (Trace.events tr)
 
 let test_span_nesting () =
   let tr = Trace.create () in
   let outer = Trace.begin_span tr ~ts_us:0.0 ~machine:"m" "outer" in
   let inner = Trace.begin_span tr ~ts_us:1.0 ~machine:"m" "inner" in
-  check Alcotest.int "two open spans" 2 (Trace.open_spans tr);
+  check Alcotest.int "two open spans" 2 (open_spans tr);
   Trace.end_span tr ~ts_us:3.0 inner;
   Trace.end_span tr ~ts_us:10.0 outer;
-  check Alcotest.int "all spans closed" 0 (Trace.open_spans tr);
+  check Alcotest.int "all spans closed" 0 (open_spans tr);
   (match List.map (fun (e : Trace.event) -> (e.kind, e.phase)) (Trace.events tr) with
   | [
    ("outer", Trace.Span_begin);
@@ -99,11 +105,7 @@ let test_span_nesting () =
   | evs ->
       Alcotest.failf "unexpected event sequence (%d events)" (List.length evs));
   (* Each closed span fed its duration to the per-kind histogram. *)
-  let dur kind =
-    match List.assoc_opt kind (Trace.kind_summary tr) with
-    | Some h -> Histogram.max_value h
-    | None -> Alcotest.failf "no histogram for %s" kind
-  in
+  let dur kind = Histogram.max_value (hist tr kind) in
   check (Alcotest.float 1e-9) "inner duration" 2.0 (dur "inner");
   check (Alcotest.float 1e-9) "outer duration" 10.0 (dur "outer")
 
@@ -130,8 +132,8 @@ let test_capacity_drops_events_not_samples () =
   done;
   check Alcotest.int "buffer capped" 2 (Trace.event_count tr);
   check Alcotest.int "drops counted" 8 (Trace.dropped tr);
-  let h = List.assoc "op" (Trace.kind_summary tr) in
-  check Alcotest.int "histogram saw every sample" 10 (Histogram.count h)
+  check Alcotest.int "histogram saw every sample" 10
+    (Histogram.count (hist tr "op"))
 
 let test_machine_span_helpers () =
   let m = Machine.create ~name:"host" () in
@@ -141,11 +143,125 @@ let test_machine_span_helpers () =
   Machine.span_end m 0 (* must not raise *);
   let tr = Trace.create () in
   Machine.set_obs m (Some { Machine.no_obs with trace = Some tr });
-  Machine.with_span m "work" (fun () -> Machine.charge ~kind:"step" m 5.0);
-  check Alcotest.int "no leaked spans" 0 (Trace.open_spans tr);
-  let h = List.assoc "work" (Trace.kind_summary tr) in
+  let sp = Machine.span_begin m "work" in
+  Alcotest.(check bool) "span id when enabled" true (sp > 0);
+  Machine.charge ~kind:"step" m 5.0;
+  Machine.span_end m sp;
+  check Alcotest.int "no leaked spans" 0 (open_spans tr);
+  (match
+     List.map (fun (e : Trace.event) -> (e.kind, e.phase)) (Trace.events tr)
+   with
+  | [
+   ("work", Trace.Span_begin);
+   ("step", Trace.Complete 5.0);
+   ("work", Trace.Span_end);
+  ] ->
+      ()
+  | evs ->
+      Alcotest.failf "unexpected event sequence (%d events)" (List.length evs));
   check (Alcotest.float 1e-9) "span covers the charge" 5.0
-    (Histogram.max_value h)
+    (Histogram.max_value (hist tr "work"))
+
+(* ------------------------------------------------------------------ *)
+(* One store for every trace                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* One fixed stream through every emission entry point — instants with
+   args, complete slices with a lone comp argument, record-free charge
+   slices with and without a comp, B/E spans on a domain lane and async
+   pairs across machines: eight events per round. *)
+let feed tr ~rounds =
+  for k = 0 to rounds - 1 do
+    let ts = float_of_int k *. 10.0 in
+    Trace.instant tr ~ts_us:ts ~machine:"tx" ~args:[ ("n", Trace.Int k) ] "mark";
+    Trace.complete tr ~ts_us:ts
+      ~dur_us:(float_of_int (k mod 7) +. 0.25)
+      ~machine:"tx"
+      ~args:[ ("comp", Trace.Str "copy") ]
+      "charge";
+    Trace.complete_comp tr ~ts_us:(ts +. 1.0) ~dur_us:0.5 ~machine:"tx"
+      ~comp:(if k mod 2 = 0 then "map" else "")
+      "charge";
+    let sp =
+      Trace.begin_span tr ~ts_us:(ts +. 2.0) ~machine:"tx" ~domain:"app" "call"
+    in
+    Trace.complete tr ~ts_us:(ts +. 2.5) ~dur_us:1.5 ~machine:"tx"
+      ~domain:"app" ~path_id:(k mod 3) "work";
+    Trace.end_span tr ~ts_us:(ts +. 4.0) sp;
+    Trace.async_begin tr ~ts_us:(ts +. 4.0) ~machine:"tx" ~path_id:(k mod 5)
+      ~id:k "pdu";
+    Trace.async_end tr ~ts_us:(ts +. 9.0) ~machine:"rx" ~id:k "pdu"
+  done
+
+let summary_digest tr =
+  List.map
+    (fun (key, h) ->
+      ( key,
+        ( Histogram.count h,
+          Histogram.sum h,
+          Histogram.percentile h 50.0,
+          Histogram.max_value h ) ))
+    (Trace.summary tr)
+
+let same_events what expect got =
+  check Alcotest.int (what ^ ": retained count") (List.length expect)
+    (List.length got);
+  List.iteri
+    (fun i (a, b) ->
+      if a <> b then Alcotest.failf "%s: event %d differs" what i)
+    (List.combine expect got)
+
+let test_stores_agree_within_capacity () =
+  let rounds = 400 (* 3200 events: the columns grow 1024 -> 2048 -> 4096 *) in
+  let unbounded = Trace.create () in
+  let bounded = Trace.create ~capacity:4096 () in
+  let ring = Trace.create ~ring:true ~capacity:4096 () in
+  List.iter (fun tr -> feed tr ~rounds) [ unbounded; bounded; ring ];
+  let expect = Trace.events unbounded in
+  check Alcotest.int "every event retained" (8 * rounds) (List.length expect);
+  List.iter
+    (fun (what, tr) ->
+      same_events what expect (Trace.events tr);
+      check Alcotest.int (what ^ ": nothing dropped") 0 (Trace.dropped tr);
+      Alcotest.(check bool)
+        (what ^ ": same summary") true
+        (summary_digest unbounded = summary_digest tr))
+    [ ("bounded", bounded); ("ring", ring) ]
+
+(* Past capacity the bounded trace keeps the oldest events and the ring
+   the newest, both counting the rest as dropped; the histograms see
+   every event either way. At capacity 1000 the bounded and ring
+   columns never grow (the ring wraps three times), so they check the
+   unbounded trace's growth independently; at 2500 they grow to a
+   clamped size themselves. *)
+let test_stores_agree_past_capacity () =
+  let rounds = 400 in
+  let unbounded = Trace.create () in
+  feed unbounded ~rounds;
+  let all = Trace.events unbounded in
+  let n = List.length all in
+  List.iter
+    (fun cap ->
+      let bounded = Trace.create ~capacity:cap () in
+      let ring = Trace.create ~ring:true ~capacity:cap () in
+      List.iter (fun tr -> feed tr ~rounds) [ bounded; ring ];
+      let what s = Printf.sprintf "capacity %d, %s" cap s in
+      same_events (what "bounded keeps the oldest")
+        (List.filteri (fun i _ -> i < cap) all)
+        (Trace.events bounded);
+      same_events (what "ring keeps the newest")
+        (List.filteri (fun i _ -> i >= n - cap) all)
+        (Trace.events ring);
+      List.iter
+        (fun (name, tr) ->
+          check Alcotest.int (what (name ^ ": overflow dropped")) (n - cap)
+            (Trace.dropped tr);
+          Alcotest.(check bool)
+            (what (name ^ ": same summary"))
+            true
+            (summary_digest unbounded = summary_digest tr))
+        [ ("bounded", bounded); ("ring", ring) ])
+    [ 1000; 2500 ]
 
 (* ------------------------------------------------------------------ *)
 (* Chrome export round trip                                            *)
@@ -300,7 +416,6 @@ let () =
             test_hist_percentiles_known_inputs;
           Alcotest.test_case "single sample" `Quick test_hist_single_sample;
           Alcotest.test_case "empty and zero" `Quick test_hist_empty_and_zero;
-          Alcotest.test_case "merge" `Quick test_hist_merge;
         ] );
       ( "spans",
         [
@@ -312,6 +427,13 @@ let () =
           Alcotest.test_case "capacity drops events not samples" `Quick
             test_capacity_drops_events_not_samples;
           Alcotest.test_case "machine helpers" `Quick test_machine_span_helpers;
+        ] );
+      ( "store",
+        [
+          Alcotest.test_case "stores agree within capacity" `Quick
+            test_stores_agree_within_capacity;
+          Alcotest.test_case "stores agree past capacity" `Quick
+            test_stores_agree_past_capacity;
         ] );
       ( "chrome-export",
         [
