@@ -1,4 +1,4 @@
-.PHONY: all build test check lint model-check bench bench-json stats spans bench-trend clean ablation-tlb ablation-policy
+.PHONY: all build test check lint model-check bench stats spans clean ablation-tlb ablation-policy
 
 all: build
 
@@ -26,15 +26,13 @@ lint:
 model-check:
 	dune exec bin/fbufs_cli.exe -- check --quick --out counterexample.txt
 
+# The repository's benchmark (bench/e2e/README.md): every workload of
+# BENCHMARK.json at the dev seed, one child process each (about 70 s),
+# every end-to-end metric by name with its unit; exits non-zero on any
+# wrong output.
 bench:
-	dune exec bench/main.exe
-
-# Full-quota benchmark run that also writes the machine-readable
-# trajectory (one JSON object per benchmark: name, ns_per_run, r_square,
-# date). BENCH_PR10.json is the latest committed snapshot; bench-trend
-# gates the whole committed series.
-bench-json:
-	dune exec bench/main.exe -- --json BENCH_PR10.json
+	dune build bench/e2e/fbufs_bench.exe bin/fbufs_cli.exe
+	./_build/default/bench/e2e/fbufs_bench.exe run
 
 # Per-component cost attribution of a Table 1 run (simulated
 # microseconds charged to alloc/map/unmap/tlb_flush/zero/secure/copy/...),
@@ -50,20 +48,6 @@ stats:
 # trace_event rendering with follows-from flow arrows in spans-chrome.json.
 spans:
 	dune exec bin/fbufs_cli.exe -- spans --out spans.jsonl --chrome spans-chrome.json
-
-# The bench-trajectory trend gate: every committed snapshot in
-# chronological order, per-benchmark OLS slope and two-segment
-# changepoint. Fails when any benchmark's post-changepoint mean exceeds
-# the pre-changepoint mean by more than tolerance, or a benchmark
-# disappears from the latest snapshot — a slow drift no comparison of
-# two adjacent snapshots can see. Given just two snapshots it is the
-# pairwise gate (CI also runs it on BENCH_PR8.json BENCH_PR10.json).
-# All snapshots were collected on the same machine with make bench-json;
-# 50% tolerance absorbs scheduler noise on ~ms runs.
-bench-trend:
-	dune exec bin/fbufs_cli.exe -- bench-trend BENCH_PR2.json BENCH_PR4.json \
-	  BENCH_PR5.json BENCH_PR6.json BENCH_PR7.json BENCH_PR8.json \
-	  BENCH_PR10.json --tolerance-pct 50 --json bench-trend.json
 
 # TLB shootdown deferral/elision ablation: the on/off comparison table,
 # plus a folded-stack rendering of a Table 1 run in both modes and their

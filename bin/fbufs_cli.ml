@@ -600,55 +600,6 @@ let stats_cmd =
       const run $ experiment_arg $ zero_flag $ no_elision_flag $ metrics_file
       $ folded $ watch)
 
-let bench_trend_cmd =
-  let files =
-    let doc =
-      "Bench snapshots (JSON from bench --json) in chronological order; at \
-       least two."
-    in
-    Arg.(value & pos_all file [] & info [] ~doc ~docv:"SNAPSHOT.json")
-  in
-  let tolerance =
-    let doc =
-      "Allowed growth of the post-changepoint mean over the \
-       pre-changepoint mean, in percent."
-    in
-    Arg.(value & opt float 50.0 & info [ "tolerance-pct" ] ~doc ~docv:"PCT")
-  in
-  let json_out =
-    let doc = "Also write the machine-readable verdict as JSON to $(docv)." in
-    Arg.(value & opt (some string) None & info [ "json" ] ~doc ~docv:"FILE")
-  in
-  let run files tolerance_pct json_out =
-    let module T = Fbufs_obs.Trend in
-    if List.length files < 2 then begin
-      Format.eprintf "bench-trend: need at least two snapshots@.";
-      exit 2
-    end;
-    match T.analyze ~files ~tolerance_pct with
-    | r ->
-        print_string (T.render r);
-        (match json_out with
-        | None -> ()
-        | Some file ->
-            let oc = open_out file in
-            output_string oc (Fbufs_trace.Json.to_string (T.to_json r));
-            output_string oc "\n";
-            close_out oc);
-        if r.T.failed then exit 1
-    | exception (T.Bad_snapshot msg | Fbufs_trace.Json.Parse_error msg) ->
-        Format.eprintf "bench-trend: %s@." msg;
-        exit 2
-  in
-  Cmd.v
-    (Cmd.info "bench-trend"
-       ~doc:
-         "Analyze the whole committed bench-snapshot series: per-benchmark \
-          slope and changepoint detection, failing (exit 1) when any \
-          benchmark stepped up beyond the tolerance across its changepoint \
-          or disappeared from the latest snapshot")
-    Term.(const run $ files $ tolerance $ json_out)
-
 let cmds =
   [
     cmd "table1" "Table 1: per-page transfer costs" (traced (thunk1 table1));
@@ -677,7 +628,6 @@ let cmds =
     cmd "info" "Print the calibrated cost model" Term.(const info_cmd $ const ());
     cmd "all" "Run every experiment" (traced (thunk1 all));
     stats_cmd;
-    bench_trend_cmd;
     trace_cmd;
     spans_cmd;
     check_cmd;

@@ -1,11 +1,7 @@
 open Fbufs_vm
 
-(* Proxies are ordinary Protocol.t values; we remember their connections on
-   the side so tests can inspect deallocation traffic. *)
-let conns : (string, Fbufs_ipc.Ipc.conn) Hashtbl.t = Hashtbl.create 16
-
-let conn_of (p : Protocol.t) = Hashtbl.find_opt conns p.Protocol.name
-
+(* Proxies are ordinary Protocol.t values; the connection lives only in
+   the forwarding closure, so a dropped graph takes its world with it. *)
 let make region ~from_dom ~(target : Protocol.t) ~mode ~free_after ~dir =
   let conn =
     Fbufs_ipc.Ipc.connect region ~src:from_dom ~dst:target.Protocol.dom ?mode
@@ -24,13 +20,9 @@ let make region ~from_dom ~(target : Protocol.t) ~mode ~free_after ~dir =
     Fbufs_ipc.Ipc.call conn msg ~handler:invoke;
     if free_after then Fbufs_msg.Msg.free_all msg ~dom:from_dom
   in
-  let p =
-    match dir with
-    | "push" -> Protocol.create ~name ~dom:from_dom ~push:forward ()
-    | _ -> Protocol.create ~name ~dom:from_dom ~pop:forward ()
-  in
-  Hashtbl.replace conns name conn;
-  p
+  match dir with
+  | "push" -> Protocol.create ~name ~dom:from_dom ~push:forward ()
+  | _ -> Protocol.create ~name ~dom:from_dom ~pop:forward ()
 
 let push_proxy region ~from_dom ~target ?mode ?(free_after = true) () =
   make region ~from_dom ~target ~mode ~free_after ~dir:"push"

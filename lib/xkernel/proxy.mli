@@ -29,6 +29,3 @@ val pop_proxy :
   unit ->
   Protocol.t
 (** Same for the receive direction: [pop] crosses domains upward. *)
-
-val conn_of : Protocol.t -> Fbufs_ipc.Ipc.conn option
-(** The connection behind a proxy created by this module (for tests). *)

@@ -1,0 +1,168 @@
+(* Exact allocation budgets.
+
+   Prints one "row words" line per row: the minor words (Gc.minor_words)
+   the row's code allocates. Minor words repeat exactly from run to run
+   and host to host for one compiler (OCaml 5.1.1, no flambda, dune's
+   default profile), where host time does not. The dune rule next to
+   this file diffs the output against budget.txt, so any change in
+   allocation, up or down, fails the diff and names the row; an intended
+   change is accepted with [dune promote], which ratchets the table in
+   the same diff as the code.
+
+   Run rows cover the computation behind each fbufs_cli experiment,
+   without the printing; the buffer-sharing rows are what [ablation
+   --only buffer-sharing] prints. Operation rows cover [window] ops of
+   one operation on a fresh fixture, after [warmup] ops.
+
+   All rows run in one process in this fixed order: fig4 and fig5
+   allocate a few words more on their first run in a process than on
+   later ones, so a row's count depends on the rows before it. *)
+
+open Fbufs
+module H = Fbufs_harness
+module Testbed = H.Testbed
+module Msg = Fbufs_msg.Msg
+module Ipc = Fbufs_ipc.Ipc
+module Testproto = Fbufs_protocols.Testproto
+module Policy = Fbufs_policy.Policy
+module Scenario = Fbufs_policy.Scenario
+module Vm = Fbufs_vm
+
+let warmup = 20
+let window = 1000
+
+let words f =
+  let before = Gc.minor_words () in
+  f ();
+  Float.to_int (Gc.minor_words () -. before)
+
+let run_rows =
+  [
+    ("run.table1", fun () -> ignore (H.Exp_table1.run ()));
+    ("run.remap", fun () -> ignore (H.Exp_remap.run ()));
+    ("run.fig3", fun () -> ignore (H.Exp_fig3.run ()));
+    ("run.fig4", fun () -> ignore (H.Exp_fig4.run ()));
+    ("run.fig5", fun () -> ignore (H.Exp_fig5.run ~uncached:false ()));
+    ("run.fig6", fun () -> ignore (H.Exp_fig5.run ~uncached:true ()));
+  ]
+  @ List.concat_map
+      (fun name ->
+        List.map
+          (fun (policy, kind) ->
+            ( Printf.sprintf "run.buffer-sharing.%s.%s" (Scenario.label name)
+                policy,
+              fun () -> ignore (Scenario.run ~kind name) ))
+          [
+            ("static", Policy.Static);
+            ("fb-dynamic", Policy.Fb_dynamic { alpha = 0.5 });
+          ])
+      Scenario.all
+
+(* ---------- operation fixtures: each returns one op ------------------ *)
+
+(* Table 1's loop: the sender writes one word per page, the receiver
+   reads one per page and frees; one op is one round trip. *)
+let roundtrip variant ~bytes () =
+  let tb = Testbed.create () in
+  let app = Testbed.user_domain tb "app" in
+  let recv = Testbed.user_domain tb "recv" in
+  let alloc = Testbed.allocator tb ~domains:[ app; recv ] variant in
+  let conn = Ipc.connect tb.Testbed.region ~src:app ~dst:recv () in
+  let handler received =
+    Msg.touch_read received ~as_:recv;
+    Ipc.free_deferred conn received
+  in
+  fun () ->
+    let msg = Testproto.make_message ~alloc ~as_:app ~bytes () in
+    Ipc.call conn msg ~handler;
+    Msg.free_all msg ~dom:app
+
+(* One op moves 16 pages a -> b and back. *)
+let remap_ping_pong () =
+  let m = Fbufs_sim.Machine.create ~nframes:4096 () in
+  let a = Vm.Pd.create m "a" and b = Vm.Pd.create m "b" in
+  let npages = 16 in
+  let vpn_a = Vm.Remap.alloc_pages a ~npages ~clear_fraction:0.0 in
+  let vpn_b = Vm.Vm_map.reserve_private b.Vm.Pd.map ~npages in
+  let move src dst src_vpn dst_vpn =
+    ignore (Vm.Remap.move ~src ~dst ~src_vpn ~npages ~dst_vpn ())
+  in
+  move a b vpn_a vpn_b;
+  fun () ->
+    move b a vpn_b vpn_a;
+    move a b vpn_a vpn_b
+
+(* Figure 4's path: test protocol -> UDP/IP in the network server ->
+   sink, two crossings. *)
+let three_domains_send () =
+  let stack = H.Stacks.three_domains () in
+  fun () ->
+    stack.H.Stacks.send
+      (Testproto.make_message ~alloc:stack.H.Stacks.data_alloc
+         ~as_:stack.H.Stacks.sender_dom ~bytes:16384 ())
+
+(* A mapped page whose translation is in the TLB. *)
+let tlb_hit_page () =
+  let m = Fbufs_sim.Machine.create ~nframes:64 () in
+  let d = Vm.Pd.create m "access" in
+  let vpn = Vm.Vm_map.reserve_private d.Vm.Pd.map ~npages:4 in
+  Vm.Vm_map.map_zero_fill d.Vm.Pd.map ~vpn ~npages:4;
+  let vaddr = vpn * 4096 in
+  Vm.Access.write_word d ~vaddr 1;
+  (d, vaddr)
+
+let read_word () =
+  let d, vaddr = tlb_hit_page () in
+  fun () -> ignore (Vm.Access.read_word d ~vaddr)
+
+let write_word () =
+  let d, vaddr = tlb_hit_page () in
+  fun () -> Vm.Access.write_word d ~vaddr 1
+
+let app_allocator () =
+  let tb = Testbed.create () in
+  let app = Testbed.user_domain tb "app" in
+  (app, Testbed.allocator tb ~domains:[ app ] Fbuf.cached_volatile)
+
+let split_join () =
+  let _, alloc = app_allocator () in
+  let msg = Msg.of_fbuf (Allocator.alloc alloc ~npages:4) ~off:0 ~len:16384 in
+  fun () ->
+    let a, b = Msg.split msg 4096 in
+    ignore (Msg.join a b)
+
+let serialize () =
+  let app, alloc = app_allocator () in
+  let leaf _ = Msg.of_fbuf (Allocator.alloc alloc ~npages:1) ~off:0 ~len:4096 in
+  let msg = List.fold_left Msg.join Msg.empty (List.init 8 leaf) in
+  let meta = Allocator.alloc alloc ~npages:1 in
+  fun () -> ignore (Fbufs_msg.Integrated.serialize msg ~meta ~as_:app)
+
+let op_rows =
+  [
+    ( "op.ipc-call.cached-volatile.8p",
+      roundtrip Fbuf.cached_volatile ~bytes:32768 );
+    ( "op.ipc-call.volatile-only.64k",
+      roundtrip Fbuf.volatile_only ~bytes:65536 );
+    ("op.remap-move.16p.ping-pong", remap_ping_pong);
+    ("op.three-domains.send.16k", three_domains_send);
+    ("op.access.read-word", read_word);
+    ("op.access.write-word", write_word);
+    ("op.msg.split-join.4k", split_join);
+    ("op.integrated.serialize.8", serialize);
+  ]
+
+let op_words fixture =
+  let op = fixture () in
+  for _ = 1 to warmup do
+    op ()
+  done;
+  words (fun () ->
+      for _ = 1 to window do
+        op ()
+      done)
+
+let () =
+  let print name words = Printf.printf "%-40s %d\n" name words in
+  List.iter (fun (name, run) -> print name (words run)) run_rows;
+  List.iter (fun (name, fixture) -> print name (op_words fixture)) op_rows

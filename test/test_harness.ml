@@ -273,6 +273,20 @@ let test_testbed_domains_registered () =
   let va = (config.Fbufs.Region.base_vpn + 7) * Testbed.page_size tb in
   check Alcotest.int "dead page read" 0 (Fbufs_vm.Access.read_word d ~vaddr:va)
 
+(* Nothing process-global may keep a world alive: once a protocol graph
+   is dropped, its machine (and with it region, frames and domains) is
+   garbage. Built in its own function so no stack slot of the caller
+   still holds the graph when the collector runs. *)
+let[@inline never] weak_machine_of_dropped_stack () =
+  let w = Weak.create 1 in
+  Weak.set w 0 (Some (Stacks.three_domains ()).Stacks.tb.Testbed.m);
+  w
+
+let test_dropped_stack_collectable () =
+  let w = weak_machine_of_dropped_stack () in
+  Gc.full_major ();
+  check Alcotest.bool "machine collected" false (Weak.check w 0)
+
 let test_window_monotone () =
   let mbps w =
     (Exp_fig5.run_one ~uncached:false ~config:Exp_fig5.User_user ~bytes:131072
@@ -327,6 +341,7 @@ let () =
       ( "plumbing",
         [
           tc "testbed registers domains" `Quick test_testbed_domains_registered;
+          tc "dropped stack collectable" `Quick test_dropped_stack_collectable;
           tc "window monotone" `Slow test_window_monotone;
         ] );
     ]

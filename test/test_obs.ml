@@ -1,4 +1,4 @@
-(* The flight recorder, online monitors and trend gate.
+(* The flight recorder and online monitors.
 
    The recorder's stores are bounded and seeded: the ring keeps exactly
    the newest items, equal seeds over equal runs render byte-identical
@@ -7,9 +7,7 @@
    surface as an online gauge violation whose dump round-trips through
    the span parser — and the same fault must still fail the offline
    differential checker, so the monitors are a preview of the checker,
-   not a replacement. The trend gate passes the committed snapshot
-   series and fails a synthetic step regression no pairwise diff would
-   see. *)
+   not a replacement. *)
 
 open Fbufs
 module Machine = Fbufs_sim.Machine
@@ -23,7 +21,6 @@ module Check = Fbufs_check
 module Ring = Fbufs_obs.Ring
 module Recorder = Fbufs_obs.Recorder
 module Monitor = Fbufs_obs.Monitor
-module Trend = Fbufs_obs.Trend
 
 let contains s sub =
   let n = String.length s and m = String.length sub in
@@ -260,95 +257,6 @@ let test_table1_recorded_and_metered_is_silent () =
   Alcotest.(check int) "no violations" 0 (Monitor.violation_count mon);
   Alcotest.(check int) "no dumps" 0 (Recorder.dumps r)
 
-(* -- trend gate --------------------------------------------------------- *)
-
-let row name ns = { Trend.name; ns_per_run = Some ns }
-
-let snapshots series =
-  List.mapi
-    (fun i points ->
-      (Printf.sprintf "S%d" i, List.map (fun (n, v) -> row n v) points))
-    series
-
-let test_trend_flat_series_passes () =
-  let named =
-    snapshots
-      [
-        [ ("a", 100.0); ("b", 50.0) ];
-        [ ("a", 103.0); ("b", 49.0) ];
-        [ ("a", 98.0); ("b", 51.0) ];
-        [ ("a", 101.0); ("b", 50.5) ];
-      ]
-  in
-  let r = Trend.analyze_rows ~named ~tolerance_pct:50.0 in
-  Alcotest.(check bool) "flat series passes" false r.Trend.failed
-
-(* A creeping regression split across snapshots: every pairwise step is
-   inside a 50% tolerance, the accumulated step is not. *)
-let test_trend_catches_split_regression () =
-  let named =
-    snapshots
-      [
-        [ ("a", 100.0) ];
-        [ ("a", 101.0) ];
-        [ ("a", 140.0) ];
-        [ ("a", 185.0) ];
-        [ ("a", 240.0) ];
-      ]
-  in
-  let r = Trend.analyze_rows ~named ~tolerance_pct:50.0 in
-  Alcotest.(check bool) "series regression caught" true r.Trend.failed;
-  let v = List.find (fun v -> v.Trend.bench = "a") r.Trend.verdicts in
-  Alcotest.(check bool) "verdict marks the benchmark" true v.Trend.regressed;
-  Alcotest.(check bool) "changepoint located" true (v.Trend.change_at <> None);
-  (* every pairwise step (a two-snapshot series) stays inside the
-     tolerance the whole series still fails on *)
-  List.iter2
-    (fun older newer ->
-      let d = Trend.analyze_rows ~named:[ older; newer ] ~tolerance_pct:50.0 in
-      Alcotest.(check bool) "pairwise step passes" false d.Trend.failed)
-    (List.filteri (fun i _ -> i < List.length named - 1) named)
-    (List.tl named)
-
-let test_trend_missing_latest_fails () =
-  let named =
-    snapshots [ [ ("a", 100.0); ("b", 50.0) ]; [ ("a", 100.0) ] ]
-  in
-  let r = Trend.analyze_rows ~named ~tolerance_pct:50.0 in
-  Alcotest.(check bool) "dropped benchmark fails the gate" true r.Trend.failed;
-  let v = List.find (fun v -> v.Trend.bench = "b") r.Trend.verdicts in
-  Alcotest.(check bool) "marked missing" true v.Trend.missing_latest
-
-let test_trend_renders_verdict_line () =
-  let named = snapshots [ [ ("a", 100.0) ]; [ ("a", 300.0) ] ] in
-  let r = Trend.analyze_rows ~named ~tolerance_pct:50.0 in
-  Alcotest.(check bool) "fails" true r.Trend.failed;
-  Alcotest.(check bool) "render says FAIL" true (contains (Trend.render r) "FAIL")
-
-(* The committed snapshot series itself must pass the gate — the same
-   invocation CI runs. *)
-let test_trend_committed_series_passes () =
-  let files =
-    List.map
-      (fun f -> if Sys.file_exists f then f else "../" ^ f)
-      [
-        "BENCH_PR2.json";
-        "BENCH_PR4.json";
-        "BENCH_PR5.json";
-        "BENCH_PR6.json";
-        "BENCH_PR7.json";
-        "BENCH_PR8.json";
-        "BENCH_PR10.json";
-      ]
-  in
-  match List.for_all Sys.file_exists files with
-  | false -> Alcotest.skip ()
-  | true ->
-      let r = Trend.analyze ~files ~tolerance_pct:50.0 in
-      if r.Trend.failed then
-        Alcotest.failf "committed series fails the trend gate:@.%s"
-          (Trend.render r)
-
 let () =
   Alcotest.run "obs"
     [
@@ -380,18 +288,5 @@ let () =
             test_monitors_silent_on_healthy_run;
           Alcotest.test_case "silent on recorded, metered table1" `Quick
             test_table1_recorded_and_metered_is_silent;
-        ] );
-      ( "trend",
-        [
-          Alcotest.test_case "flat series passes" `Quick
-            test_trend_flat_series_passes;
-          Alcotest.test_case "split regression caught" `Quick
-            test_trend_catches_split_regression;
-          Alcotest.test_case "missing latest fails" `Quick
-            test_trend_missing_latest_fails;
-          Alcotest.test_case "render verdict" `Quick
-            test_trend_renders_verdict_line;
-          Alcotest.test_case "committed series passes" `Quick
-            test_trend_committed_series_passes;
         ] );
     ]

@@ -11,7 +11,12 @@
    against an absolute time, so CI machine speed does not matter. To keep
    one unlucky scheduling quantum from deciding the verdict, each test
    interleaves five fresh/cached trial pairs — so drift (thermal, cache,
-   competing load) hits both paths alike — and asserts on the medians. *)
+   competing load) hits both paths alike — and asserts on the medians.
+
+   Each timing check has an exact twin next to it: the same structural
+   property asserted on counts that repeat exactly on any host, namely
+   the minor words of one cycle and the cycle's Stats delta. The timing
+   checks can flake on a loaded host; the twins cannot. *)
 
 open Fbufs
 module Testbed = Fbufs_harness.Testbed
@@ -45,6 +50,56 @@ let alloc_free alloc dom npages () =
   let fb = Allocator.alloc alloc ~npages in
   Transfer.free fb ~dom
 
+(* [tb] with a user domain and a cached/volatile allocator for it. *)
+let cached_host tb =
+  let app = Testbed.user_domain tb "app" in
+  (tb, app, Testbed.allocator tb ~domains:[ app ] Fbuf.cached_volatile)
+
+(* A cached host whose machine is created with [obs] installed. *)
+let observed_host obs =
+  cached_host (Fbufs_sim.Machine.with_obs obs Testbed.create)
+
+(* Minor words of one 8-page cached alloc/free cycle on a bare host. A
+   side that pays nothing allocates exactly this much. *)
+let bare_cycle_words = 31
+
+(* Minor words of one [cycle], after 20 warm-up cycles. *)
+let words cycle =
+  for _ = 1 to 20 do
+    cycle ()
+  done;
+  let w0 = Gc.minor_words () in
+  cycle ();
+  Float.to_int (Gc.minor_words () -. w0)
+
+(* The Stats delta of one [cycle] on [m]. *)
+let stats_delta (m : Fbufs_sim.Machine.t) cycle =
+  let before = Fbufs_sim.Stats.snapshot m.stats in
+  cycle ();
+  Fbufs_sim.Stats.since m.stats before
+
+(* The pmap/vm counters a Stats delta moved. *)
+let vm_work delta =
+  List.filter_map
+    (fun (name, _) ->
+      if
+        String.starts_with ~prefix:"pmap." name
+        || String.starts_with ~prefix:"vm." name
+      then Some name
+      else None)
+    delta
+
+let check_pays_nothing what cycle =
+  Alcotest.(check int)
+    (what ^ ": minor words per cycle")
+    bare_cycle_words (words cycle)
+
+let check_does_more what ~quiet ~busy =
+  let quiet = words quiet and busy = words busy in
+  Alcotest.(check bool)
+    (Printf.sprintf "%s (%d words) > quiet cycle (%d words)" what busy quiet)
+    true (busy > quiet)
+
 let check_cached_not_slower what ~fresh ~cached =
   let fresh_ns, cached_ns = interleaved_medians ~fresh ~cached in
   Alcotest.(check bool)
@@ -59,25 +114,46 @@ let fresh_path tb app =
   alloc_free alloc app 8
 
 let test_cached_not_slower_than_fresh () =
-  let tb = Testbed.create () in
-  let app = Testbed.user_domain tb "app" in
-  let cached = Testbed.allocator tb ~domains:[ app ] Fbuf.cached_volatile in
+  let tb, app, cached = cached_host (Testbed.create ()) in
   check_cached_not_slower "plain"
     ~fresh:(fresh_path tb app)
     ~cached:(alloc_free cached app 8)
 
-let test_cached_unaffected_by_large_mixed_free_list () =
-  let tb = Testbed.create () in
-  let app = Testbed.user_domain tb "app" in
-  let cached = Testbed.allocator tb ~domains:[ app ] Fbuf.cached_volatile in
+(* The cached cycle does no VM work at all; the fresh one enters and
+   removes every page. *)
+let test_cached_cheaper_than_fresh_exact () =
+  let tb, app, cached = cached_host (Testbed.create ()) in
+  let cached = alloc_free cached app 8 and fresh = fresh_path tb app in
+  check_pays_nothing "cached" cached;
+  Alcotest.(check (list string)) "cached cycle does no VM work" []
+    (vm_work (stats_delta tb.Testbed.m cached));
+  check_does_more "fresh cycle" ~quiet:cached ~busy:fresh;
+  let delta = stats_delta tb.Testbed.m fresh in
+  let count name = Float.to_int (Fbufs_sim.Stats.value delta name) in
+  Alcotest.(check int) "fresh pmap.enter" 8 (count "pmap.enter");
+  Alcotest.(check int) "fresh pmap.remove" 8 (count "pmap.remove")
+
+let parked_strangers () =
+  let tb, app, cached = cached_host (Testbed.create ()) in
   (* Park ~900 one-page buffers in a *different* size class. An O(n) scan
      of the parked population would have to wade through all of them on
      every 8-page allocation; the size-class lookup never sees them. *)
   let parked = List.init 900 (fun _ -> Allocator.alloc cached ~npages:1) in
   List.iter (fun fb -> Transfer.free fb ~dom:app) parked;
+  (tb, app, cached)
+
+let test_cached_unaffected_by_large_mixed_free_list () =
+  let tb, app, cached = parked_strangers () in
   check_cached_not_slower "900 parked strangers"
     ~fresh:(fresh_path tb app)
     ~cached:(alloc_free cached app 8)
+
+let test_cached_unaffected_by_large_mixed_free_list_exact () =
+  let tb, app, cached = parked_strangers () in
+  let cached = alloc_free cached app 8 in
+  check_pays_nothing "cached, 900 parked strangers" cached;
+  Alcotest.(check (list string)) "no VM work" []
+    (vm_work (stats_delta tb.Testbed.m cached))
 
 (* Metrics are pay-for-play: every instrumentation site guards on the
    machine carrying a registry instance, so a run without one ("disabled")
@@ -85,22 +161,13 @@ let test_cached_unaffected_by_large_mixed_free_list () =
    the same alloc/free cycle on an unmetered machine must not be slower
    than on a metered one (which does strictly more — hashtable cells,
    ledger adds) beyond scheduling noise. *)
-let test_metrics_disabled_not_slower_than_enabled () =
-  let unmetered = Testbed.create () in
-  let app_u = Testbed.user_domain unmetered "app" in
-  let alloc_u =
-    Testbed.allocator unmetered ~domains:[ app_u ] Fbuf.cached_volatile
-  in
+let metered_pair () =
+  let unmetered = cached_host (Testbed.create ()) in
   let mx = Fbufs_metrics.Metrics.create () in
-  let metered =
-    Fbufs_sim.Machine.with_obs
-      { Fbufs_sim.Machine.no_obs with metrics = Some mx }
-      Testbed.create
-  in
-  let app_m = Testbed.user_domain metered "app" in
-  let alloc_m =
-    Testbed.allocator metered ~domains:[ app_m ] Fbuf.cached_volatile
-  in
+  (unmetered, observed_host { Fbufs_sim.Machine.no_obs with metrics = Some mx })
+
+let test_metrics_disabled_not_slower_than_enabled () =
+  let (_, app_u, alloc_u), (_, app_m, alloc_m) = metered_pair () in
   let enabled_ns, disabled_ns =
     interleaved_medians
       ~fresh:(alloc_free alloc_m app_m 8)
@@ -114,25 +181,29 @@ let test_metrics_disabled_not_slower_than_enabled () =
     true
     (disabled_ns <= enabled_ns *. 1.05)
 
+let test_metrics_disabled_exact () =
+  let (_, app_u, alloc_u), (_, app_m, alloc_m) = metered_pair () in
+  let unmetered = alloc_free alloc_u app_u 8 in
+  check_pays_nothing "unmetered" unmetered;
+  check_does_more "metered cycle" ~quiet:unmetered
+    ~busy:(alloc_free alloc_m app_m 8)
+
 (* Causal spans are pay-for-play the same way: every span entry point
    guards on the machine carrying a sink, so a run without one pays a
    single pointer comparison per site. The workload is identical on both
    sides — the transfer bracket is part of the cycle — and the recording
    side does strictly more (context stack, per-span charge cells). *)
-let test_spans_disabled_not_slower_than_enabled () =
+let spanned_pair () =
   let module Machine = Fbufs_sim.Machine in
-  let plain = Testbed.create () in
-  let app_p = Testbed.user_domain plain "app" in
-  let alloc_p =
-    Testbed.allocator plain ~domains:[ app_p ] Fbuf.cached_volatile
-  in
+  let plain = cached_host (Testbed.create ()) in
   let spanned = Testbed.create () in
   Machine.set_obs spanned.Testbed.m
     (Some { Machine.no_obs with spans = Some (Fbufs_span.Span.create ()) });
-  let app_s = Testbed.user_domain spanned "app" in
-  let alloc_s =
-    Testbed.allocator spanned ~domains:[ app_s ] Fbuf.cached_volatile
-  in
+  (plain, cached_host spanned)
+
+let test_spans_disabled_not_slower_than_enabled () =
+  let module Machine = Fbufs_sim.Machine in
+  let (plain, app_p, alloc_p), (spanned, app_s, alloc_s) = spanned_pair () in
   let cycle tb alloc dom () =
     Machine.with_transfer tb.Testbed.m "cycle" (alloc_free alloc dom 8)
   in
@@ -149,6 +220,19 @@ let test_spans_disabled_not_slower_than_enabled () =
     true
     (disabled_ns <= enabled_ns *. 1.05)
 
+let test_spans_disabled_exact () =
+  let (plain, app_p, alloc_p), (spanned, app_s, alloc_s) = spanned_pair () in
+  (* The bracketed thunk is built once, so the words counted are the
+     bracket's own plus the cycle's. *)
+  let cycle tb alloc dom =
+    let f = alloc_free alloc dom 8 in
+    fun () -> Fbufs_sim.Machine.with_transfer tb.Testbed.m "cycle" f
+  in
+  let unspanned = cycle plain alloc_p app_p in
+  check_pays_nothing "unspanned with_transfer" unspanned;
+  check_does_more "recording cycle" ~quiet:unspanned
+    ~busy:(cycle spanned alloc_s app_s)
+
 (* Same structural claim for the quantile sketch: observation sites guard
    on the machine carrying a registry, so with none installed a sketch
    observation site costs one match on [Machine.metrics]. *)
@@ -156,35 +240,19 @@ let guard_sketch =
   Fbufs_metrics.Metrics.sketch ~name:"fbufs_perf_guard_wall_us"
     ~help:"perf-guard fixture sketch" ()
 
+(* The transfer-wall observation site, guarded exactly like the
+   harness's: registry absent means no sketch work at all. *)
+let sketch_cycle (tb, app, alloc) () =
+  alloc_free alloc app 8 ();
+  match Fbufs_sim.Machine.metrics tb.Testbed.m with
+  | None -> ()
+  | Some mx -> Fbufs_metrics.Metrics.observe mx guard_sketch 42.0
+
 let test_sketch_disabled_not_slower_than_enabled () =
-  let module Mx = Fbufs_metrics.Metrics in
-  let unmetered = Testbed.create () in
-  let app_u = Testbed.user_domain unmetered "app" in
-  let alloc_u =
-    Testbed.allocator unmetered ~domains:[ app_u ] Fbuf.cached_volatile
-  in
-  let mx = Mx.create () in
-  let metered =
-    Fbufs_sim.Machine.with_obs
-      { Fbufs_sim.Machine.no_obs with metrics = Some mx }
-      Testbed.create
-  in
-  let app_m = Testbed.user_domain metered "app" in
-  let alloc_m =
-    Testbed.allocator metered ~domains:[ app_m ] Fbuf.cached_volatile
-  in
-  let cycle tb alloc dom () =
-    alloc_free alloc dom 8 ();
-    (* The transfer-wall observation site, guarded exactly like the
-       harness's: registry absent means no sketch work at all. *)
-    match Fbufs_sim.Machine.metrics tb.Testbed.m with
-    | None -> ()
-    | Some mx -> Mx.observe mx guard_sketch 42.0
-  in
+  let unmetered, metered = metered_pair () in
   let enabled_ns, disabled_ns =
-    interleaved_medians
-      ~fresh:(cycle metered alloc_m app_m)
-      ~cached:(cycle unmetered alloc_u app_u)
+    interleaved_medians ~fresh:(sketch_cycle metered)
+      ~cached:(sketch_cycle unmetered)
   in
   Alcotest.(check bool)
     (Printf.sprintf
@@ -194,6 +262,12 @@ let test_sketch_disabled_not_slower_than_enabled () =
     true
     (disabled_ns <= enabled_ns *. 1.05)
 
+let test_sketch_disabled_exact () =
+  let unmetered, metered = metered_pair () in
+  check_pays_nothing "guarded sketch site" (sketch_cycle unmetered);
+  check_does_more "sketching cycle" ~quiet:(sketch_cycle unmetered)
+    ~busy:(sketch_cycle metered)
+
 (* The TLB deferral rework keeps the PR 6 immediate-shootdown behaviour
    reachable behind [Pmap.elision_enabled]; its simulated costs in that
    mode are pinned byte-for-byte by the noelide goldens. This guards the
@@ -201,16 +275,18 @@ let test_sketch_disabled_not_slower_than_enabled () =
    must not tax the legacy path — an elision-off alloc/touch/free cycle
    (which pays every shootdown eagerly and uses none of the machinery)
    stays within 1.05x of the elision-on cycle that benefits from it. *)
-let test_elision_off_within_noise_of_on () =
-  let tb = Testbed.create () in
-  let app = Testbed.user_domain tb "app" in
-  let cached = Testbed.allocator tb ~domains:[ app ] Fbuf.cached_volatile in
+let elision_fixture () =
+  let tb, app, cached = cached_host (Testbed.create ()) in
   let cycle flag () =
     Fbufs_vm.Pmap.elision_enabled := flag;
     let fb = Allocator.alloc cached ~npages:8 in
     Fbufs_vm.Access.touch_write app ~vaddr:(Fbuf.vaddr fb) ~npages:8;
     Transfer.free fb ~dom:app
   in
+  (tb, cycle)
+
+let test_elision_off_within_noise_of_on () =
+  let _, cycle = elision_fixture () in
   let on_ns, off_ns =
     Fun.protect ~finally:(fun () -> Fbufs_vm.Pmap.elision_enabled := true)
     @@ fun () -> interleaved_medians ~fresh:(cycle true) ~cached:(cycle false)
@@ -223,28 +299,37 @@ let test_elision_off_within_noise_of_on () =
     true
     (off_ns <= on_ns *. 1.05)
 
+(* Each mode on its own host, so the queue checked holds only what the
+   elision-off cycles left in it. *)
+let test_elision_off_exact () =
+  let _, on_cycle = elision_fixture () in
+  let off_tb, off_cycle = elision_fixture () in
+  Fun.protect ~finally:(fun () -> Fbufs_vm.Pmap.elision_enabled := true)
+  @@ fun () ->
+  Alcotest.(check int) "elision-off cycle words = elision-on"
+    (words (on_cycle true))
+    (words (off_cycle false));
+  Alcotest.(check int) "no shootdown queued with elision off" 0
+    (Fbufs_sim.Tlb.pending_count off_tb.Testbed.m.tlb)
+
 (* Buffer-sharing hooks are pay-for-play the same way: a Static policy's
    hooks maintain one integer account and never take the admission path
    ([sh_dynamic] is false), so a managed alloc/free cycle does strictly
    bounded extra work. The bare cycle must stay within noise of the
    managed one — and the managed one, doing more, must not be the faster
    side by more than noise either; one bound per direction. *)
-let test_static_share_within_noise_of_bare () =
-  let bare_tb = Testbed.create () in
-  let app_b = Testbed.user_domain bare_tb "app" in
-  let alloc_b =
-    Testbed.allocator bare_tb ~domains:[ app_b ] Fbuf.cached_volatile
-  in
-  let managed_tb = Testbed.create () in
-  let app_m = Testbed.user_domain managed_tb "app" in
-  let alloc_m =
-    Testbed.allocator managed_tb ~domains:[ app_m ] Fbuf.cached_volatile
-  in
+let static_pair () =
+  let bare = cached_host (Testbed.create ()) in
+  let ((managed_tb, _, alloc_m) as managed) = cached_host (Testbed.create ()) in
   let pol =
     Fbufs_policy.Policy.create managed_tb.Testbed.region
       Fbufs_policy.Policy.Static
   in
   Fbufs_policy.Policy.register pol alloc_m ~klass:Fbufs_policy.Policy.Latency;
+  (bare, managed)
+
+let test_static_share_within_noise_of_bare () =
+  let (_, app_b, alloc_b), (_, app_m, alloc_m) = static_pair () in
   let managed_ns, bare_ns =
     interleaved_medians
       ~fresh:(alloc_free alloc_m app_m 8)
@@ -258,16 +343,28 @@ let test_static_share_within_noise_of_bare () =
     true
     (bare_ns <= managed_ns *. 1.05)
 
+let test_static_share_exact () =
+  let (_, app_b, alloc_b), (_, app_m, alloc_m) = static_pair () in
+  check_pays_nothing "bare" (alloc_free alloc_b app_b 8);
+  check_pays_nothing "static-managed" (alloc_free alloc_m app_m 8)
+
 (* The lint analyzer (PR 4) parses the whole tree with compiler-libs; it
    must never be linked into the benchmark executable or the harness it
    measures — an accidental dependency would drag parser tables and
    startup work into the hot path's process. The link lists are data, so
-   check them as data. *)
-let read_file p =
+   check them as data: a dune file's text with its [;] comments removed
+   (the benchmark's dune file names the libraries it leaves out in one). *)
+let read_dune_file p =
   let ic = open_in_bin p in
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
+  |> String.split_on_char '\n'
+  |> List.map (fun line ->
+         match String.index_opt line ';' with
+         | Some i -> String.sub line 0 i
+         | None -> line)
+  |> String.concat "\n"
 
 let contains s sub =
   let n = String.length s and m = String.length sub in
@@ -284,83 +381,81 @@ let test_lint_not_linked_into_bench () =
      the benchmark, the harness it is built from, or the examples. *)
   List.iter
     (fun dune_file ->
-      let src = read_file (in_tree dune_file) in
+      let src = read_dune_file (in_tree dune_file) in
       Alcotest.(check bool)
         (Printf.sprintf "%s does not link fbufs_lint" dune_file)
         false
         (contains src "fbufs_lint"))
-    [ "bench/dune"; "lib/harness/dune"; "examples/dune" ]
+    [ "bench/e2e/dune"; "lib/harness/dune"; "examples/dune" ]
 
-(* Same isolation for the policy layer: the benchmark measures the bare
+(* Same isolation for the policy layer: the harness measures the bare
    mechanism, so the policy library (admission hooks, event log) must
-   never be linked into it or into the harness it is built from —
-   attaching a policy is an explicit per-experiment act. *)
+   never be linked into it — attaching a policy is an explicit
+   per-experiment act. The benchmark links it by design: its congestion
+   workload runs under the dynamic policy. *)
 let test_policy_not_linked_into_bench () =
   List.iter
     (fun dune_file ->
-      let src = read_file (in_tree dune_file) in
+      let src = read_dune_file (in_tree dune_file) in
       Alcotest.(check bool)
         (Printf.sprintf "%s does not link fbufs_policy" dune_file)
         false
         (contains src "fbufs_policy"))
-    [ "bench/dune"; "lib/harness/dune" ]
+    [ "lib/harness/dune" ]
 
-(* And for the observability layer: recorder, monitors and trend live
+(* And for the observability layer: the recorder and monitors live
    outside the measured mechanism; arming them is an explicit per-run
    act, never a link-time default of the benchmark or harness. *)
 let test_obs_not_linked_into_bench () =
   List.iter
     (fun dune_file ->
-      let src = read_file (in_tree dune_file) in
+      let src = read_dune_file (in_tree dune_file) in
       Alcotest.(check bool)
         (Printf.sprintf "%s does not link fbufs_obs" dune_file)
         false
         (contains src "fbufs_obs"))
-    [ "bench/dune"; "lib/harness/dune"; "examples/dune" ]
+    [ "bench/e2e/dune"; "lib/harness/dune"; "examples/dune" ]
 
 (* The observability layer rides the same record: with no recorder
    armed and no monitor installed, a cycle pays nothing beyond the
    existing pointer comparisons. The bare side must stay within noise of
    the armed side, which does strictly more (ring push, reservoir skip,
    the monitor hook per sequence point). *)
-let test_obs_unarmed_pays_nothing () =
+let seq_cycle (tb, app, alloc) () =
+  alloc_free alloc app 8 ();
+  Fbufs_sim.Machine.seq_point tb.Testbed.m "perf"
+
+(* [f] over the [seq_cycle]s of two hosts: a bare one, and one built
+   with the recorder armed and a monitor on every sequence point,
+   disarmed when [f] returns. *)
+let with_unarmed_and_armed f =
   let module R = Fbufs_obs.Recorder in
   let module Mon = Fbufs_obs.Monitor in
-  let bare_tb = Testbed.create () in
-  let app_b = Testbed.user_domain bare_tb "app" in
-  let alloc_b =
-    Testbed.allocator bare_tb ~domains:[ app_b ] Fbuf.cached_volatile
-  in
+  let bare = cached_host (Testbed.create ()) in
   let r = R.create ~dir:"obs-perf-unused" in
   let mon = Mon.create ~recorder:r () in
   let o =
     { (R.arm r Fbufs_sim.Machine.no_obs) with seq_hook = Some (Mon.hook mon) }
   in
-  let armed_tb, armed_ns, bare_ns =
-    Fun.protect ~finally:(fun () -> R.disarm r) @@ fun () ->
-    let armed_tb = Fbufs_sim.Machine.with_obs o Testbed.create in
-    let app_a = Testbed.user_domain armed_tb "app" in
-    let alloc_a =
-      Testbed.allocator armed_tb ~domains:[ app_a ] Fbuf.cached_volatile
-    in
-    let cycle tb alloc dom () =
-      alloc_free alloc dom 8 ();
-      Fbufs_sim.Machine.seq_point tb.Testbed.m "perf"
-    in
-    let armed_ns, bare_ns =
-      interleaved_medians
-        ~fresh:(cycle armed_tb alloc_a app_a)
-        ~cached:(cycle bare_tb alloc_b app_b)
-    in
-    (armed_tb, armed_ns, bare_ns)
+  Fun.protect ~finally:(fun () -> R.disarm r) @@ fun () ->
+  f (seq_cycle bare) (seq_cycle (observed_host o))
+
+let test_obs_unarmed_pays_nothing () =
+  let armed_ns, bare_ns =
+    with_unarmed_and_armed (fun bare armed ->
+        interleaved_medians ~fresh:armed ~cached:bare)
   in
-  ignore armed_tb;
   Alcotest.(check bool)
     (Printf.sprintf
        "median unarmed cycle (%.0f ns) <= 1.05 * median armed cycle (%.0f ns)"
        bare_ns armed_ns)
     true
     (bare_ns <= armed_ns *. 1.05)
+
+let test_obs_unarmed_exact () =
+  with_unarmed_and_armed (fun bare armed ->
+      check_pays_nothing "bare + unobserved seq_point" bare;
+      check_does_more "armed cycle" ~quiet:bare ~busy:armed)
 
 (* End-to-end bound on the armed cost: a Table 1 run with the recorder
    tapping every event at default sampling stays within 1.10x of the
@@ -428,27 +523,41 @@ let () =
         [
           Alcotest.test_case "cached <= fresh" `Quick
             test_cached_not_slower_than_fresh;
+          Alcotest.test_case "cached < fresh, exact" `Quick
+            test_cached_cheaper_than_fresh_exact;
           Alcotest.test_case "immune to free-list population" `Quick
             test_cached_unaffected_by_large_mixed_free_list;
+          Alcotest.test_case "immune to free-list population, exact" `Quick
+            test_cached_unaffected_by_large_mixed_free_list_exact;
         ] );
       ( "metrics overhead",
         [
           Alcotest.test_case "disabled pays nothing" `Quick
             test_metrics_disabled_not_slower_than_enabled;
+          Alcotest.test_case "disabled pays nothing, exact" `Quick
+            test_metrics_disabled_exact;
           Alcotest.test_case "disabled spans pay nothing" `Quick
             test_spans_disabled_not_slower_than_enabled;
+          Alcotest.test_case "disabled spans pay nothing, exact" `Quick
+            test_spans_disabled_exact;
           Alcotest.test_case "disabled sketch pays nothing" `Quick
             test_sketch_disabled_not_slower_than_enabled;
+          Alcotest.test_case "disabled sketch pays nothing, exact" `Quick
+            test_sketch_disabled_exact;
         ] );
       ( "tlb elision overhead",
         [
           Alcotest.test_case "elision-off path untaxed" `Quick
             test_elision_off_within_noise_of_on;
+          Alcotest.test_case "elision-off path untaxed, exact" `Quick
+            test_elision_off_exact;
         ] );
       ( "policy overhead",
         [
           Alcotest.test_case "static share within noise of bare" `Quick
             test_static_share_within_noise_of_bare;
+          Alcotest.test_case "static share pays nothing, exact" `Quick
+            test_static_share_exact;
         ] );
       ( "link isolation",
         [
@@ -463,6 +572,8 @@ let () =
         [
           Alcotest.test_case "unarmed pays nothing" `Quick
             test_obs_unarmed_pays_nothing;
+          Alcotest.test_case "unarmed pays nothing, exact" `Quick
+            test_obs_unarmed_exact;
           Alcotest.test_case "armed table1 within 1.10x" `Slow
             test_recorder_armed_table1_overhead;
         ] );
