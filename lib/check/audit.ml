@@ -204,14 +204,14 @@ let run t =
       (* 6. mapped_in is a duplicate-free receiver list. *)
       let rec dup_scan = function
         | (d : Pd.t) :: rest ->
-            if List.exists (Pd.equal d) rest then
+            if Pd.mem d rest then
               violation "fbuf#%d: %s appears twice in mapped_in" fb.Fbuf.id
                 d.Pd.name;
             dup_scan rest
         | [] -> ()
       in
       dup_scan fb.Fbuf.mapped_in;
-      if List.exists (Pd.equal orig) fb.Fbuf.mapped_in then
+      if Pd.mem orig fb.Fbuf.mapped_in then
         violation "fbuf#%d: originator listed in mapped_in" fb.Fbuf.id)
     registered;
   List.rev !bad

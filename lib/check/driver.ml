@@ -620,7 +620,7 @@ let checked_alloc st ~ai ~n =
           if fb.Fbuf.id <> top.Model.real_id then
             fail "alloc %d: cache reuse order: got fbuf#%d, model expected #%d"
               ai fb.Fbuf.id top.Model.real_id;
-          Model.commit_hit st.model top ~now:fb.Fbuf.last_alloc_us;
+          Model.commit_hit st.model top ~now:fb.Fbuf.last_alloc.us;
           (* Reused contents must be exactly what was parked — or zeros
              after a pageout. A stale-mapping or stale-content bug surfaces
              here. *)
@@ -646,7 +646,7 @@ let checked_alloc st ~ai ~n =
             in
             let mf =
               Model.commit_fresh st.model ~alloc:ai ~npages:n
-                ~real_id:fb.Fbuf.id ~contents ~now:fb.Fbuf.last_alloc_us
+                ~real_id:fb.Fbuf.id ~contents ~now:fb.Fbuf.last_alloc.us
             in
             st.exp_fresh.(ai) <- st.exp_fresh.(ai) + 1;
             Hashtbl.replace st.reals mf.Model.key fb;
@@ -742,7 +742,7 @@ let do_bad_dag st ~kind =
         in
         let mf =
           Model.commit_fresh st.model ~alloc:2 ~npages:1 ~real_id:fb.Fbuf.id
-            ~contents ~now:fb.Fbuf.last_alloc_us
+            ~contents ~now:fb.Fbuf.last_alloc.us
         in
         st.exp_fresh.(2) <- st.exp_fresh.(2) + 1;
         Hashtbl.replace st.reals mf.Model.key fb;

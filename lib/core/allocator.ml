@@ -23,11 +23,14 @@ type share = {
   sh_shrink : int -> unit;
 }
 
-(* One size class of parked cached fbufs, as a two-list queue: Lifo pushes
-   and pops at [front]; Fifo pushes to [back] and pops from [front],
-   reversing [back] only when [front] runs dry — O(1) amortized either
-   way, where the old single list paid O(n) per Fifo append. *)
-type cls = { mutable front : Fbuf.t list; mutable back : Fbuf.t list }
+(* One size class of parked cached fbufs: a ring of [len] buffers from
+   [ring.(head)], oldest first, in an array whose length is 0 or a power
+   of two and doubles when full. Both policies park at the newest end;
+   Lifo pops the newest, Fifo the oldest — O(1) either way. Parking
+   allocates nothing once the ring has grown to the class's peak, where
+   a list would cons a cell per free. Slots outside the ring keep stale
+   buffers; they are never read. *)
+type cls = { mutable ring : Fbuf.t array; mutable head : int; mutable len : int }
 
 type t = {
   region : Region.t;
@@ -115,22 +118,39 @@ let cls_for t npages =
   match Hashtbl.find t.free_classes npages with
   | c -> c
   | exception Not_found ->
-      let c = { front = []; back = [] } in
+      let c = { ring = [||]; head = 0; len = 0 } in
       Hashtbl.add t.free_classes npages c;
       c
 
+(* The [i]-th oldest buffer of a non-empty ring. *)
+let nth c i = c.ring.((c.head + i) land (Array.length c.ring - 1))
+
 let push_parked t (fb : Fbuf.t) =
   let c = cls_for t fb.Fbuf.npages in
-  (match t.policy with
-  | Lifo -> c.front <- fb :: c.front
-  | Fifo -> c.back <- fb :: c.back);
+  let cap = Array.length c.ring in
+  if c.len = cap then begin
+    let ring = Array.make (max 4 (2 * cap)) fb in
+    for i = 0 to c.len - 1 do
+      ring.(i) <- nth c i
+    done;
+    c.ring <- ring;
+    c.head <- 0
+  end;
+  c.ring.((c.head + c.len) land (Array.length c.ring - 1)) <- fb;
+  c.len <- c.len + 1;
   t.free_len <- t.free_len + 1;
   note_class t fb.Fbuf.npages 1.0
 
-(* Every parked fbuf, in unspecified order; callers that care must sort. *)
+(* Every parked fbuf, in unspecified order; callers that care must sort.
+   (Each class lists its newest first.) *)
 let parked_fbufs t =
   Hashtbl.fold
-    (fun _ c acc -> List.rev_append c.back (c.front @ acc))
+    (fun _ c acc ->
+      let acc = ref acc in
+      for i = 0 to c.len - 1 do
+        acc := nth c i :: !acc
+      done;
+      !acc)
     t.free_classes []
 
 let clear_parked t =
@@ -249,44 +269,32 @@ let take_address_range t ~npages =
       if slack > 0 then add_extent t (base + npages, slack);
       base
 
-(* O(1): one size-class lookup plus a queue pop. The selection is the same
-   as the old whole-list scan — most (Lifo) or least (Fifo) recently freed
-   buffer of exactly the requested size. *)
-let pop_cached t ~npages =
-  match Hashtbl.find t.free_classes npages with
-  | exception Not_found -> None
-  | c -> (
-      let took fb =
-        t.free_len <- t.free_len - 1;
-        note_class t npages (-1.0);
-        Some fb
-      in
-      match c.front with
-      | fb :: rest ->
-          c.front <- rest;
-          took fb
-      | [] -> (
-          match List.rev c.back with
-          | [] -> None
-          | fb :: rest ->
-              c.front <- rest;
-              c.back <- [];
-              took fb))
+(* The buffer a cached allocation of [npages] reuses: the most (Lifo) or
+   least (Fifo) recently freed one of exactly that size. O(1): one
+   size-class lookup plus a ring index. *)
+let next_index t c = match t.policy with Lifo -> c.len - 1 | Fifo -> 0
 
-(* The buffer pop_cached would return, without popping it: front head, or
-   the oldest of [back] when the front is dry. Only consulted on the
-   admission path of a dynamic sharing policy, so the O(|back|) walk never
-   taxes unmanaged allocators. *)
+(* Pop that buffer; raises [Not_found], like [Hashtbl.find], when none is
+   parked: an option would be a fresh block on every hit. *)
+let pop_cached t ~npages =
+  let c = Hashtbl.find t.free_classes npages in
+  if c.len = 0 then raise Not_found;
+  let fb = nth c (next_index t c) in
+  (match t.policy with
+  | Lifo -> ()
+  | Fifo -> c.head <- (c.head + 1) land (Array.length c.ring - 1));
+  c.len <- c.len - 1;
+  t.free_len <- t.free_len - 1;
+  note_class t npages (-1.0);
+  fb
+
+(* The buffer [pop_cached] would return, without popping it. Only
+   consulted on the admission path of a dynamic sharing policy and by
+   [needs_frames]. *)
 let peek_cached t ~npages =
   match Hashtbl.find t.free_classes npages with
   | exception Not_found -> None
-  | c -> (
-      match c.front with
-      | fb :: _ -> Some fb
-      | [] -> (
-          match c.back with
-          | [] -> None
-          | l -> Some (List.nth l (List.length l - 1))))
+  | c -> if c.len = 0 then None else Some (nth c (next_index t c))
 
 let fresh_fbuf t ~npages =
   let m = Region.machine t.region in
@@ -309,9 +317,50 @@ let fresh_fbuf t ~npages =
     Fbuf.make ~m ~id:(Machine.fresh_id m) ~base_vpn ~npages
       ~variant:t.variant ~path:t.path
   in
+  (* Set once: a cached buffer only ever returns to this allocator, so
+     its later lives keep the hook. *)
+  fb.Fbuf.on_all_freed <- Some (on_all_freed t);
   Region.register_fbuf t.region fb;
   Stats.incr m.Machine.stats "fbuf.alloc_fresh";
   fb
+
+(* The rest of every allocation, cache hit or fresh: [fb] is Active and
+   charged to the path. *)
+let activate t m (fb : Fbuf.t) ~npages ~cache_hit =
+  if Machine.tracing m then begin
+    let open Fbufs_trace.Trace in
+    Machine.trace_instant m ~domain:t.owner.Pd.name ~path_id:t.path.Path.id
+      ~args:
+        [
+          ("fbuf", Int fb.Fbuf.id);
+          ("npages", Int npages);
+          ("cache", Str (if cache_hit then "hit" else "miss"));
+        ]
+      "fbuf.alloc";
+    (* The async span is the causal backbone of one transfer: everything
+       that happens to this buffer until its last free links to this id. *)
+    Machine.async_begin m ~domain:t.owner.Pd.name ~path_id:t.path.Path.id
+      ~id:fb.Fbuf.id "fbuf.life"
+  end;
+  (* The clock's field, not [Machine.now]: see [Clock.t]. *)
+  fb.Fbuf.last_alloc.us <- m.Machine.clock.Clock.now;
+  fb.Fbuf.xfer <- Machine.current_transfer m;
+  Fbuf.add_ref fb t.owner;
+  t.live <- t.live + 1;
+  (match Machine.metrics m with
+  | None -> ()
+  | Some mx ->
+      Mx.incr mx alloc_total
+        ~labels:(path_labels t m @ [ (if cache_hit then "hit" else "fresh") ])
+        ());
+  sync_gauges t;
+  fb
+
+let alloc_fresh t m ~npages =
+  let fb = fresh_fbuf t ~npages in
+  grow_hook t npages;
+  fb.Fbuf.accounted <- true;
+  activate t m fb ~npages ~cache_hit:false
 
 let alloc t ~npages =
   if t.torn_down then invalid_arg "Allocator.alloc: allocator was torn down";
@@ -334,57 +383,18 @@ let alloc t ~npages =
           else npages
         in
         sh.sh_admit ~npages ~growth);
-  let fb, cache_hit =
-    if t.variant.Fbuf.cached then
-      match pop_cached t ~npages with
-      | Some fb ->
-          (* The fast path: mappings, frames and contents are all reusable;
-             no VM work and no clearing. *)
-          if not fb.Fbuf.accounted then grow_hook t npages;
-          fb.Fbuf.accounted <- true;
-          fb.Fbuf.state <- Fbuf.Active;
-          Stats.incr m.Machine.stats "fbuf.alloc_cached_hit";
-          (fb, true)
-      | None ->
-          let fb = fresh_fbuf t ~npages in
-          grow_hook t npages;
-          fb.Fbuf.accounted <- true;
-          (fb, false)
-    else begin
-      let fb = fresh_fbuf t ~npages in
-      grow_hook t npages;
-      fb.Fbuf.accounted <- true;
-      (fb, false)
-    end
-  in
-  if Machine.tracing m then begin
-    let open Fbufs_trace.Trace in
-    Machine.trace_instant m ~domain:t.owner.Pd.name ~path_id:t.path.Path.id
-      ~args:
-        [
-          ("fbuf", Int fb.Fbuf.id);
-          ("npages", Int npages);
-          ("cache", Str (if cache_hit then "hit" else "miss"));
-        ]
-      "fbuf.alloc";
-    (* The async span is the causal backbone of one transfer: everything
-       that happens to this buffer until its last free links to this id. *)
-    Machine.async_begin m ~domain:t.owner.Pd.name ~path_id:t.path.Path.id
-      ~id:fb.Fbuf.id "fbuf.life"
-  end;
-  fb.Fbuf.on_all_freed <- Some (on_all_freed t);
-  fb.Fbuf.last_alloc_us <- Machine.now m;
-  fb.Fbuf.xfer <- Machine.current_transfer m;
-  Fbuf.add_ref fb t.owner;
-  t.live <- t.live + 1;
-  (match Machine.metrics m with
-  | None -> ()
-  | Some mx ->
-      Mx.incr mx alloc_total
-        ~labels:(path_labels t m @ [ (if cache_hit then "hit" else "fresh") ])
-        ());
-  sync_gauges t;
-  fb
+  if t.variant.Fbuf.cached then
+    match pop_cached t ~npages with
+    | fb ->
+        (* The fast path: mappings, frames and contents are all reusable;
+           no VM work and no clearing. *)
+        if not fb.Fbuf.accounted then grow_hook t npages;
+        fb.Fbuf.accounted <- true;
+        fb.Fbuf.state <- Fbuf.Active;
+        Stats.incr m.Machine.stats "fbuf.alloc_cached_hit";
+        activate t m fb ~npages ~cache_hit:true
+    | exception Not_found -> alloc_fresh t m ~npages
+  else alloc_fresh t m ~npages
 
 let reclaim t ?(older_than_us = 0.0) ~max_fbufs () =
   (* LRU approximation: victims are the least recently *used* parked
@@ -398,13 +408,13 @@ let reclaim t ?(older_than_us = 0.0) ~max_fbufs () =
     List.filter
       (fun fb ->
         has_resident_memory fb
-        && now -. fb.Fbuf.last_alloc_us >= older_than_us)
+        && now -. fb.Fbuf.last_alloc.us >= older_than_us)
       (parked_fbufs t)
   in
   let by_age =
     List.sort
       (fun (a : Fbuf.t) (b : Fbuf.t) ->
-        match compare a.Fbuf.last_alloc_us b.Fbuf.last_alloc_us with
+        match compare a.Fbuf.last_alloc.us b.Fbuf.last_alloc.us with
         | 0 -> compare a.Fbuf.id b.Fbuf.id
         | c -> c)
       resident

@@ -16,6 +16,8 @@ let variant_name v =
 
 type state = Active | Cached_free | Dead
 
+type time = { mutable us : float }
+
 type t = {
   id : int;
   base_vpn : int;
@@ -26,10 +28,12 @@ type t = {
   mutable state : state;
   mutable secured : bool;
   refs : (int, int) Hashtbl.t;
+  mutable total_refs : int;
   mutable mapped_in : Pd.t list;
   mutable on_all_freed : (t -> unit) option;
-  mutable last_alloc_us : float;
+  last_alloc : time;
   mutable xfer : int;  (* causal transfer carrying this fbuf; 0 = none *)
+  mutable walk : int;  (* stamp of the last message walk that visited it *)
   mutable accounted : bool;
       (* pages charged to the path's held-page account (buffer-sharing);
          set at allocation, cleared when the buffer parks without frames,
@@ -47,10 +51,12 @@ let make ~m ~id ~base_vpn ~npages ~variant ~path =
     state = Active;
     secured = false;
     refs = Hashtbl.create 4;
+    total_refs = 0;
     mapped_in = [];
     on_all_freed = None;
-    last_alloc_us = 0.0;
+    last_alloc = { us = 0.0 };
     xfer = 0;
+    walk = 0;
     accounted = false;
   }
 
@@ -58,10 +64,11 @@ let originator t = Path.originator t.path
 let vaddr t = t.base_vpn * t.m.Fbufs_sim.Machine.cost.Fbufs_sim.Cost_model.page_size
 let size t = t.npages * t.m.Fbufs_sim.Machine.cost.Fbufs_sim.Cost_model.page_size
 
+(* [find], not [find_opt]: a hit allocates nothing. *)
 let ref_count t (d : Pd.t) =
-  match Hashtbl.find_opt t.refs d.Pd.id with Some n -> n | None -> 0
+  match Hashtbl.find t.refs d.Pd.id with n -> n | exception Not_found -> 0
 
-let total_refs t = Hashtbl.fold (fun _ n acc -> acc + n) t.refs 0
+let total_refs t = t.total_refs
 
 let refcount_ops =
   Fbufs_metrics.Metrics.counter ~name:"fbufs_refcount_ops_total"
@@ -76,8 +83,11 @@ let note_ref t op =
       Fbufs_metrics.Metrics.incr mx refcount_ops
         ~labels:[ m.Fbufs_sim.Machine.name; op ] ()
 
+(* A domain's entry stays at 0 after its last reference drops, so the
+   next grant overwrites it in place instead of adding a bucket. *)
 let add_ref t (d : Pd.t) =
   Hashtbl.replace t.refs d.Pd.id (ref_count t d + 1);
+  t.total_refs <- t.total_refs + 1;
   note_ref t "add"
 
 let drop_ref t (d : Pd.t) =
@@ -86,12 +96,12 @@ let drop_ref t (d : Pd.t) =
     invalid_arg
       (Printf.sprintf "Fbuf.drop_ref: %s holds no reference to fbuf#%d"
          d.Pd.name t.id);
-  if n = 1 then Hashtbl.remove t.refs d.Pd.id
-  else Hashtbl.replace t.refs d.Pd.id (n - 1);
+  Hashtbl.replace t.refs d.Pd.id (n - 1);
+  t.total_refs <- t.total_refs - 1;
   note_ref t "drop"
 
 let is_mapped_in t (d : Pd.t) =
-  Pd.equal d (originator t) || List.exists (Pd.equal d) t.mapped_in
+  Pd.equal d (originator t) || Pd.mem d t.mapped_in
 
 let pp ppf t =
   Format.fprintf ppf "fbuf#%d[%s,%dp@%#x,%s]" t.id

@@ -30,6 +30,11 @@ type state =
   | Cached_free  (** parked on a path free list, mappings intact *)
   | Dead  (** torn down; using it is an error *)
 
+type time = { mutable us : float }
+(** A simulated time stamp. An all-float record is stored flat, so
+    setting [us] writes in place; a [float] field of {!t} would box a
+    fresh float on every write. *)
+
 type t = {
   id : int;
   base_vpn : int;
@@ -39,16 +44,23 @@ type t = {
   m : Fbufs_sim.Machine.t;
   mutable state : state;
   mutable secured : bool;  (** originator's write permission removed *)
-  refs : (int, int) Hashtbl.t;  (** domain id -> reference count *)
+  refs : (int, int) Hashtbl.t;
+      (** domain id -> reference count; a domain that held a reference
+          keeps its entry at 0 *)
+  mutable total_refs : int;  (** sum of [refs] *)
   mutable mapped_in : Fbufs_vm.Pd.t list;  (** receivers with live mappings *)
   mutable on_all_freed : (t -> unit) option;  (** allocator hook *)
-  mutable last_alloc_us : float;
+  last_alloc : time;
       (** simulated time of the most recent allocation; the pageout
           daemon's LRU approximation reclaims the least recently used
           parked buffers first *)
   mutable xfer : int;
       (** causal transfer ({!Fbufs_sim.Machine.current_transfer} at
           allocation) carried with the fbuf across domains; 0 = none *)
+  mutable walk : int;
+      (** stamp of the last message walk ([Msg.fold_fbufs]) that visited
+          this buffer, so a walk skips the buffer's later leaves without
+          a table of buffers seen; 0 = none *)
   mutable accounted : bool;
       (** whether this buffer's pages are charged to its path's held-page
           account (buffer-sharing policies). Maintained by the allocator

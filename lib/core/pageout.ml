@@ -18,7 +18,7 @@ type t = {
 let lru_order vs =
   List.sort
     (fun ((_, a) : victim) ((_, b) : victim) ->
-      match compare a.Fbuf.last_alloc_us b.Fbuf.last_alloc_us with
+      match compare a.Fbuf.last_alloc.us b.Fbuf.last_alloc.us with
       | 0 -> compare a.Fbuf.id b.Fbuf.id
       | c -> c)
     vs

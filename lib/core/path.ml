@@ -10,7 +10,7 @@ let create domains =
   | _ :: _ -> ());
   let rec dup = function
     | [] -> false
-    | d :: rest -> List.exists (Pd.equal d) rest || dup rest
+    | d :: rest -> Pd.mem d rest || dup rest
   in
   if dup domains then invalid_arg "Path.create: duplicate domain";
   incr next_id;
@@ -18,7 +18,7 @@ let create domains =
 
 let originator t = List.hd t.domains
 let receivers t = List.tl t.domains
-let mem t d = List.exists (Pd.equal d) t.domains
+let mem t d = Pd.mem d t.domains
 let length t = List.length t.domains
 let equal a b = a.id = b.id
 

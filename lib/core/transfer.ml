@@ -125,7 +125,7 @@ let teardown (fb : Fbuf.t) =
   fb.Fbuf.state <- Fbuf.Dead
 
 let unmap_receiver (fb : Fbuf.t) (dom : Pd.t) =
-  if List.exists (Pd.equal dom) fb.Fbuf.mapped_in then begin
+  if Pd.mem dom fb.Fbuf.mapped_in then begin
     Vm_map.unmap dom.Pd.map ~vpn:fb.base_vpn ~npages:fb.npages
       ~free_frames:true;
     fb.Fbuf.mapped_in <-
@@ -167,8 +167,11 @@ let free (fb : Fbuf.t) ~dom =
     end
     else teardown fb;
     Stats.incr (stats fb) "fbuf.last_free";
-    Machine.async_end fb.Fbuf.m ~domain:dom.Pd.name
-      ~path_id:fb.Fbuf.path.Path.id ~id:fb.Fbuf.id "fbuf.life";
+    (* Guarded although [async_end] checks too: its optional arguments
+       would be wrapped in fresh [Some]s before the check. *)
+    if Machine.tracing fb.Fbuf.m then
+      Machine.async_end fb.Fbuf.m ~domain:dom.Pd.name
+        ~path_id:fb.Fbuf.path.Path.id ~id:fb.Fbuf.id "fbuf.life";
     match fb.Fbuf.on_all_freed with Some f -> f fb | None -> ()
   end
 

@@ -50,14 +50,15 @@ let mach_series () =
         let mach =
           Fbufs_baseline.Mach_native.create ~src ~dst ~kernel:tb.Testbed.kernel
         in
+        let entries = m.Machine.cost.Cost_model.ipc_tlb_footprint in
         let roundtrip () =
           Machine.charge ~comp:Fbufs_metrics.Component.Ipc m
             m.Machine.cost.Cost_model.ipc_call;
-          Machine.domain_crossing_tlb_pressure m;
+          Machine.domain_crossing_tlb_pressure ~entries m;
           Fbufs_baseline.Mach_native.transfer mach ~bytes;
           Machine.charge ~comp:Fbufs_metrics.Component.Ipc m
             m.Machine.cost.Cost_model.ipc_reply;
-          Machine.domain_crossing_tlb_pressure m
+          Machine.domain_crossing_tlb_pressure ~entries m
         in
         for _ = 1 to warmup do
           roundtrip ()

@@ -155,7 +155,8 @@ let run_one ~uncached ~config ~bytes ?(pdu_size = 16384) ?(window = 8)
         m2.Machine.cost.Cost_model.ipc_call;
       Machine.charge ~comp:Fbufs_metrics.Component.Ipc m2
         m2.Machine.cost.Cost_model.ipc_reply;
-      Machine.domain_crossing_tlb_pressure m2
+      Machine.domain_crossing_tlb_pressure
+        ~entries:m2.Machine.cost.Cost_model.ipc_tlb_footprint m2
     end;
     let ack = Testproto.make_message ~alloc:ack_alloc ~as_:k2 ~bytes:64 () in
     Osiris.send_pdu ad2 ~vci:ack_vci ack;

@@ -17,7 +17,14 @@ type conn = {
   auto_free_dst : bool;
   meta_alloc : Allocator.t option;
   m : Machine.t;
-  mutable pending : Fbuf.t list;
+  call_us : float;  (* the facility's crossing costs, looked up once *)
+  reply_us : float;
+  footprint : int;
+  (* Deferred-deallocation notices, oldest first, in [pending.(0 ..
+     npending - 1)]. An array reused from call to call, where a list
+     would cons a cell per notice; slots past [npending] are stale. *)
+  mutable pending : Fbuf.t array;
+  mutable npending : int;
 }
 
 let threshold = 64
@@ -33,6 +40,19 @@ let connect region ~src ~dst ?(mode = Rebuild) ?(facility = Mach)
              ~path:(Path.create [ src; dst ])
              ~variant:Fbuf.cached_volatile ())
   in
+  let m = Region.machine region in
+  let cost = m.Machine.cost in
+  let call_us, reply_us, footprint =
+    match facility with
+    | Mach ->
+        ( cost.Cost_model.ipc_call,
+          cost.Cost_model.ipc_reply,
+          cost.Cost_model.ipc_tlb_footprint )
+    | Urpc ->
+        ( cost.Cost_model.urpc_call,
+          cost.Cost_model.urpc_reply,
+          cost.Cost_model.urpc_tlb_footprint )
+  in
   {
     region;
     src;
@@ -41,8 +61,12 @@ let connect region ~src ~dst ?(mode = Rebuild) ?(facility = Mach)
     facility;
     auto_free_dst;
     meta_alloc;
-    m = Region.machine region;
-    pending = [];
+    m;
+    call_us;
+    reply_us;
+    footprint;
+    pending = [||];
+    npending = 0;
   }
 
 let facility c = c.facility
@@ -72,64 +96,70 @@ let src c = c.src
 let dst c = c.dst
 let mode c = c.mode
 
-let pending_deallocs c = List.length c.pending
+let pending_deallocs c = c.npending
 
+(* Oldest notice first. *)
 let process_pending c =
-  List.iter
-    (fun fb ->
-      Stats.incr c.m.Machine.stats "ipc.dealloc_processed";
-      Transfer.free fb ~dom:c.dst)
-    (List.rev c.pending);
-  c.pending <- []
+  for i = 0 to c.npending - 1 do
+    Stats.incr c.m.Machine.stats "ipc.dealloc_processed";
+    Transfer.free c.pending.(i) ~dom:c.dst
+  done;
+  c.npending <- 0
 
 let explicit_flush c =
-  if c.pending <> [] then begin
+  if c.npending > 0 then begin
     if Machine.tracing c.m then
       Machine.trace_instant c.m ~domain:c.dst.Pd.name
-        ~args:[ ("pending", Fbufs_trace.Trace.Int (List.length c.pending)) ]
+        ~args:[ ("pending", Fbufs_trace.Trace.Int c.npending) ]
         "ipc.dealloc_flush";
     Machine.charge ~kind:"ipc.call" ~comp:Comp.Ipc c.m
       c.m.cost.Cost_model.ipc_call;
     Machine.charge ~kind:"ipc.reply" ~comp:Comp.Ipc c.m
       c.m.cost.Cost_model.ipc_reply;
     Stats.incr c.m.Machine.stats "ipc.explicit_dealloc_msg";
-    note_deallocs c "explicit" (List.length c.pending);
+    note_deallocs c "explicit" c.npending;
     process_pending c
   end
 
 let flush_deallocs c = explicit_flush c
 
+let push_pending c fb =
+  let n = c.npending in
+  if n = Array.length c.pending then begin
+    let grown = Array.make (max 8 (2 * n)) fb in
+    Array.blit c.pending 0 grown 0 n;
+    c.pending <- grown
+  end;
+  c.pending.(n) <- fb;
+  c.npending <- n + 1
+
+(* Callbacks for [Msg.fold_fbufs] that capture nothing, so walking a
+   message allocates nothing: the connection rides as the accumulator. *)
+let defer_or_free (fb : Fbuf.t) c =
+  if Pd.equal (Fbuf.originator fb) c.src then begin
+    Stats.incr c.m.Machine.stats "ipc.dealloc_deferred";
+    note_deallocs c "deferred" 1;
+    push_pending c fb
+  end
+  else Transfer.free fb ~dom:c.dst;
+  c
+
+let count _ n = n + 1
+
+let send (fb : Fbuf.t) c =
+  Transfer.send fb ~src:c.src ~dst:c.dst;
+  c
+
 let free_deferred c msg =
-  List.iter
-    (fun (fb : Fbuf.t) ->
-      if Pd.equal (Fbuf.originator fb) c.src then begin
-        Stats.incr c.m.Machine.stats "ipc.dealloc_deferred";
-        note_deallocs c "deferred" 1;
-        c.pending <- fb :: c.pending
-      end
-      else Transfer.free fb ~dom:c.dst)
-    (Fbufs_msg.Msg.fbufs msg);
-  if List.length c.pending >= threshold then explicit_flush c
+  ignore (Fbufs_msg.Msg.fold_fbufs defer_or_free msg c);
+  if c.npending >= threshold then explicit_flush c
 
 let node_bytes msg = Fbufs_msg.Integrated.node_count msg * Fbufs_msg.Integrated.node_size
-
-let crossing_costs c =
-  let cost = c.m.Machine.cost in
-  match c.facility with
-  | Mach ->
-      ( cost.Cost_model.ipc_call,
-        cost.Cost_model.ipc_reply,
-        cost.Cost_model.ipc_tlb_footprint )
-  | Urpc ->
-      ( cost.Cost_model.urpc_call,
-        cost.Cost_model.urpc_reply,
-        cost.Cost_model.urpc_tlb_footprint )
 
 let facility_name = function Mach -> "mach" | Urpc -> "urpc"
 
 let call c msg ~handler =
   let cost = c.m.Machine.cost in
-  let call_cost, reply_cost, footprint = crossing_costs c in
   (* One span covers the whole crossing: control transfer in, transfer of
      the message's buffers, handler execution, and the reply. *)
   let sp =
@@ -163,7 +193,7 @@ let call c msg ~handler =
       in
       Machine.span_adopt c.m ~transfer:tid ~domain:c.src.Pd.name "ipc.call"
   in
-  Machine.charge ~kind:"ipc.crossing" ~comp:Comp.Ipc c.m call_cost;
+  Machine.charge ~kind:"ipc.crossing" ~comp:Comp.Ipc c.m c.call_us;
   Stats.incr c.m.Machine.stats "ipc.call";
   (match Machine.metrics c.m with
   | None -> ()
@@ -180,11 +210,11 @@ let call c msg ~handler =
   | Rebuild ->
       (* Flatten to an fbuf list, marshal one descriptor per buffer, and
          let the receiving side reconstruct the aggregate. *)
-      let fbs = Fbufs_msg.Msg.fbufs msg in
-      Machine.charge ~kind:"ipc.marshal" ~comp:Comp.Ipc c.m
-        (float_of_int (List.length fbs) *. cost.Cost_model.ipc_per_fbuf);
-      List.iter (fun fb -> Transfer.send fb ~src:c.src ~dst:c.dst) fbs;
-      Machine.domain_crossing_tlb_pressure ~entries:footprint c.m;
+      Machine.charge_n ~kind:"ipc.marshal" ~comp:Comp.Ipc c.m
+        (Fbufs_msg.Msg.fold_fbufs count msg 0)
+        cost.Cost_model.ipc_per_fbuf;
+      ignore (Fbufs_msg.Msg.fold_fbufs send msg c);
+      Machine.domain_crossing_tlb_pressure ~entries:c.footprint c.m;
       handler msg;
       if c.auto_free_dst then Fbufs_msg.Msg.free_held msg ~dom:c.dst
   | Integrated ->
@@ -210,7 +240,7 @@ let call c msg ~handler =
               ~root_vaddr)
       in
       List.iter (fun fb -> Transfer.send fb ~src:c.src ~dst:c.dst) reachable;
-      Machine.domain_crossing_tlb_pressure ~entries:footprint c.m;
+      Machine.domain_crossing_tlb_pressure ~entries:c.footprint c.m;
       let received =
         Machine.with_comp c.m Comp.Dag (fun () ->
             Fbufs_msg.Integrated.deserialize c.region ~as_:c.dst ~root_vaddr)
@@ -222,8 +252,8 @@ let call c msg ~handler =
       Transfer.free meta ~dom:c.src);
   (* Reply path: control transfer back, carrying deferred deallocation
      notices for free. *)
-  Machine.charge ~kind:"ipc.crossing" ~comp:Comp.Ipc c.m reply_cost;
-  Machine.domain_crossing_tlb_pressure ~entries:footprint c.m;
+  Machine.charge ~kind:"ipc.crossing" ~comp:Comp.Ipc c.m c.reply_us;
+  Machine.domain_crossing_tlb_pressure ~entries:c.footprint c.m;
   (* The return crossing is the call's synchronization barrier: whatever
      deferred shootdowns survived the roundtrip — and were not cancelled
      by a page being re-entered with its old translation — drain here,
@@ -232,13 +262,12 @@ let call c msg ~handler =
      pending shootdown the chance to be cancelled by the receiver's
      re-fault during the call.) *)
   Tlb_sync.drain c.m;
-  if c.pending <> [] then begin
-    Stats.add c.m.Machine.stats "ipc.dealloc_piggybacked"
-      (List.length c.pending);
-    note_deallocs c "piggybacked" (List.length c.pending);
+  if c.npending > 0 then begin
+    Stats.add c.m.Machine.stats "ipc.dealloc_piggybacked" c.npending;
+    note_deallocs c "piggybacked" c.npending;
     if Machine.tracing c.m then
       Machine.trace_instant c.m ~domain:c.dst.Pd.name
-        ~args:[ ("pending", Fbufs_trace.Trace.Int (List.length c.pending)) ]
+        ~args:[ ("pending", Fbufs_trace.Trace.Int c.npending) ]
         "ipc.dealloc_piggyback";
     process_pending c
   end;

@@ -56,16 +56,35 @@ let leaves m =
   in
   go [] m
 
-let fbufs m =
-  let seen = Hashtbl.create 8 in
-  List.filter_map
-    (fun l ->
-      if Hashtbl.mem seen l.fbuf.Fbuf.id then None
+(* The distinct-fbuf walk behind [fbufs], [free_all], [free_held] and IPC
+   transfer. Each walk takes a fresh stamp and marks every fbuf it visits
+   with it, so a leaf whose fbuf already carries the stamp repeats an
+   earlier one: linear in the leaves, with no table of buffers seen and
+   no allocation. (A buffer is one record per id: ids are unique per
+   machine and a message never spans machines.) A walk started inside
+   [f] would re-mark buffers under this one, so it is refused. *)
+let walks = ref 0
+
+let rec fold_from stamp f m acc =
+  match m with
+  | Empty -> acc
+  | Cat c -> fold_from stamp f c.right (fold_from stamp f c.left acc)
+  | Leaf l ->
+      let fb = l.fbuf in
+      if fb.Fbuf.walk = stamp then acc
       else begin
-        Hashtbl.add seen l.fbuf.Fbuf.id ();
-        Some l.fbuf
-      end)
-    (leaves m)
+        fb.Fbuf.walk <- stamp;
+        let acc = f fb acc in
+        if !walks <> stamp then
+          invalid_arg "Msg.fold_fbufs: a walk inside the callback";
+        acc
+      end
+
+let fold_fbufs f m acc =
+  incr walks;
+  fold_from !walks f m acc
+
+let fbufs m = List.rev (fold_fbufs List.cons m [])
 
 let rec depth = function
   | Empty | Leaf _ -> 1
@@ -120,10 +139,15 @@ let iter_units m ~as_ ~unit_size f =
   ignore total;
   go m
 
-let touch_read m ~as_ =
-  let ps = as_.Pd.m.Machine.cost.Cost_model.page_size in
-  List.iter
-    (fun l ->
+(* Left to right over the leaves, without building the leaf list. *)
+let rec touch_read m ~as_ =
+  match m with
+  | Empty -> ()
+  | Cat c ->
+      touch_read c.left ~as_;
+      touch_read c.right ~as_
+  | Leaf l ->
+      let ps = as_.Pd.m.Machine.cost.Cost_model.page_size in
       let first = leaf_vaddr l in
       let last = first + l.len - 1 in
       for page = first / ps to last / ps do
@@ -132,15 +156,25 @@ let touch_read m ~as_ =
         let va = max first (page * ps) in
         let va = if va mod ps > ps - 4 then (page * ps) + ps - 4 else va in
         ignore (Access.read_word as_ ~vaddr:va)
-      done)
-    (leaves m)
+      done
 
-let free_all m ~dom = List.iter (fun fb -> Transfer.free fb ~dom) (fbufs m)
+(* The domain rides as the accumulator, so the callbacks capture nothing
+   and the walks allocate nothing. *)
+let free_all m ~dom =
+  ignore
+    (fold_fbufs
+       (fun fb (dom : Pd.t) ->
+         Transfer.free fb ~dom;
+         dom)
+       m dom)
 
 let free_held m ~dom =
-  List.iter
-    (fun fb -> if Fbuf.ref_count fb dom > 0 then Transfer.free fb ~dom)
-    (fbufs m)
+  ignore
+    (fold_fbufs
+       (fun fb (dom : Pd.t) ->
+         if Fbuf.ref_count fb dom > 0 then Transfer.free fb ~dom;
+         dom)
+       m dom)
 
 let pp ppf m =
   let ls = leaves m in

@@ -43,7 +43,17 @@ val leaves : t -> leaf list
 (** Left-to-right leaf windows (empty leaves omitted). *)
 
 val fbufs : t -> Fbufs.Fbuf.t list
-(** Distinct underlying fbufs in first-appearance order. *)
+(** Distinct underlying fbufs in first-appearance order: the order
+    {!fold_fbufs} visits them in. *)
+
+val fold_fbufs : (Fbufs.Fbuf.t -> 'a -> 'a) -> t -> 'a -> 'a
+(** [fold_fbufs f m acc] folds [f] over the distinct underlying fbufs in
+    first-appearance order (left to right over the leaves, an fbuf counted
+    at its first leaf), in time linear in the leaves. The walk itself
+    allocates nothing, so with an [f] that captures no variables it is
+    the allocation-free way to visit a message's buffers on a
+    per-operation path. [f] must not walk a message itself: that raises
+    [Invalid_argument]. *)
 
 val depth : t -> int
 

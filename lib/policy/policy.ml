@@ -157,7 +157,7 @@ let next_victim t requester ~free =
       t.entries
   in
   let key (e, (fb : Fbuf.t)) =
-    (rank e.e_klass, fb.Fbuf.last_alloc_us, fb.Fbuf.id)
+    (rank e.e_klass, fb.Fbuf.last_alloc.us, fb.Fbuf.id)
   in
   match candidates with
   | [] -> None
@@ -283,12 +283,12 @@ let pageout_order t (vs : Pageout.victim list) =
       let free = free_frames t in
       let key ((alloc, fb) : Pageout.victim) =
         match find_entry t alloc with
-        | None -> (1, max_int, fb.Fbuf.last_alloc_us, fb.Fbuf.id)
+        | None -> (1, max_int, fb.Fbuf.last_alloc.us, fb.Fbuf.id)
         | Some e ->
             let over =
               e.e_held > threshold t.kind e.e_klass ~free_frames:free
             in
-            ((if over then 0 else 1), rank e.e_klass, fb.Fbuf.last_alloc_us,
+            ((if over then 0 else 1), rank e.e_klass, fb.Fbuf.last_alloc.us,
              fb.Fbuf.id)
       in
       List.sort (fun a b -> compare (key a) (key b)) vs

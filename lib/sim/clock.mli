@@ -5,7 +5,11 @@
     {!advance_to} when an event is delivered, CPU work advances it via
     {!advance}. *)
 
-type t
+type t = private { mutable now : float }
+(** Readable in place: [c.now] is a load from flat float storage, where
+    the float {!now} returns to another module is boxed (no flambda, and
+    dune's dev profile compiles with [-opaque], so nothing is inlined
+    across modules). Only this module advances it. *)
 
 val create : unit -> t
 (** A clock starting at time 0. *)

@@ -21,6 +21,7 @@ and t = {
   stats : Stats.t;
   rng : Rng.t;
   busy : busy;
+  word_us : float;
   mutable next_asid : int;
   mutable next_id : int;
   mutable obs : obs option;
@@ -51,6 +52,7 @@ let create ?(name = "host") ?(cost = Cost_model.decstation_5000_200)
     stats = Stats.create ();
     rng;
     busy = { busy_us = 0.0 };
+    word_us = cost.Cost_model.word_touch +. cost.Cost_model.cache_miss;
     next_asid = 1;
     next_id = 1;
     obs = !ambient;
@@ -254,12 +256,7 @@ let load_since m (t0, busy0) =
 
 (* The kernel's IPC path occupies a distinguished address space (ASID 0)
    and touches a working set of code and data pages on every crossing. *)
-let domain_crossing_tlb_pressure ?entries m =
-  let n =
-    match entries with
-    | Some n -> n
-    | None -> m.cost.Cost_model.ipc_tlb_footprint
-  in
+let domain_crossing_tlb_pressure ~entries:n m =
   if tracing m then
     trace_instant m ~args:[ ("entries", Fbufs_trace.Trace.Int n) ]
       "tlb.pressure";

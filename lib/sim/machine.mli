@@ -31,6 +31,9 @@ and t = private {
   stats : Stats.t;
   rng : Rng.t;
   busy : busy;
+  word_us : float;
+      (** one word access, [word_touch +. cache_miss], summed once here:
+          passing a freshly computed float to {!charge} boxes it *)
   mutable next_asid : int;
   mutable next_id : int;
   mutable obs : obs option;
@@ -223,9 +226,9 @@ val checkpoint : t -> float * float
 val load_since : t -> float * float -> float
 (** CPU load between a {!checkpoint} and now, in [0, 1]. *)
 
-val domain_crossing_tlb_pressure : ?entries:int -> t -> unit
-(** Displace [entries] (default [ipc_tlb_footprint]) TLB entries with
-    kernel-path translations, modelling the cache/TLB pollution of one IPC
-    crossing. Costless in time (the control-transfer latency is charged
-    separately by the IPC layer); its effect is the refill work later
-    accesses must redo. *)
+val domain_crossing_tlb_pressure : entries:int -> t -> unit
+(** Displace [entries] TLB entries (a Mach crossing's footprint is the
+    cost model's [ipc_tlb_footprint]) with kernel-path translations,
+    modelling the cache/TLB pollution of one IPC crossing. Costless in
+    time (the control-transfer latency is charged separately by the IPC
+    layer); its effect is the refill work later accesses must redo. *)

@@ -40,47 +40,49 @@ module Itab = struct
     let h = k * 0x2545F4914F6CDD1D in
     (h lxor (h lsr 29)) land t.mask
 
-  let find t k =
-    let rec loop i =
-      match Bytes.unsafe_get t.state i with
-      | '\000' -> -1
-      | '\001' when Array.unsafe_get t.key i = k -> Array.unsafe_get t.value i
-      | _ -> loop ((i + 1) land t.mask)
-    in
-    loop (slot_of t k)
+  (* The probe loops here and below are top-level functions taking the
+     table and key as arguments: a local [loop] closing over them would be
+     a fresh closure on every probe, and every domain crossing probes and
+     inserts dozens of entries. *)
+  let rec find_from t k i =
+    match Bytes.unsafe_get t.state i with
+    | '\000' -> -1
+    | '\001' when Array.unsafe_get t.key i = k -> Array.unsafe_get t.value i
+    | _ -> find_from t k ((i + 1) land t.mask)
 
-  let rec replace t k v =
-    (* Track the first tombstone on the probe path so deleted slots are
-       recycled; fall through to it only once the key is known absent. *)
-    let rec loop i tomb =
-      match Bytes.unsafe_get t.state i with
-      | '\001' when Array.unsafe_get t.key i = k ->
+  let find t k = find_from t k (slot_of t k)
+
+  (* Track the first tombstone on the probe path so deleted slots are
+     recycled; fall through to it only once the key is known absent. *)
+  let rec replace_from t k v i tomb =
+    match Bytes.unsafe_get t.state i with
+    | '\001' when Array.unsafe_get t.key i = k ->
+        t.value.(i) <- v;
+        t.inv.(v) <- i
+    | '\000' ->
+        if tomb >= 0 then begin
+          t.key.(tomb) <- k;
+          t.value.(tomb) <- v;
+          t.inv.(v) <- tomb;
+          Bytes.set t.state tomb '\001';
+          t.live <- t.live + 1
+        end
+        else if 2 * (t.used + 1) > t.mask + 1 then begin
+          rehash t;
+          replace t k v
+        end
+        else begin
+          t.key.(i) <- k;
           t.value.(i) <- v;
-          t.inv.(v) <- i
-      | '\000' ->
-          if tomb >= 0 then begin
-            t.key.(tomb) <- k;
-            t.value.(tomb) <- v;
-            t.inv.(v) <- tomb;
-            Bytes.set t.state tomb '\001';
-            t.live <- t.live + 1
-          end
-          else if 2 * (t.used + 1) > t.mask + 1 then begin
-            rehash t;
-            replace t k v
-          end
-          else begin
-            t.key.(i) <- k;
-            t.value.(i) <- v;
-            t.inv.(v) <- i;
-            Bytes.set t.state i '\001';
-            t.live <- t.live + 1;
-            t.used <- t.used + 1
-          end
-      | '\002' when tomb < 0 -> loop ((i + 1) land t.mask) i
-      | _ -> loop ((i + 1) land t.mask) tomb
-    in
-    loop (slot_of t k) (-1)
+          t.inv.(v) <- i;
+          Bytes.set t.state i '\001';
+          t.live <- t.live + 1;
+          t.used <- t.used + 1
+        end
+    | '\002' when tomb < 0 -> replace_from t k v ((i + 1) land t.mask) i
+    | _ -> replace_from t k v ((i + 1) land t.mask) tomb
+
+  and replace t k v = replace_from t k v (slot_of t k) (-1)
 
   and rehash t =
     let cap = t.mask + 1 in
@@ -92,6 +94,14 @@ module Itab = struct
     for i = 0 to cap - 1 do
       if Bytes.get old_state i = '\001' then replace t old_key.(i) old_val.(i)
     done
+
+  (* Revert the tombstones ending at [j] to empty. *)
+  let rec clean t j =
+    if Bytes.unsafe_get t.state j = '\002' then begin
+      Bytes.set t.state j '\000';
+      t.used <- t.used - 1;
+      clean t ((j - 1) land t.mask)
+    end
 
   (* Delete the binding whose value is [v]. The caller guarantees [v] is
      currently bound (the TLB only evicts/invalidates valid entries), so
@@ -105,16 +115,7 @@ module Itab = struct
        can terminate early because of them. At low load this reclaims
        almost every deletion in place, so the tombstone-triggered rehash
        almost never runs. *)
-    if Bytes.unsafe_get t.state ((i + 1) land t.mask) = '\000' then begin
-      let rec clean j =
-        if Bytes.unsafe_get t.state j = '\002' then begin
-          Bytes.set t.state j '\000';
-          t.used <- t.used - 1;
-          clean ((j - 1) land t.mask)
-        end
-      in
-      clean i
-    end
+    if Bytes.unsafe_get t.state ((i + 1) land t.mask) = '\000' then clean t i
 
   let clear t =
     Bytes.fill t.state 0 (t.mask + 1) '\000';
@@ -210,6 +211,9 @@ let clear_slot t i =
   end;
   e.valid <- false
 
+let rec first_not_live t i =
+  if is_live t t.slots.(i) then first_not_live t (i + 1) else i
+
 let probe t ~asid ~vpn ~write =
   let i = Itab.find t.index (key ~asid ~vpn) in
   if i = -1 then Miss
@@ -236,13 +240,7 @@ let insert t ~asid ~vpn ~writable =
            TLB has free capacity (or right after a flush); in steady state
            it is skipped. *)
         let victim =
-          if t.valid_count < n then begin
-            let rec avail i =
-              if is_live t t.slots.(i) then avail (i + 1) else i
-            in
-            avail 0
-          end
-          else Rng.int t.rng n
+          if t.valid_count < n then first_not_live t 0 else Rng.int t.rng n
         in
         if t.slots.(victim).valid then clear_slot t victim;
         Itab.replace t.index k victim;
@@ -343,11 +341,16 @@ let iter_pending t f =
   Hashtbl.iter (fun k p -> f ~asid:(k lsr 40) ~vpn:(k land vpn_mask) p) t.pending
 
 let take_pending t =
+  (* Every crossing drains, and the queue is almost always empty: then
+     neither the fold nor [List.sort] runs, which would build their
+     closures first. *)
   let all =
-    Hashtbl.fold
-      (fun k _ acc -> (k lsr 40, k land vpn_mask) :: acc)
-      t.pending []
+    if t.pending_n = 0 then []
+    else
+      Hashtbl.fold
+        (fun k _ acc -> (k lsr 40, k land vpn_mask) :: acc)
+        t.pending []
   in
   Hashtbl.reset t.pending;
   t.pending_n <- 0;
-  List.sort compare all
+  match all with [] -> [] | _ :: _ -> List.sort compare all

@@ -29,70 +29,69 @@ let handle_fault (dom : Pd.t) ~vpn ~write ~vaddr =
 (* Translate a virtual address to its physical frame, performing the full
    TLB / pmap / fault dance with charges. Returns the frame only (callers
    compute the page offset themselves): the pair this used to return was a
-   fresh heap block on every simulated load/store. *)
-let translate (dom : Pd.t) ~vaddr ~write =
+   fresh heap block on every simulated load/store. [attempt] is top-level
+   with its context passed as arguments for the same reason: a local
+   retry closure would be allocated on every translation. *)
+let rec attempt (dom : Pd.t) pmap ~asid ~vpn ~write ~vaddr depth =
   let m = dom.m in
-  let ps = page_size dom in
-  let vpn = vaddr / ps in
-  let asid = Pd.asid dom in
-  let pmap = Vm_map.pmap dom.map in
-  let rec attempt depth =
-    if depth > 4 then
-      failwith "Access.translate: fault loop (mechanism bug)"
-    else
-      match Tlb.probe m.tlb ~asid ~vpn ~write with
-      | Tlb.Hit -> (
-          match Pmap.lookup pmap ~vpn with
-          | Some e -> e.Pmap.frame
-          | None ->
-              if Tlb.pending_covers m.tlb ~asid ~vpn then begin
-                (* Legal deferral window: the translation was removed with
-                   its shootdown queued. Fault handling is the sequence
-                   point that resolves it — re-establishing the mapping
-                   runs [Pmap.enter], which either cancels the pending
-                   (identical translation: this very TLB entry is valid
-                   again, and the retry hits without paying a refill) or
-                   shoots the stale entry down before the new translation
-                   lands. *)
-                handle_fault dom ~vpn ~write ~vaddr;
-                attempt (depth + 1)
-              end
-              else
-                (* A TLB hit without a pmap entry and no queued shootdown
-                   means one was missed; treat as fatal mechanism bug. *)
-                failwith "Access.translate: TLB/pmap inconsistency")
-      | Tlb.Miss -> (
-          Machine.charge ~kind:"tlb.refill" ~comp:Comp.Tlb_flush m
-            m.cost.Cost_model.tlb_refill;
-          Stats.incr m.stats "tlb.miss";
-          note_tlb m "miss";
-          match Pmap.lookup pmap ~vpn with
-          | Some e when (not write) || e.Pmap.writable ->
-              Tlb.insert m.tlb ~asid ~vpn ~writable:e.Pmap.writable;
-              e.Pmap.frame
-          | Some _ | None ->
+  if depth > 4 then failwith "Access.translate: fault loop (mechanism bug)"
+  else
+    match Tlb.probe m.tlb ~asid ~vpn ~write with
+    | Tlb.Hit -> (
+        match Pmap.lookup pmap ~vpn with
+        | Some e -> e.Pmap.frame
+        | None ->
+            if Tlb.pending_covers m.tlb ~asid ~vpn then begin
+              (* Legal deferral window: the translation was removed with
+                 its shootdown queued. Fault handling is the sequence
+                 point that resolves it — re-establishing the mapping
+                 runs [Pmap.enter], which either cancels the pending
+                 (identical translation: this very TLB entry is valid
+                 again, and the retry hits without paying a refill) or
+                 shoots the stale entry down before the new translation
+                 lands. *)
               handle_fault dom ~vpn ~write ~vaddr;
-              attempt (depth + 1))
-      | Tlb.Hit_readonly -> (
-          Machine.charge ~kind:"tlb.mod_fault" ~comp:Comp.Tlb_flush m
-            m.cost.Cost_model.tlb_mod_fault;
-          Stats.incr m.stats "tlb.mod_fault";
-          note_tlb m "mod_fault";
-          match Pmap.lookup pmap ~vpn with
-          | Some e when e.Pmap.writable ->
-              (* Permission was upgraded since the entry was cached. *)
-              Tlb.insert m.tlb ~asid ~vpn ~writable:true;
-              e.Pmap.frame
-          | Some _ | None ->
-              handle_fault dom ~vpn ~write ~vaddr;
-              attempt (depth + 1))
-  in
-  attempt 0
+              attempt dom pmap ~asid ~vpn ~write ~vaddr (depth + 1)
+            end
+            else
+              (* A TLB hit without a pmap entry and no queued shootdown
+                 means one was missed; treat as fatal mechanism bug. *)
+              failwith "Access.translate: TLB/pmap inconsistency")
+    | Tlb.Miss -> (
+        Machine.charge ~kind:"tlb.refill" ~comp:Comp.Tlb_flush m
+          m.cost.Cost_model.tlb_refill;
+        Stats.incr m.stats "tlb.miss";
+        note_tlb m "miss";
+        match Pmap.lookup pmap ~vpn with
+        | Some e when (not write) || e.Pmap.writable ->
+            Tlb.insert m.tlb ~asid ~vpn ~writable:e.Pmap.writable;
+            e.Pmap.frame
+        | Some _ | None ->
+            handle_fault dom ~vpn ~write ~vaddr;
+            attempt dom pmap ~asid ~vpn ~write ~vaddr (depth + 1))
+    | Tlb.Hit_readonly -> (
+        Machine.charge ~kind:"tlb.mod_fault" ~comp:Comp.Tlb_flush m
+          m.cost.Cost_model.tlb_mod_fault;
+        Stats.incr m.stats "tlb.mod_fault";
+        note_tlb m "mod_fault";
+        match Pmap.lookup pmap ~vpn with
+        | Some e when e.Pmap.writable ->
+            (* Permission was upgraded since the entry was cached. *)
+            Tlb.insert m.tlb ~asid ~vpn ~writable:true;
+            e.Pmap.frame
+        | Some _ | None ->
+            handle_fault dom ~vpn ~write ~vaddr;
+            attempt dom pmap ~asid ~vpn ~write ~vaddr (depth + 1))
 
+let translate (dom : Pd.t) ~vaddr ~write =
+  attempt dom (Vm_map.pmap dom.map) ~asid:(Pd.asid dom)
+    ~vpn:(vaddr / page_size dom) ~write ~vaddr 0
+
+(* [word_us] is the per-word sum precomputed once per machine, so this
+   passes a float that is already boxed. *)
 let charge_word (dom : Pd.t) =
   let m = dom.m in
-  Machine.charge ~comp:Comp.Touch m
-    (m.cost.Cost_model.word_touch +. m.cost.Cost_model.cache_miss)
+  Machine.charge ~comp:Comp.Touch m m.Machine.word_us
 
 (* The word accessors assemble the 32-bit value a byte at a time rather
    than via [Bytes.get_int32_le]/[set_int32_le]: the [Int32] round trip

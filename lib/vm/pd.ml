@@ -27,5 +27,9 @@ let asid t = Pmap.asid (Vm_map.pmap t.map)
 
 let equal a b = a.id = b.id
 
+(* Not [List.exists (equal d)]: the partial application is a closure
+   allocated on every call, and transfers ask this on every send. *)
+let rec mem d = function [] -> false | x :: rest -> equal d x || mem d rest
+
 let pp ppf t =
   Format.fprintf ppf "%s#%d%s" t.name t.id (if t.kernel then "(k)" else "")

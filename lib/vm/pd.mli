@@ -27,4 +27,8 @@ val create : Fbufs_sim.Machine.t -> ?kernel:bool -> string -> t
 
 val asid : t -> int
 val equal : t -> t -> bool
+
+val mem : t -> t list -> bool
+(** [mem d ds]: whether a domain {!equal} to [d] is in [ds]. *)
+
 val pp : Format.formatter -> t -> unit

@@ -31,37 +31,39 @@ let create ?(slab_bits = 9) () =
 
 let idx t vpn = vpn land ((1 lsl t.slab_bits) - 1)
 
-(* Existing slab holding [vpn], if any. *)
+(* Existing slab holding [vpn], or the empty array when there is none
+   (real slabs are never empty). Not an option: a [Some] per lookup would
+   be a heap block on every translation. *)
 let slab_of t vpn =
   let id = vpn lsr t.slab_bits in
-  if id = t.memo_id then Some t.memo_slab
+  if id = t.memo_id then t.memo_slab
   else
-    match Hashtbl.find_opt t.slabs id with
-    | Some s ->
+    match Hashtbl.find t.slabs id with
+    | s ->
         t.memo_id <- id;
         t.memo_slab <- s;
-        Some s
-    | None -> None
+        s
+    | exception Not_found -> [||]
 
 (* Slab holding [vpn], created on demand. *)
 let slab_for t vpn =
   match slab_of t vpn with
-  | Some s -> s
-  | None ->
+  | [||] ->
       let id = vpn lsr t.slab_bits in
       let s = Array.make (1 lsl t.slab_bits) None in
       Hashtbl.add t.slabs id s;
       t.memo_id <- id;
       t.memo_slab <- s;
       s
+  | s -> s
 
 let find t vpn =
   if vpn < 0 then None
   else
     match slab_of t vpn with
-    | None -> None
+    | [||] -> None
     (* [idx] masks into the slab, so the access is in range. *)
-    | Some s -> Array.unsafe_get s (idx t vpn)
+    | s -> Array.unsafe_get s (idx t vpn)
 
 let mem t vpn = find t vpn <> None
 
@@ -75,8 +77,8 @@ let set t vpn v =
 let remove t vpn =
   if vpn >= 0 then
     match slab_of t vpn with
-    | None -> ()
-    | Some s ->
+    | [||] -> ()
+    | s ->
         let i = idx t vpn in
         if s.(i) <> None then begin
           t.count <- t.count - 1;

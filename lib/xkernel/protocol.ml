@@ -6,6 +6,7 @@ type t = {
   dom : Pd.t;
   mutable push : Fbufs_msg.Msg.t -> unit;
   mutable pop : Fbufs_msg.Msg.t -> unit;
+  stat : string;
 }
 
 let not_wired name dir _ =
@@ -17,6 +18,7 @@ let create ~name ~dom ?push ?pop () =
     dom;
     push = (match push with Some f -> f | None -> not_wired name "push");
     pop = (match pop with Some f -> f | None -> not_wired name "pop");
+    stat = "proto." ^ name;
   }
 
 let machine t = t.dom.Pd.m
@@ -25,4 +27,4 @@ let charge_op t =
   let m = machine t in
   Machine.charge ~comp:Fbufs_metrics.Component.Proto m
     m.Machine.cost.Cost_model.proto_op;
-  Stats.incr m.Machine.stats ("proto." ^ t.name)
+  Stats.incr m.Machine.stats t.stat

@@ -16,6 +16,9 @@ type t = {
   dom : Fbufs_vm.Pd.t;
   mutable push : Fbufs_msg.Msg.t -> unit;
   mutable pop : Fbufs_msg.Msg.t -> unit;
+  stat : string;
+      (** the Stats counter {!charge_op} bumps, ["proto." ^ name], built
+          once *)
 }
 
 val create :

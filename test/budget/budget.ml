@@ -115,6 +115,20 @@ let read_word () =
   let d, vaddr = tlb_hit_page () in
   fun () -> ignore (Vm.Access.read_word d ~vaddr)
 
+(* One word per page, round robin over 128 mapped pages: twice the
+   64-entry TLB, so nearly every read misses, refills and evicts. *)
+let read_word_tlb_miss () =
+  let m = Fbufs_sim.Machine.create ~nframes:256 () in
+  let d = Vm.Pd.create m "access" in
+  let npages = 128 in
+  let vpn = Vm.Vm_map.reserve_private d.Vm.Pd.map ~npages in
+  Vm.Vm_map.map_zero_fill d.Vm.Pd.map ~vpn ~npages;
+  Vm.Access.touch_write d ~vaddr:(vpn * 4096) ~npages;
+  let page = ref 0 in
+  fun () ->
+    ignore (Vm.Access.read_word d ~vaddr:((vpn + !page) * 4096));
+    page := (!page + 1) mod npages
+
 let write_word () =
   let d, vaddr = tlb_hit_page () in
   fun () -> Vm.Access.write_word d ~vaddr 1
@@ -140,13 +154,18 @@ let serialize () =
 
 let op_rows =
   [
+    ( "op.ipc-call.cached-volatile.1p",
+      roundtrip Fbuf.cached_volatile ~bytes:4096 );
     ( "op.ipc-call.cached-volatile.8p",
       roundtrip Fbuf.cached_volatile ~bytes:32768 );
+    ( "op.ipc-call.cached-volatile.64p",
+      roundtrip Fbuf.cached_volatile ~bytes:262144 );
     ( "op.ipc-call.volatile-only.64k",
       roundtrip Fbuf.volatile_only ~bytes:65536 );
     ("op.remap-move.16p.ping-pong", remap_ping_pong);
     ("op.three-domains.send.16k", three_domains_send);
     ("op.access.read-word", read_word);
+    ("op.access.read-word.tlb-miss", read_word_tlb_miss);
     ("op.access.write-word", write_word);
     ("op.msg.split-join.4k", split_join);
     ("op.integrated.serialize.8", serialize);

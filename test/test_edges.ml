@@ -80,7 +80,8 @@ let test_cost_model_pp_mentions_effective_rate () =
 
 let test_tlb_pressure_bounded () =
   let m = Machine.create ~tlb_entries:8 ~nframes:16 () in
-  Machine.domain_crossing_tlb_pressure m;
+  Machine.domain_crossing_tlb_pressure
+    ~entries:m.Machine.cost.Cost_model.ipc_tlb_footprint m;
   Alcotest.(check bool) "TLB stays bounded" true
     (Tlb.valid_entries m.Machine.tlb <= 8)
 

@@ -480,14 +480,15 @@ let per_page_cost variant =
   let tb, app, recv = setup2 () in
   let m = tb.Testbed.m in
   let alloc = Testbed.allocator tb ~domains:[ app; recv ] variant in
+  let entries = m.Machine.cost.Cost_model.ipc_tlb_footprint in
   let roundtrip npages =
     let fb = Allocator.alloc alloc ~npages in
     Fbuf_api.touch_write fb ~as_:app;
     Transfer.send fb ~src:app ~dst:recv;
-    Machine.domain_crossing_tlb_pressure m;
+    Machine.domain_crossing_tlb_pressure ~entries m;
     Fbuf_api.touch_read fb ~as_:recv;
     Transfer.free fb ~dom:recv;
-    Machine.domain_crossing_tlb_pressure m;
+    Machine.domain_crossing_tlb_pressure ~entries m;
     Transfer.free fb ~dom:app
   in
   let measure npages =

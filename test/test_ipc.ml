@@ -142,6 +142,25 @@ let test_threshold_forces_explicit_flush () =
   check Alcotest.int "queue drained" 0 (Ipc.pending_deallocs conn);
   List.iter (fun fb -> Transfer.free fb ~dom:app) fbs
 
+(* Notices are processed oldest first: A's last free parks it before
+   B's, so the LIFO free list hands B out next. *)
+let test_dealloc_notices_oldest_first () =
+  let _, app, _, alloc, conn = setup () in
+  let fa = Allocator.alloc alloc ~npages:1 in
+  let fb = Allocator.alloc alloc ~npages:1 in
+  let ma = Msg.of_fbuf fa ~off:0 ~len:4 in
+  let mb = Msg.of_fbuf fb ~off:0 ~len:4 in
+  Ipc.call conn ma ~handler:(fun _ -> ());
+  Ipc.call conn mb ~handler:(fun _ -> ());
+  Transfer.free fa ~dom:app;
+  Transfer.free fb ~dom:app;
+  Ipc.free_deferred conn ma;
+  Ipc.free_deferred conn mb;
+  check Alcotest.int "two notices pending" 2 (Ipc.pending_deallocs conn);
+  Ipc.flush_deallocs conn;
+  check Alcotest.int "next allocation reuses B" fb.Fbuf.id
+    (Allocator.alloc alloc ~npages:1).Fbuf.id
+
 (* ------------------------------------------------------------------ *)
 (* Integrated mode                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -276,6 +295,8 @@ let () =
             test_dealloc_piggyback_no_extra_message;
           tc "explicit flush charges" `Quick test_explicit_flush_charges_message;
           tc "threshold forces flush" `Quick test_threshold_forces_explicit_flush;
+          tc "oldest notice freed first" `Quick
+            test_dealloc_notices_oldest_first;
         ] );
       ( "integrated",
         [

@@ -107,7 +107,37 @@ let test_fbufs_dedup () =
   let a = Msg.of_fbuf fb ~off:0 ~len:1 in
   let b = Msg.of_fbuf fb ~off:1 ~len:1 in
   check Alcotest.int "one distinct fbuf" 1
-    (List.length (Msg.fbufs (Msg.join a b)))
+    (List.length (Msg.fbufs (Msg.join a b)));
+  (* Leaves A, B, A, C: A's window split around B, then C. *)
+  let fa = Allocator.alloc alloc ~npages:1 in
+  let fb = Allocator.alloc alloc ~npages:1 in
+  let fc = Allocator.alloc alloc ~npages:1 in
+  let a1, a2 = Msg.split (Msg.of_fbuf fa ~off:0 ~len:64) 32 in
+  let m =
+    Msg.join
+      (Msg.join a1 (Msg.of_fbuf fb ~off:0 ~len:16))
+      (Msg.join a2 (Msg.of_fbuf fc ~off:0 ~len:16))
+  in
+  let ids = List.map (fun (f : Fbuf.t) -> f.Fbuf.id) in
+  check
+    Alcotest.(list int)
+    "leaves repeat and interleave"
+    (ids [ fa; fb; fa; fc ])
+    (ids (List.map (fun (l : Msg.leaf) -> l.Msg.fbuf) (Msg.leaves m)));
+  check Alcotest.(list int) "first occurrences" (ids [ fa; fb; fc ])
+    (ids (Msg.fbufs m));
+  check Alcotest.(list int) "the walk visits exactly fbufs's list"
+    (ids (Msg.fbufs m))
+    (ids (List.rev (Msg.fold_fbufs List.cons m [])));
+  let count _ n = n + 1 in
+  let w0 = Gc.minor_words () in
+  let n = Msg.fold_fbufs count m 0 in
+  let words = Float.to_int (Gc.minor_words () -. w0) in
+  check Alcotest.int "three visited" 3 n;
+  check Alcotest.int "the walk allocates nothing" 0 words;
+  Alcotest.check_raises "a walk inside the callback is refused"
+    (Invalid_argument "Msg.fold_fbufs: a walk inside the callback")
+    (fun () -> Msg.fold_fbufs (fun _ () -> ignore (Msg.fbufs m)) m ())
 
 let test_checksum_matches_flat () =
   let _, app, _, alloc = setup () in
