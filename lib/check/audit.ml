@@ -158,15 +158,16 @@ let run t =
          for i = 0 to fb.Fbuf.npages - 1 do
            let vpn = fb.Fbuf.base_vpn + i in
            if not (Vm_map.mapped orig.Pd.map ~vpn) then
-             violation "fbuf#%d page %d: originator mapping lost" fb.Fbuf.id i;
-           (match Vm_map.prot_of orig.Pd.map ~vpn with
-           | Some p when Prot.can_write p <> want_writable ->
+             violation "fbuf#%d page %d: originator mapping lost" fb.Fbuf.id i
+           else begin
+             let p = Vm_map.prot_of orig.Pd.map ~vpn in
+             if Prot.can_write p <> want_writable then
                violation
                  "fbuf#%d page %d: originator %swritable but secured=%b"
                  fb.Fbuf.id i
                  (if Prot.can_write p then "" else "not ")
                  fb.Fbuf.secured
-           | _ -> ());
+           end;
            let orig_frame = Vm_map.frame_of orig.Pd.map ~vpn in
            let mappers = ref 0 in
            List.iter
@@ -174,26 +175,18 @@ let run t =
                let f = Vm_map.frame_of d.Pd.map ~vpn in
                (* Non-originator rules. *)
                if not (Pd.equal d orig) then begin
-                 (match f with
-                 | None -> ()
-                 | Some f when f = dead -> ()
-                 | Some f when orig_frame = Some f -> ()
-                 | Some f ->
-                     violation
-                       "fbuf#%d page %d: %s maps foreign frame %d" fb.Fbuf.id i
-                       d.Pd.name f);
-                 match Vm_map.prot_of d.Pd.map ~vpn with
-                 | Some p when Prot.can_write p ->
-                     violation "fbuf#%d page %d: receiver %s is writable"
-                       fb.Fbuf.id i d.Pd.name
-                 | _ -> ()
+                 if f <> -1 && f <> dead && f <> orig_frame then
+                   violation
+                     "fbuf#%d page %d: %s maps foreign frame %d" fb.Fbuf.id i
+                     d.Pd.name f;
+                 if Prot.can_write (Vm_map.prot_of d.Pd.map ~vpn) then
+                   violation "fbuf#%d page %d: receiver %s is writable"
+                     fb.Fbuf.id i d.Pd.name
                end;
-               match (f, orig_frame) with
-               | Some f, Some g when f = g -> incr mappers
-               | _ -> ())
+               if f <> -1 && f = orig_frame then incr mappers)
              t.domains;
            match orig_frame with
-           | Some f when f <> dead ->
+           | f when f <> -1 && f <> dead ->
                let rc = Phys_mem.refcount m.Machine.pmem f in
                if rc <> !mappers then
                  violation

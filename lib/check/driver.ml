@@ -233,7 +233,7 @@ let run_balance st =
       let fb = real st mf in
       let resident =
         Vm_map.frame_of (Fbuf.originator fb).Pd.map ~vpn:fb.Fbuf.base_vpn
-        <> None
+        <> -1
       in
       if i < n then begin
         if resident then
@@ -530,27 +530,27 @@ let tlb_audit st =
           if asid <> 0 then
             fail "tlb audit: live entry for unknown asid %d (vpn %#x)" asid vpn
       | Some d -> (
-          match Pmap.lookup (Vm_map.pmap d.Pd.map) ~vpn with
-          | Some e ->
-              if writable && not e.Pmap.writable then
-                fail
-                  "tlb audit: %s vpn %#x: writable TLB entry over a \
-                   read-only translation (a downgrade shootdown was \
-                   deferred or elided)"
-                  d.Pd.name vpn
-          | None ->
+          match Pmap.word (Vm_map.pmap d.Pd.map) ~vpn with
+          | -1 ->
               if not (Tlb.pending_covers tlb ~asid ~vpn) then
                 fail
                   "tlb audit: %s vpn %#x: live TLB entry with no \
                    translation and no queued shootdown"
+                  d.Pd.name vpn
+          | w ->
+              if writable && not (Pmap.writable w) then
+                fail
+                  "tlb audit: %s vpn %#x: writable TLB entry over a \
+                   read-only translation (a downgrade shootdown was \
+                   deferred or elided)"
                   d.Pd.name vpn));
-  Tlb.iter_pending tlb (fun ~asid ~vpn _p ->
+  Tlb.iter_pending tlb (fun ~asid ~vpn ~pte:_ ->
       if not (Model.window_sanctions st.model ~vpn) then
         fail "tlb audit: queued shootdown on never-torn-down vpn %#x" vpn;
       match domain_of_asid st asid with
       | None -> fail "tlb audit: queued shootdown for unknown asid %d" asid
       | Some d ->
-          if Pmap.lookup (Vm_map.pmap d.Pd.map) ~vpn <> None then
+          if Pmap.word (Vm_map.pmap d.Pd.map) ~vpn <> -1 then
             fail
               "tlb audit: %s vpn %#x: shootdown deferred while the \
                translation is still installed (only removals may defer)"
@@ -893,7 +893,7 @@ let exec st (op : Op.t) =
           let fb = real st mf in
           if
             Vm_map.frame_of (Fbuf.originator fb).Pd.map ~vpn:fb.Fbuf.base_vpn
-            <> None
+            <> -1
           then fail "reclaim: victim fbuf#%d kept its frames" fb.Fbuf.id;
           st.exp_reclaimed.(mf.Model.alloc) <-
             st.exp_reclaimed.(mf.Model.alloc) + 1;

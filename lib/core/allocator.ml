@@ -45,6 +45,8 @@ type t = {
   mutable live : int;
   mutable torn_down : bool;
   mutable share : share option;
+  on_freed : (Fbuf.t -> unit) option;
+      (* [Some (on_all_freed t)], built once: every fresh fbuf takes it *)
 }
 
 let set_share t sh = t.share <- sh
@@ -56,7 +58,7 @@ let shrink_hook t n =
   match t.share with None -> () | Some sh -> sh.sh_shrink n
 
 let has_resident_memory (fb : Fbuf.t) =
-  Vm_map.frame_of (Fbuf.originator fb).Pd.map ~vpn:fb.Fbuf.base_vpn <> None
+  Vm_map.frame_of (Fbuf.originator fb).Pd.map ~vpn:fb.Fbuf.base_vpn <> -1
 
 let buffer_resident = has_resident_memory
 let buffer_accounted (fb : Fbuf.t) = fb.Fbuf.accounted
@@ -171,16 +173,16 @@ let clear_parked t =
    extents that touch, so fragmented returns re-form allocatable runs
    (without this, a torn-down set of small fbufs could never satisfy a
    larger request without growing the chunk footprint). *)
-let add_extent t ext =
-  let rec go (base, n) = function
-    | [] -> [ (base, n) ]
-    | (b, m) :: rest ->
-        if b + m = base then go (b, m + n) rest
-        else if base + n = b then go (base, n + m) rest
-        else if b + m < base then (b, m) :: go (base, n) rest
-        else (base, n) :: (b, m) :: rest
-  in
-  t.extents <- go ext t.extents
+let rec insert_extent base n = function
+  | [] -> [ (base, n) ]
+  | ((b, m) as e) :: rest ->
+      if b + m = base then insert_extent b (m + n) rest
+      else if base + n = b then insert_extent base (n + m) rest
+      else if b + m < base then e :: insert_extent base n rest
+      else (base, n) :: e :: rest
+
+let add_extent t ~base ~npages =
+  t.extents <- insert_extent base npages t.extents
 
 let release_chunks t =
   List.iter
@@ -214,7 +216,7 @@ let on_all_freed t (fb : Fbuf.t) =
       shrink_hook t fb.Fbuf.npages;
       fb.Fbuf.accounted <- false;
       Region.unregister_fbuf t.region fb;
-      add_extent t (fb.Fbuf.base_vpn, fb.Fbuf.npages);
+      add_extent t ~base:fb.Fbuf.base_vpn ~npages:fb.Fbuf.npages;
       t.live <- t.live - 1;
       if t.torn_down && t.live = 0 then release_chunks t
   | Fbuf.Active -> assert false
@@ -224,49 +226,55 @@ let on_all_freed t fb =
   sync_gauges t
 
 let create region ~path ~variant ?(policy = Lifo) () =
-  {
-    region;
-    path;
-    variant;
-    owner = Path.originator path;
-    policy;
-    free_classes = Hashtbl.create 8;
-    free_len = 0;
-    extents = [];
-    chunks = [];
-    live = 0;
-    torn_down = false;
-    share = None;
-  }
+  let rec t =
+    {
+      region;
+      path;
+      variant;
+      owner = Path.originator path;
+      policy;
+      free_classes = Hashtbl.create 8;
+      free_len = 0;
+      extents = [];
+      chunks = [];
+      live = 0;
+      torn_down = false;
+      share = None;
+      on_freed = Some (fun fb -> on_all_freed t fb);
+    }
+  in
+  t
 
 let default region ~owner =
   create region ~path:(Path.create [ owner ]) ~variant:Fbuf.volatile_only ()
 
-(* First-fit over the sorted, coalesced free extents; splits when the fit
-   is loose. *)
-let take_extent t ~npages =
-  let rec loop acc = function
-    | [] -> None
-    | (base, n) :: rest when n >= npages ->
-        let remainder =
-          if n > npages then [ (base + npages, n - npages) ] else []
-        in
-        t.extents <- List.rev_append acc (remainder @ rest);
-        Some base
-    | e :: rest -> loop (e :: acc) rest
-  in
-  loop [] t.extents
+(* First-fit over the sorted, coalesced free extents: the base of the
+   first extent of at least [npages] pages, or [-1]. *)
+let rec first_fit ~npages = function
+  | [] -> -1
+  | (base, n) :: rest -> if n >= npages then base else first_fit ~npages rest
+
+(* The extents with that first fit taken out, its remainder (when the fit
+   is loose) left in its place. *)
+let rec carve ~npages = function
+  | [] -> []
+  | ((base, n) as e) :: rest ->
+      if n > npages then (base + npages, n - npages) :: rest
+      else if n = npages then rest
+      else e :: carve ~npages rest
 
 let take_address_range t ~npages =
-  match take_extent t ~npages with
-  | Some base -> base
-  | None ->
+  match first_fit ~npages t.extents with
+  | -1 ->
       let chunk_pages = (Region.config t.region).Region.chunk_pages in
       let nchunks = (npages + chunk_pages - 1) / chunk_pages in
       let base = Region.alloc_chunks t.region t.owner ~nchunks in
       t.chunks <- (base, nchunks) :: t.chunks;
       let slack = (nchunks * chunk_pages) - npages in
-      if slack > 0 then add_extent t (base + npages, slack);
+      if slack > 0 then add_extent t ~base:(base + npages) ~npages:slack;
+      base
+  | base ->
+      t.extents <- carve ~npages t.extents;
       base
 
 (* The buffer a cached allocation of [npages] reuses: the most (Lifo) or
@@ -319,7 +327,7 @@ let fresh_fbuf t ~npages =
   in
   (* Set once: a cached buffer only ever returns to this allocator, so
      its later lives keep the hook. *)
-  fb.Fbuf.on_all_freed <- Some (on_all_freed t);
+  fb.Fbuf.on_all_freed <- t.on_freed;
   Region.register_fbuf t.region fb;
   Stats.incr m.Machine.stats "fbuf.alloc_fresh";
   fb

@@ -47,14 +47,35 @@ let chunk_of t ~vpn = (vpn - t.config.base_vpn) / t.config.chunk_pages
 
 (* Chunk-granular index: at most chunk_pages fbufs can overlap one chunk,
    so the per-chunk scan is short and registration is O(chunks spanned)
-   instead of O(pages). *)
+   instead of O(pages). [covering] returns the fbuf or raises
+   [Not_found]: an option would be a block on every lazy map. *)
+let rec covering ~vpn = function
+  | [] -> raise Not_found
+  | (fb : Fbuf.t) :: rest ->
+      if vpn >= fb.Fbuf.base_vpn && vpn < fb.Fbuf.base_vpn + fb.Fbuf.npages
+      then fb
+      else covering ~vpn rest
+
 let fbuf_at t ~vpn =
   if not (in_region t ~vpn) then None
   else
-    List.find_opt
-      (fun (fb : Fbuf.t) ->
-        vpn >= fb.Fbuf.base_vpn && vpn < fb.Fbuf.base_vpn + fb.Fbuf.npages)
-      t.chunk_fbufs.(chunk_of t ~vpn)
+    match covering ~vpn t.chunk_fbufs.(chunk_of t ~vpn) with
+    | fb -> Some fb
+    | exception Not_found -> None
+
+let lazy_map_frame t (dom : Pd.t) ~vpn frame =
+  Machine.charge ~comp:Comp.Map t.m t.m.cost.Cost_model.fault_trap;
+  Stats.incr t.m.stats "fbuf.lazy_map";
+  Phys_mem.incref t.m.pmem frame;
+  Vm_map.map_frame dom.Pd.map ~vpn ~frame ~prot:Prot.Read_only ~eager:true
+
+let map_dead t (dom : Pd.t) ~vpn =
+  Machine.charge ~comp:Comp.Map t.m t.m.cost.Cost_model.fault_trap;
+  Stats.incr t.m.stats "region.dead_page_read";
+  t.dead_reads <- t.dead_reads + 1;
+  Phys_mem.incref t.m.pmem t.dead_frame;
+  Vm_map.map_frame dom.Pd.map ~vpn ~frame:t.dead_frame ~prot:Prot.Read_only
+    ~eager:true
 
 (* Reads inside the region that the domain's own map cannot resolve are
    handled here. Two cases:
@@ -67,40 +88,22 @@ let fbuf_at t ~vpn =
 
    - Anything else: map the shared zeroed dead page read-only, so the
      receiver of a corrupt integrated DAG sees an empty leaf, not a
-     crash. *)
+     crash.
+
+   A page the domain has mapped is left to the plain VM fault: it either
+   resolves it or reports a real violation. *)
 let dead_page_hook t (dom : Pd.t) ~vpn ~write =
-  if write || not (in_region t ~vpn) then false
-  else
-    match Vm_map.prot_of dom.Pd.map ~vpn with
-    | Some p when Prot.can_read p -> false (* plain VM fault can resolve *)
-    | Some _ -> false (* mapped without read permission: real violation *)
-    | None -> (
-        let lazy_map_frame frame =
-          Machine.charge ~comp:Comp.Map t.m t.m.cost.Cost_model.fault_trap;
-          Stats.incr t.m.stats "fbuf.lazy_map";
-          Phys_mem.incref t.m.pmem frame;
-          Vm_map.map_frame dom.Pd.map ~vpn ~frame ~prot:Prot.Read_only
-            ~eager:true;
-          true
-        in
-        let map_dead () =
-          Machine.charge ~comp:Comp.Map t.m t.m.cost.Cost_model.fault_trap;
-          Stats.incr t.m.stats "region.dead_page_read";
-          t.dead_reads <- t.dead_reads + 1;
-          Phys_mem.incref t.m.pmem t.dead_frame;
-          Vm_map.map_frame dom.Pd.map ~vpn ~frame:t.dead_frame
-            ~prot:Prot.Read_only ~eager:true;
-          true
-        in
-        match fbuf_at t ~vpn with
-        | Some fb
-          when fb.Fbuf.state = Fbuf.Active && Fbuf.ref_count fb dom > 0 -> (
-            match
-              Vm_map.frame_of (Fbuf.originator fb).Pd.map ~vpn
-            with
-            | Some frame -> lazy_map_frame frame
-            | None -> map_dead ())
-        | Some _ | None -> map_dead ())
+  if write || (not (in_region t ~vpn)) || Vm_map.mapped dom.Pd.map ~vpn then
+    false
+  else begin
+    (match covering ~vpn t.chunk_fbufs.(chunk_of t ~vpn) with
+    | fb when fb.Fbuf.state = Fbuf.Active && Fbuf.ref_count fb dom > 0 -> (
+        match Vm_map.frame_of (Fbuf.originator fb).Pd.map ~vpn with
+        | -1 -> map_dead t dom ~vpn
+        | frame -> lazy_map_frame t dom ~vpn frame)
+    | _ | (exception Not_found) -> map_dead t dom ~vpn);
+    true
+  end
 
 let create m ~kernel ?(config = default_config) () =
   if config.region_pages mod config.chunk_pages <> 0 then
@@ -203,22 +206,25 @@ let free_chunks t (dom : Pd.t) ~vpn ~nchunks =
   Machine.charge ~comp:Comp.Alloc t.m t.m.cost.Cost_model.vm_range_op;
   Hashtbl.replace t.owned_count dom.Pd.id (owned t dom - nchunks)
 
-let fbuf_chunk_span t (fb : Fbuf.t) =
-  ( chunk_of t ~vpn:fb.Fbuf.base_vpn,
-    chunk_of t ~vpn:(fb.Fbuf.base_vpn + fb.Fbuf.npages - 1) )
+let last_chunk t (fb : Fbuf.t) =
+  chunk_of t ~vpn:(fb.Fbuf.base_vpn + fb.Fbuf.npages - 1)
 
 let register_fbuf t (fb : Fbuf.t) =
-  let c0, c1 = fbuf_chunk_span t fb in
-  for c = c0 to c1 do
+  for c = chunk_of t ~vpn:fb.Fbuf.base_vpn to last_chunk t fb do
     t.chunk_fbufs.(c) <- fb :: t.chunk_fbufs.(c)
   done
 
+(* The chunk list without fbuf [id], in order. An fbuf is registered
+   once per chunk, so the walk stops at the first match and shares the
+   rest of the list. *)
+let rec without id = function
+  | [] -> []
+  | (g : Fbuf.t) :: rest ->
+      if g.Fbuf.id = id then rest else g :: without id rest
+
 let unregister_fbuf t (fb : Fbuf.t) =
-  let c0, c1 = fbuf_chunk_span t fb in
-  for c = c0 to c1 do
-    t.chunk_fbufs.(c) <-
-      List.filter (fun (g : Fbuf.t) -> g.Fbuf.id <> fb.Fbuf.id)
-        t.chunk_fbufs.(c)
+  for c = chunk_of t ~vpn:fb.Fbuf.base_vpn to last_chunk t fb do
+    t.chunk_fbufs.(c) <- without fb.Fbuf.id t.chunk_fbufs.(c)
   done
 
 let registered_fbufs t =

@@ -75,10 +75,9 @@ let grant (fb : Fbuf.t) (dst : Pd.t) =
   let orig = Fbuf.originator fb in
   for i = 0 to fb.npages - 1 do
     let vpn = fb.base_vpn + i in
-    match Vm_map.frame_of dst.Pd.map ~vpn with
-    | Some f when Vm_map.frame_of orig.Pd.map ~vpn <> Some f ->
-        Vm_map.unmap dst.Pd.map ~vpn ~npages:1 ~free_frames:true
-    | Some _ | None -> ()
+    let f = Vm_map.frame_of dst.Pd.map ~vpn in
+    if f <> -1 && f <> Vm_map.frame_of orig.Pd.map ~vpn then
+      Vm_map.unmap dst.Pd.map ~vpn ~npages:1 ~free_frames:true
   done;
   fb.Fbuf.mapped_in <- dst :: fb.Fbuf.mapped_in
 
@@ -111,25 +110,33 @@ let send (fb : Fbuf.t) ~src ~dst =
       ~extra:[ ("dst", Fbufs_trace.Trace.Str dst.Pd.name) ]
       "fbuf.send"
 
+let unmap_in (fb : Fbuf.t) (d : Pd.t) =
+  Vm_map.unmap d.Pd.map ~vpn:fb.base_vpn ~npages:fb.npages ~free_frames:true
+
+(* Top-level walks, not [List.iter]/[List.filter] with a closure over
+   [fb]: they run on every uncached free. *)
+let rec unmap_all fb = function
+  | [] -> ()
+  | d :: rest ->
+      unmap_in fb d;
+      unmap_all fb rest
+
+let rec without dom = function
+  | [] -> []
+  | d :: rest ->
+      if Pd.equal d dom then without dom rest else d :: without dom rest
+
 (* Full teardown of an uncached (or evicted) fbuf. *)
 let teardown (fb : Fbuf.t) =
-  let orig = Fbuf.originator fb in
-  List.iter
-    (fun (d : Pd.t) ->
-      Vm_map.unmap d.Pd.map ~vpn:fb.base_vpn ~npages:fb.npages
-        ~free_frames:true)
-    fb.Fbuf.mapped_in;
+  unmap_all fb fb.Fbuf.mapped_in;
   fb.Fbuf.mapped_in <- [];
-  Vm_map.unmap orig.Pd.map ~vpn:fb.base_vpn ~npages:fb.npages
-    ~free_frames:true;
+  unmap_in fb (Fbuf.originator fb);
   fb.Fbuf.state <- Fbuf.Dead
 
 let unmap_receiver (fb : Fbuf.t) (dom : Pd.t) =
   if Pd.mem dom fb.Fbuf.mapped_in then begin
-    Vm_map.unmap dom.Pd.map ~vpn:fb.base_vpn ~npages:fb.npages
-      ~free_frames:true;
-    fb.Fbuf.mapped_in <-
-      List.filter (fun d -> not (Pd.equal d dom)) fb.Fbuf.mapped_in
+    unmap_in fb dom;
+    fb.Fbuf.mapped_in <- without dom fb.Fbuf.mapped_in
   end
 
 let restore_originator_write (fb : Fbuf.t) =
@@ -190,11 +197,7 @@ let reclaim_memory (fb : Fbuf.t) =
   | Fbuf.Active | Fbuf.Dead ->
       invalid_arg "Transfer.reclaim_memory: fbuf not on a free list");
   let orig = Fbuf.originator fb in
-  List.iter
-    (fun (d : Pd.t) ->
-      Vm_map.unmap d.Pd.map ~vpn:fb.base_vpn ~npages:fb.npages
-        ~free_frames:true)
-    fb.Fbuf.mapped_in;
+  unmap_all fb fb.Fbuf.mapped_in;
   fb.Fbuf.mapped_in <- [];
   Vm_map.convert_zero_fill orig.Pd.map ~vpn:fb.base_vpn ~npages:fb.npages;
   Stats.incr (stats fb) "fbuf.reclaimed";

@@ -157,8 +157,8 @@ let dma_gather t msg =
           let off = vaddr mod ps in
           let seg = min remaining (ps - off) in
           (match Vm_map.frame_of orig.Pd.map ~vpn:(vaddr / ps) with
-          | Some f -> Bytes.blit (Phys_mem.data t.m.pmem f) off out !pos seg
-          | None -> Bytes.fill out !pos seg '\000');
+          | -1 -> Bytes.fill out !pos seg '\000'
+          | f -> Bytes.blit (Phys_mem.data t.m.pmem f) off out !pos seg);
           pos := !pos + seg;
           copy (vaddr + seg) (remaining - seg)
         end
@@ -178,14 +178,14 @@ let scatter_at t (fb : Fbuf.t) ~off data =
     let vpn = !vaddr / ps in
     let frame =
       match Vm_map.frame_of t.kernel.Pd.map ~vpn with
-      | Some f -> f
-      | None ->
+      | -1 ->
           (* Reclaimed cached buffer: the driver re-pins a frame when it
              hands the buffer to the adapter. *)
           let f = Phys_mem.alloc t.m.pmem in
           Vm_map.map_frame t.kernel.Pd.map ~vpn ~frame:f
             ~prot:Prot.Read_write ~eager:true;
           f
+      | f -> f
     in
     Bytes.blit data !pos (Phys_mem.data t.m.pmem frame) off seg;
     pos := !pos + seg;

@@ -21,6 +21,11 @@ val advance : t -> float -> unit
 (** [advance c us] moves the clock forward by [us] microseconds. Negative
     increments are a programming error and raise [Invalid_argument]. *)
 
+val advance_n : t -> int -> float -> unit
+(** [advance_n c n us] is [advance c (float_of_int n *. us)], bit for bit,
+    without boxing the product. Raises [Invalid_argument] when the product
+    is negative. *)
+
 val advance_to : t -> float -> unit
 (** [advance_to c t] sets the clock to [max (now c) t]; used when an event
     with absolute timestamp [t] is delivered to a host whose CPU was idle. *)

@@ -124,7 +124,15 @@ let charge ?kind ?comp m us =
       advance m us;
       match o.on_tick with Some f -> f (Clock.now m.clock) | None -> ())
 
-let charge_n ?kind ?comp m n us = charge ?kind ?comp m (float_of_int n *. us)
+(* Unobserved, the product is never boxed: the clock forms it itself
+   ([Clock.advance_n]) and the busy accumulator is a flat float field.
+   Observed runs pass it to [charge], whose sinks need the value. *)
+let charge_n ?kind ?comp m n us =
+  match m.obs with
+  | None ->
+      Clock.advance_n m.clock n us;
+      m.busy.busy_us <- m.busy.busy_us +. (float_of_int n *. us)
+  | Some _ -> charge ?kind ?comp m (float_of_int n *. us)
 
 let trace_instant m ?domain ?path_id ?args kind =
   match trace m with

@@ -110,7 +110,9 @@ val charge : ?kind:string -> ?comp:Fbufs_metrics.Component.t -> t -> float -> un
 
 val charge_n :
   ?kind:string -> ?comp:Fbufs_metrics.Component.t -> t -> int -> float -> unit
-(** [charge_n m n us] charges [n] repetitions of a per-item cost. *)
+(** [charge_n m n us] charges [n] repetitions of a per-item cost: the same
+    as [charge m (float_of_int n *. us)], but on an unobserved machine it
+    allocates nothing (the product is not boxed). *)
 
 val elapse_to : ?kind:string -> t -> float -> unit
 (** Wait (idle) until an absolute simulated time; no busy time accrues.

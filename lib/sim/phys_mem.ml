@@ -10,11 +10,13 @@ type frame = { mutable data : bytes; mutable refcount : int }
    fbuf's frames in reverse page order (see [Vm_map.unmap]) leaves them
    on the stack so the next same-size allocation pops them back in page
    order, restoring the identical vpn -> frame translations and letting
-   the queued shootdowns be cancelled instead of flushed. *)
+   the queued shootdowns be cancelled instead of flushed. The stack is
+   [free.(0 .. nfree - 1)], top last: a free frame is on it exactly once,
+   so [nframes] slots always suffice and a push allocates nothing. *)
 type t = {
   page_size : int;
   frames : frame array;
-  mutable free : frame_id list;
+  free : frame_id array;
   mutable nfree : int;
 }
 
@@ -24,24 +26,23 @@ let create ~page_size ~nframes =
   let frames =
     Array.init nframes (fun _ -> { data = Bytes.empty; refcount = 0 })
   in
-  let free = List.init nframes (fun i -> nframes - 1 - i) in
-  { page_size; frames; free; nfree = nframes }
+  (* Frame [nframes - 1] on top: the first allocations hand out the
+     highest frames first. *)
+  { page_size; frames; free = Array.init nframes Fun.id; nfree = nframes }
 
 let page_size t = t.page_size
 let total_frames t = Array.length t.frames
 let free_frames t = t.nfree
 
 let alloc t =
-  match t.free with
-  | [] -> raise Out_of_memory
-  | id :: rest ->
-      t.free <- rest;
-      t.nfree <- t.nfree - 1;
-      let f = t.frames.(id) in
-      assert (f.refcount = 0);
-      if Bytes.length f.data = 0 then f.data <- Bytes.create t.page_size;
-      f.refcount <- 1;
-      id
+  if t.nfree = 0 then raise Out_of_memory;
+  t.nfree <- t.nfree - 1;
+  let id = t.free.(t.nfree) in
+  let f = t.frames.(id) in
+  assert (f.refcount = 0);
+  if Bytes.length f.data = 0 then f.data <- Bytes.create t.page_size;
+  f.refcount <- 1;
+  id
 
 let check_live t id name =
   if id < 0 || id >= Array.length t.frames then
@@ -58,7 +59,7 @@ let decref t id =
   let f = t.frames.(id) in
   f.refcount <- f.refcount - 1;
   if f.refcount = 0 then begin
-    t.free <- id :: t.free;
+    t.free.(t.nfree) <- id;
     t.nfree <- t.nfree + 1
   end
 

@@ -1,3 +1,9 @@
+(* Fibonacci hashing, shared by both open-addressed tables in this file;
+   each masks the result to its own capacity. *)
+let mix k =
+  let h = k * 0x2545F4914F6CDD1D in
+  h lxor (h lsr 29)
+
 (* Open-addressed int -> int map used as the TLB's tag index. Linear
    probing with tombstones and Fibonacci hashing; the capacity is fixed at
    8x the TLB size (live entries never exceed the number of slots, so the
@@ -36,9 +42,7 @@ module Itab = struct
       used = 0;
     }
 
-  let slot_of t k =
-    let h = k * 0x2545F4914F6CDD1D in
-    (h lxor (h lsr 29)) land t.mask
+  let slot_of t k = mix k land t.mask
 
   (* The probe loops here and below are top-level functions taking the
      table and key as arguments: a local [loop] closing over them would be
@@ -123,6 +127,94 @@ module Itab = struct
     t.used <- 0
 end
 
+(* The deferred-shootdown queue: an open-addressed int -> int map from
+   tag key to the pmap word of the translation whose shootdown is
+   queued. Unlike [Itab] it has no inverse map, deletes by key, and grows
+   with the queue, so it is a table of its own: linear probing where a
+   deletion shifts the rest of its probe run back into the hole (no
+   tombstones), and the arrays double when half full. Keys are
+   non-negative; [-1] marks an empty slot. Nothing allocates once the
+   arrays have grown to the queue's peak. *)
+module Pending = struct
+  type t = {
+    mutable keys : int array;
+    mutable words : int array;
+    mutable mask : int;
+    mutable count : int;
+  }
+
+  let create cap =
+    {
+      keys = Array.make cap (-1);
+      words = Array.make cap 0;
+      mask = cap - 1;
+      count = 0;
+    }
+
+  (* The slot holding [k], or the empty slot that ends its probe run. *)
+  let rec slot_from t k i =
+    let x = Array.unsafe_get t.keys i in
+    if x = k || x = -1 then i else slot_from t k ((i + 1) land t.mask)
+
+  let slot t k = slot_from t k (mix k land t.mask)
+
+  let find t k =
+    let i = slot t k in
+    if Array.unsafe_get t.keys i = -1 then -1 else Array.unsafe_get t.words i
+
+  let mem t k = Array.unsafe_get t.keys (slot t k) <> -1
+
+  let rec replace t k w =
+    let i = slot t k in
+    if t.keys.(i) = k then t.words.(i) <- w
+    else if 2 * (t.count + 1) > t.mask + 1 then begin
+      grow t;
+      replace t k w
+    end
+    else begin
+      t.keys.(i) <- k;
+      t.words.(i) <- w;
+      t.count <- t.count + 1
+    end
+
+  and grow t =
+    let keys = t.keys and words = t.words in
+    let cap = 2 * Array.length keys in
+    t.keys <- Array.make cap (-1);
+    t.words <- Array.make cap 0;
+    t.mask <- cap - 1;
+    t.count <- 0;
+    for i = 0 to Array.length keys - 1 do
+      if keys.(i) <> -1 then replace t keys.(i) words.(i)
+    done
+
+  (* Fill the hole at [hole] from the probe run after it: the entry at
+     [j] may move back into the hole only if the hole lies on its probe
+     path, i.e. its home slot is no nearer to [j] than the hole is. *)
+  let rec shift t hole j =
+    let k = Array.unsafe_get t.keys j in
+    if k = -1 then t.keys.(hole) <- -1
+    else if (j - (mix k land t.mask)) land t.mask >= (j - hole) land t.mask
+    then begin
+      t.keys.(hole) <- k;
+      t.words.(hole) <- t.words.(j);
+      shift t j ((j + 1) land t.mask)
+    end
+    else shift t hole ((j + 1) land t.mask)
+
+  let remove_at t i =
+    t.count <- t.count - 1;
+    shift t i ((i + 1) land t.mask)
+
+  let remove t k =
+    let i = slot t k in
+    if t.keys.(i) <> -1 then remove_at t i
+
+  let clear t =
+    Array.fill t.keys 0 (Array.length t.keys) (-1);
+    t.count <- 0
+end
+
 type entry = {
   mutable valid : bool;
   mutable asid : int;
@@ -130,8 +222,6 @@ type entry = {
   mutable writable : bool;
   mutable gen : int;  (* generation of the owning asid at insert time *)
 }
-
-type pending = { p_frame : int; p_writable : bool }
 
 (* [index] maps the (asid, vpn) tag of every *tagged* slot (live or
    generation-stale) to its slot number, so probes and shootdowns are O(1)
@@ -151,8 +241,7 @@ type t = {
   mutable asid_gen : int array; (* per-asid generation word, grows on demand *)
   mutable asid_live : int array; (* per-asid live-entry count *)
   gen_limit : int;
-  pending : (int, pending) Hashtbl.t; (* deferred shootdowns, by tag key *)
-  mutable pending_n : int;
+  pending : Pending.t; (* deferred shootdowns: tag key -> pmap word *)
 }
 
 type probe_result = Hit | Hit_readonly | Miss
@@ -175,8 +264,7 @@ let create ?(entries = 64) ?(gen_limit = 1 lsl 20) rng =
     asid_gen = Array.make 16 0;
     asid_live = Array.make 16 0;
     gen_limit;
-    pending = Hashtbl.create 64;
-    pending_n = 0;
+    pending = Pending.create 128;
   }
 
 let entries t = Array.length t.slots
@@ -262,24 +350,22 @@ let insert t ~asid ~vpn ~writable =
   t.valid_count <- t.valid_count + 1;
   t.asid_live.(asid) <- t.asid_live.(asid) + 1
 
-let invalidate t ~asid ~vpn =
-  match Itab.find t.index (key ~asid ~vpn) with
-  | -1 -> ()
-  | i -> clear_slot t i
+let invalidate_key t k =
+  match Itab.find t.index k with -1 -> () | i -> clear_slot t i
+
+let invalidate t ~asid ~vpn = invalidate_key t (key ~asid ~vpn)
 
 (* Drop every pending shootdown belonging to [asid]; a full-ASID flush
-   subsumes them. *)
+   subsumes them. After a removal the same slot is examined again: the
+   shift may have moved a later entry of the run into it. Entries only
+   ever move back along a run, so none escapes behind the scan. *)
 let drop_asid_pendings t asid =
-  let doomed =
-    Hashtbl.fold
-      (fun k _ acc -> if k lsr 40 = asid then k :: acc else acc)
-      t.pending []
-  in
-  List.iter
-    (fun k ->
-      Hashtbl.remove t.pending k;
-      t.pending_n <- t.pending_n - 1)
-    doomed
+  let q = t.pending in
+  let i = ref 0 in
+  while !i <= q.Pending.mask do
+    let k = q.Pending.keys.(!i) in
+    if k <> -1 && k lsr 40 = asid then Pending.remove_at q !i else incr i
+  done
 
 let flush_asid t ~asid =
   ensure_asid t asid;
@@ -307,8 +393,7 @@ let flush_all t =
   Itab.clear t.index;
   t.valid_count <- 0;
   Array.fill t.asid_live 0 (Array.length t.asid_live) 0;
-  Hashtbl.reset t.pending;
-  t.pending_n <- 0
+  Pending.clear t.pending
 
 let valid_entries t = t.valid_count
 
@@ -320,37 +405,35 @@ let iter_live t f =
 
 (* -- deferred-shootdown queue ------------------------------------------ *)
 
-let defer t ~asid ~vpn ~frame ~writable =
-  let k = key ~asid ~vpn in
-  if not (Hashtbl.mem t.pending k) then t.pending_n <- t.pending_n + 1;
-  Hashtbl.replace t.pending k { p_frame = frame; p_writable = writable }
-
-let find_pending t ~asid ~vpn = Hashtbl.find_opt t.pending (key ~asid ~vpn)
-let pending_covers t ~asid ~vpn = Hashtbl.mem t.pending (key ~asid ~vpn)
-
-let cancel_pending t ~asid ~vpn =
-  let k = key ~asid ~vpn in
-  if Hashtbl.mem t.pending k then begin
-    Hashtbl.remove t.pending k;
-    t.pending_n <- t.pending_n - 1
-  end
-
-let pending_count t = t.pending_n
+let defer t ~asid ~vpn ~pte = Pending.replace t.pending (key ~asid ~vpn) pte
+let find_pending t ~asid ~vpn = Pending.find t.pending (key ~asid ~vpn)
+let pending_covers t ~asid ~vpn = Pending.mem t.pending (key ~asid ~vpn)
+let cancel_pending t ~asid ~vpn = Pending.remove t.pending (key ~asid ~vpn)
+let pending_count t = t.pending.Pending.count
 
 let iter_pending t f =
-  Hashtbl.iter (fun k p -> f ~asid:(k lsr 40) ~vpn:(k land vpn_mask) p) t.pending
+  let q = t.pending in
+  for i = 0 to q.Pending.mask do
+    let k = q.Pending.keys.(i) in
+    if k <> -1 then
+      f ~asid:(k lsr 40) ~vpn:(k land vpn_mask) ~pte:q.Pending.words.(i)
+  done
 
-let take_pending t =
-  (* Every crossing drains, and the queue is almost always empty: then
-     neither the fold nor [List.sort] runs, which would build their
-     closures first. *)
-  let all =
-    if t.pending_n = 0 then []
-    else
-      Hashtbl.fold
-        (fun k _ acc -> (k lsr 40, k land vpn_mask) :: acc)
-        t.pending []
-  in
-  Hashtbl.reset t.pending;
-  t.pending_n <- 0;
-  match all with [] -> [] | _ :: _ -> List.sort compare all
+(* Every crossing drains, and the queue is almost always empty: then
+   this is one comparison. The order in which queued tags are
+   invalidated is not observable: each clears its own slot, and victim
+   choice reads only slot validity and the RNG. *)
+let invalidate_pending t =
+  let q = t.pending in
+  let n = q.Pending.count in
+  if n > 0 then begin
+    for i = 0 to q.Pending.mask do
+      let k = q.Pending.keys.(i) in
+      if k <> -1 then begin
+        q.Pending.keys.(i) <- -1;
+        invalidate_key t k
+      end
+    done;
+    q.Pending.count <- 0
+  end;
+  n

@@ -23,10 +23,12 @@
       layer may queue a shootdown ({!defer}) to be either cancelled when
       the identical translation is re-entered (fbuf reuse — the elision the
       whole exercise is after) or drained in one batch at the next
-      synchronization barrier ({!take_pending}). The queue records the
-      removed translation's frame and writability so re-entry can prove
-      identity. The TLB itself charges nothing; cost accounting stays with
-      the callers. *)
+      synchronization barrier ({!invalidate_pending}). The queue records
+      the removed translation's pmap word (frame and writability) so
+      re-entry can prove identity. It is an open-addressed table of
+      immediate ints: queueing, cancelling and draining allocate nothing.
+      The TLB itself charges nothing; cost accounting stays with the
+      callers. *)
 
 type t
 
@@ -36,11 +38,6 @@ type probe_result =
       (** translation present but the access is a write and the cached entry
           is read-only: the hardware raises a TLB modification exception *)
   | Miss  (** no entry for this (asid, vpn) *)
-
-type pending = {
-  p_frame : int;  (** frame the removed translation pointed at *)
-  p_writable : bool;  (** writability of the removed translation *)
-}
 
 val create : ?entries:int -> ?gen_limit:int -> Rng.t -> t
 (** [entries] defaults to 64 (R3000); [gen_limit] is the exclusive upper
@@ -83,12 +80,14 @@ val iter_live : t -> (asid:int -> vpn:int -> writable:bool -> unit) -> unit
 
 (** {2 Deferred-shootdown queue} *)
 
-val defer : t -> asid:int -> vpn:int -> frame:int -> writable:bool -> unit
-(** Queue a shootdown of (asid, vpn) whose pmap translation — [frame],
-    [writable] — was just removed. Replaces any earlier pending entry for
-    the same tag. *)
+val defer : t -> asid:int -> vpn:int -> pte:int -> unit
+(** Queue a shootdown of (asid, vpn) whose pmap translation — the
+    non-negative word [pte] — was just removed. Replaces any earlier
+    pending entry for the same tag. *)
 
-val find_pending : t -> asid:int -> vpn:int -> pending option
+val find_pending : t -> asid:int -> vpn:int -> int
+(** The word queued for (asid, vpn), or [-1] when none is. *)
+
 val pending_covers : t -> asid:int -> vpn:int -> bool
 
 val cancel_pending : t -> asid:int -> vpn:int -> unit
@@ -97,9 +96,10 @@ val cancel_pending : t -> asid:int -> vpn:int -> unit
 
 val pending_count : t -> int
 
-val iter_pending : t -> (asid:int -> vpn:int -> pending -> unit) -> unit
-(** Iterate the queued shootdowns (for the checker's audit). *)
+val iter_pending : t -> (asid:int -> vpn:int -> pte:int -> unit) -> unit
+(** Iterate the queued shootdowns in unspecified order (for the checker's
+    audit). *)
 
-val take_pending : t -> (int * int) list
-(** Empty the queue and return the (asid, vpn) pairs it held, sorted; the
-    caller invalidates them and charges one batched barrier. *)
+val invalidate_pending : t -> int
+(** Invalidate every queued tag, empty the queue, and return how many
+    there were; the caller charges one batched barrier for them. *)

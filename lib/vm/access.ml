@@ -38,9 +38,8 @@ let rec attempt (dom : Pd.t) pmap ~asid ~vpn ~write ~vaddr depth =
   else
     match Tlb.probe m.tlb ~asid ~vpn ~write with
     | Tlb.Hit -> (
-        match Pmap.lookup pmap ~vpn with
-        | Some e -> e.Pmap.frame
-        | None ->
+        match Pmap.word pmap ~vpn with
+        | -1 ->
             if Tlb.pending_covers m.tlb ~asid ~vpn then begin
               (* Legal deferral window: the translation was removed with
                  its shootdown queued. Fault handling is the sequence
@@ -56,32 +55,37 @@ let rec attempt (dom : Pd.t) pmap ~asid ~vpn ~write ~vaddr depth =
             else
               (* A TLB hit without a pmap entry and no queued shootdown
                  means one was missed; treat as fatal mechanism bug. *)
-              failwith "Access.translate: TLB/pmap inconsistency")
-    | Tlb.Miss -> (
+              failwith "Access.translate: TLB/pmap inconsistency"
+        | w -> Pmap.frame w)
+    | Tlb.Miss ->
         Machine.charge ~kind:"tlb.refill" ~comp:Comp.Tlb_flush m
           m.cost.Cost_model.tlb_refill;
         Stats.incr m.stats "tlb.miss";
         note_tlb m "miss";
-        match Pmap.lookup pmap ~vpn with
-        | Some e when (not write) || e.Pmap.writable ->
-            Tlb.insert m.tlb ~asid ~vpn ~writable:e.Pmap.writable;
-            e.Pmap.frame
-        | Some _ | None ->
-            handle_fault dom ~vpn ~write ~vaddr;
-            attempt dom pmap ~asid ~vpn ~write ~vaddr (depth + 1))
-    | Tlb.Hit_readonly -> (
+        let w = Pmap.word pmap ~vpn in
+        if w <> -1 && ((not write) || Pmap.writable w) then begin
+          Tlb.insert m.tlb ~asid ~vpn ~writable:(Pmap.writable w);
+          Pmap.frame w
+        end
+        else begin
+          handle_fault dom ~vpn ~write ~vaddr;
+          attempt dom pmap ~asid ~vpn ~write ~vaddr (depth + 1)
+        end
+    | Tlb.Hit_readonly ->
         Machine.charge ~kind:"tlb.mod_fault" ~comp:Comp.Tlb_flush m
           m.cost.Cost_model.tlb_mod_fault;
         Stats.incr m.stats "tlb.mod_fault";
         note_tlb m "mod_fault";
-        match Pmap.lookup pmap ~vpn with
-        | Some e when e.Pmap.writable ->
-            (* Permission was upgraded since the entry was cached. *)
-            Tlb.insert m.tlb ~asid ~vpn ~writable:true;
-            e.Pmap.frame
-        | Some _ | None ->
-            handle_fault dom ~vpn ~write ~vaddr;
-            attempt dom pmap ~asid ~vpn ~write ~vaddr (depth + 1))
+        let w = Pmap.word pmap ~vpn in
+        if w <> -1 && Pmap.writable w then begin
+          (* Permission was upgraded since the entry was cached. *)
+          Tlb.insert m.tlb ~asid ~vpn ~writable:true;
+          Pmap.frame w
+        end
+        else begin
+          handle_fault dom ~vpn ~write ~vaddr;
+          attempt dom pmap ~asid ~vpn ~write ~vaddr (depth + 1)
+        end
 
 let translate (dom : Pd.t) ~vaddr ~write =
   attempt dom (Vm_map.pmap dom.map) ~asid:(Pd.asid dom)
@@ -238,7 +242,5 @@ let touch_write dom ~vaddr ~npages =
 
 let can_access (dom : Pd.t) ~vaddr ~write =
   let ps = page_size dom in
-  let vpn = vaddr / ps in
-  match Vm_map.prot_of dom.Pd.map ~vpn with
-  | None -> false
-  | Some p -> if write then Prot.can_write p else Prot.can_read p
+  let p = Vm_map.prot_of dom.Pd.map ~vpn:(vaddr / ps) in
+  if write then Prot.can_write p else Prot.can_read p

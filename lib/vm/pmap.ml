@@ -2,9 +2,14 @@ open Fbufs_sim
 module Mx = Fbufs_metrics.Metrics
 module Comp = Fbufs_metrics.Component
 
-type entry = { frame : Phys_mem.frame_id; writable : bool }
+(* A translation is one word, [frame lsl 1 lor writable], as a hardware
+   PTE is: entering, protecting and removing one rewrite a word in the
+   table, and the deferred-shootdown queue records the same word. *)
+type t = { m : Machine.t; asid : int; table : Ptable.t }
 
-type t = { m : Machine.t; asid : int; table : entry Ptable.t }
+let encode ~frame ~writable = (frame lsl 1) lor Bool.to_int writable
+let frame w = w lsr 1
+let writable w = w land 1 = 1
 
 (* Deferred/elidable shootdowns (generation-tagged TLB). On: removes of
    TLB-cached translations are queued instead of flushed and cancelled
@@ -60,7 +65,7 @@ let create m ~asid = { m; asid; table = Ptable.create () }
 
 let asid t = t.asid
 
-let lookup t ~vpn = Ptable.find t.table vpn
+let word t ~vpn = Ptable.find t.table vpn
 
 let cached t ~vpn =
   Tlb.probe t.m.Machine.tlb ~asid:t.asid ~vpn ~write:false <> Tlb.Miss
@@ -81,15 +86,16 @@ let enter t ~vpn ~frame ~writable =
     t.m.cost.Cost_model.pmap_enter;
   Stats.incr t.m.stats "pmap.enter";
   note_op t "enter";
+  let w = encode ~frame ~writable in
   (match Tlb.find_pending t.m.tlb ~asid:t.asid ~vpn with
-  | None -> ()
-  | Some p ->
+  | -1 -> ()
+  | p ->
       Tlb.cancel_pending t.m.tlb ~asid:t.asid ~vpn;
       if not (cached t ~vpn) then
         (* The stale entry fell out of the TLB on its own; nothing left
            to shoot down. *)
         note_elided t.m ~reason:"evicted"
-      else if p.Tlb.p_frame = frame && p.Tlb.p_writable = writable then begin
+      else if p = w then begin
         (* Identical translation re-entered (fbuf reuse): the still-cached
            entry is correct again, so the queued shootdown — and the
            refill the flush would have forced — are both elided. *)
@@ -100,24 +106,23 @@ let enter t ~vpn ~frame ~writable =
         (* Translation changed while the old entry may still be cached:
            the deferral window ends here, immediately. *)
         shoot_now t ~vpn ~reason:"remove");
-  Ptable.set t.table vpn { frame; writable }
+  Ptable.set t.table vpn w
 
-let protect t ~vpn ~writable =
+let protect t ~vpn ~writable:wr =
   match Ptable.find t.table vpn with
-  | None -> invalid_arg "Pmap.protect: no entry"
-  | Some e ->
+  | -1 -> invalid_arg "Pmap.protect: no entry"
+  | w ->
       Machine.charge ~kind:"pmap.protect" ~comp:Comp.Secure t.m
         t.m.cost.Cost_model.pmap_protect;
       Stats.incr t.m.stats "pmap.protect";
       note_op t
-        (if (not e.writable) && writable then "protect-upgrade" else "protect");
-      if e.writable && not writable then begin
+        (if (not (writable w)) && wr then "protect-upgrade" else "protect");
+      if writable w && not wr then begin
         if not !elision_enabled then shoot_now t ~vpn ~reason:"downgrade"
         else if cached t ~vpn then
           if !chaos_defer_downgrade then
             (* Fault injection: deferring this one is unsound (see above). *)
-            Tlb.defer t.m.tlb ~asid:t.asid ~vpn ~frame:e.frame
-              ~writable:e.writable
+            Tlb.defer t.m.tlb ~asid:t.asid ~vpn ~pte:w
           else
             (* A cached writable entry another access can still use must
                die before the pmap says read-only: never deferred. *)
@@ -127,12 +132,12 @@ let protect t ~vpn ~writable =
              to the next refill for free. *)
           note_elided t.m ~reason:"uncached"
       end;
-      Ptable.set t.table vpn { e with writable }
+      Ptable.set t.table vpn (encode ~frame:(frame w) ~writable:wr)
 
 let remove t ~vpn =
   match Ptable.find t.table vpn with
-  | None -> None
-  | Some e ->
+  | -1 -> ()
+  | w ->
       Machine.charge ~kind:"pmap.remove" ~comp:Comp.Unmap t.m
         t.m.cost.Cost_model.pmap_remove;
       Stats.incr t.m.stats "pmap.remove";
@@ -143,10 +148,8 @@ let remove t ~vpn =
            TLB hit, so a stale (non-writable-over-readonly) entry cannot
            be used — queue the shootdown for the next barrier, or for
            cancellation if the identical translation comes back first. *)
-        Tlb.defer t.m.tlb ~asid:t.asid ~vpn ~frame:e.frame
-          ~writable:e.writable
+        Tlb.defer t.m.tlb ~asid:t.asid ~vpn ~pte:w
       else note_elided t.m ~reason:"uncached";
-      Ptable.remove t.table vpn;
-      Some e
+      Ptable.remove t.table vpn
 
 let entry_count t = Ptable.length t.table

@@ -9,9 +9,20 @@
     consistency — immediately, batched at the next barrier, or not at all
     when the translation comes back unchanged (see {!elision_enabled}). *)
 
-type entry = { frame : Fbufs_sim.Phys_mem.frame_id; writable : bool }
-
 type t
+
+(** {2 Translation words}
+
+    A translation is one immediate int, [frame lsl 1 lor writable], the
+    way a hardware PTE is one word: the table stores it in place and the
+    TLB's deferred-shootdown queue records it, so mapping, protecting and
+    unmapping a page allocate nothing. *)
+
+val encode : frame:Fbufs_sim.Phys_mem.frame_id -> writable:bool -> int
+(** The word of a translation to [frame] (a frame id, non-negative). *)
+
+val frame : int -> Fbufs_sim.Phys_mem.frame_id
+val writable : int -> bool
 
 val elision_enabled : bool ref
 (** Deferred/elidable shootdowns (default on). When off, every downgrade
@@ -27,8 +38,9 @@ val create : Fbufs_sim.Machine.t -> asid:int -> t
 
 val asid : t -> int
 
-val lookup : t -> vpn:int -> entry option
-(** Hardware-walk view used by the TLB refill path; free of charge (the
+val word : t -> vpn:int -> int
+(** The translation word for a page, or [-1] when none is installed.
+    Hardware-walk view used by the TLB refill path; free of charge (the
     refill cost is charged by the access path). *)
 
 val enter : t -> vpn:int -> frame:Fbufs_sim.Phys_mem.frame_id -> writable:bool -> unit
@@ -46,12 +58,12 @@ val protect : t -> vpn:int -> writable:bool -> unit
     entry is left to cause a modification fault. Raises
     [Invalid_argument] if no entry exists. *)
 
-val remove : t -> vpn:int -> entry option
-(** Drop a translation, returning it. Charges [pmap_remove]; the TLB
-    shootdown is deferred (queued) when the translation is still cached
-    and elided when it is not. With {!elision_enabled} off, charges the
-    immediate shootdown unconditionally. Returns [None] (and charges
-    nothing) if absent. *)
+val remove : t -> vpn:int -> unit
+(** Drop a translation. Charges [pmap_remove]; the TLB shootdown is
+    deferred (queued with the translation's word) when the translation is
+    still cached and elided when it is not. With {!elision_enabled} off,
+    charges the immediate shootdown unconditionally. Does nothing (and
+    charges nothing) if absent. *)
 
 val entry_count : t -> int
 

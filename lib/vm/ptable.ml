@@ -1,4 +1,4 @@
-(* Dense slab-backed page table: vpn -> 'a.
+(* Dense slab-backed page table: vpn -> non-negative int word.
 
    Mapped virtual pages cluster into a handful of contiguous ranges (the
    private area, the fbuf region), so the table is a hashtable of dense
@@ -8,14 +8,18 @@
 
    The single-slab memo makes sequential range walks O(1) amortized per
    page: consecutive vpns hit the same slab until the walk crosses a slab
-   boundary. *)
+   boundary.
 
-type 'a t = {
+   Entries are immediate ints, [-1] in an empty slot, as a hardware page
+   table holds one word per slot: writing an entry stores an int in
+   place, where an ['a option] slot would allocate a block per write. *)
+
+type t = {
   slab_bits : int;
-  slabs : (int, 'a option array) Hashtbl.t;
+  slabs : (int, int array) Hashtbl.t;
   mutable count : int;
   mutable memo_id : int; (* slab id of [memo_slab]; min_int = no memo *)
-  mutable memo_slab : 'a option array;
+  mutable memo_slab : int array;
 }
 
 let create ?(slab_bits = 9) () =
@@ -50,7 +54,7 @@ let slab_for t vpn =
   match slab_of t vpn with
   | [||] ->
       let id = vpn lsr t.slab_bits in
-      let s = Array.make (1 lsl t.slab_bits) None in
+      let s = Array.make (1 lsl t.slab_bits) (-1) in
       Hashtbl.add t.slabs id s;
       t.memo_id <- id;
       t.memo_slab <- s;
@@ -58,21 +62,22 @@ let slab_for t vpn =
   | s -> s
 
 let find t vpn =
-  if vpn < 0 then None
+  if vpn < 0 then -1
   else
     match slab_of t vpn with
-    | [||] -> None
+    | [||] -> -1
     (* [idx] masks into the slab, so the access is in range. *)
     | s -> Array.unsafe_get s (idx t vpn)
 
-let mem t vpn = find t vpn <> None
+let mem t vpn = find t vpn <> -1
 
-let set t vpn v =
+let set t vpn w =
   if vpn < 0 then invalid_arg "Ptable.set: negative vpn";
+  if w < 0 then invalid_arg "Ptable.set: negative word";
   let s = slab_for t vpn in
   let i = idx t vpn in
-  if s.(i) = None then t.count <- t.count + 1;
-  s.(i) <- Some v
+  if Array.unsafe_get s i = -1 then t.count <- t.count + 1;
+  Array.unsafe_set s i w
 
 let remove t vpn =
   if vpn >= 0 then
@@ -80,19 +85,9 @@ let remove t vpn =
     | [||] -> ()
     | s ->
         let i = idx t vpn in
-        if s.(i) <> None then begin
+        if Array.unsafe_get s i <> -1 then begin
           t.count <- t.count - 1;
-          s.(i) <- None
+          Array.unsafe_set s i (-1)
         end
 
 let length t = t.count
-
-let iter f t =
-  Hashtbl.iter
-    (fun id s ->
-      Array.iteri
-        (fun i -> function
-          | None -> ()
-          | Some v -> f ((id lsl t.slab_bits) lor i) v)
-        s)
-    t.slabs

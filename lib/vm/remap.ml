@@ -18,10 +18,10 @@ let move ~src ~dst ~src_vpn ~npages ?dst_vpn () =
   let frames =
     List.init npages (fun i ->
         match Vm_map.frame_of src.Pd.map ~vpn:(src_vpn + i) with
-        | Some f ->
+        | -1 -> invalid_arg "Remap.move: source page has no frame"
+        | f ->
             Phys_mem.incref src.Pd.m.pmem f;
-            f
-        | None -> invalid_arg "Remap.move: source page has no frame")
+            f)
   in
   Vm_map.unmap src.Pd.map ~vpn:src_vpn ~npages ~free_frames:true;
   List.iteri

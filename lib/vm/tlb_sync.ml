@@ -8,15 +8,13 @@ module Comp = Fbufs_metrics.Component
    invalidations cost far less than n standalone shootdowns, and the
    ones cancelled by reuse before a barrier cost nothing at all. *)
 let drain m =
-  match Tlb.take_pending m.Machine.tlb with
-  | [] -> ()
-  | l ->
-      let n = List.length l in
-      List.iter (fun (asid, vpn) -> Tlb.invalidate m.Machine.tlb ~asid ~vpn) l;
-      Machine.charge ~kind:"tlb.shootdown_batch" ~comp:Comp.Tlb_flush m
-        (m.cost.Cost_model.tlb_shootdown_batch_base
-        +. (float_of_int n *. m.cost.Cost_model.tlb_shootdown_batch_entry));
-      Stats.incr m.stats "tlb.shootdown_batch";
-      for _ = 1 to n do
-        Pmap.note_shootdown m ~reason:"batch"
-      done
+  let n = Tlb.invalidate_pending m.Machine.tlb in
+  if n > 0 then begin
+    Machine.charge ~kind:"tlb.shootdown_batch" ~comp:Comp.Tlb_flush m
+      (m.cost.Cost_model.tlb_shootdown_batch_base
+      +. (float_of_int n *. m.cost.Cost_model.tlb_shootdown_batch_entry));
+    Stats.incr m.stats "tlb.shootdown_batch";
+    for _ = 1 to n do
+      Pmap.note_shootdown m ~reason:"batch"
+    done
+  end

@@ -2,18 +2,38 @@ open Fbufs_sim
 module Mx = Fbufs_metrics.Metrics
 module Comp = Fbufs_metrics.Component
 
-type entry = {
-  mutable frame : Phys_mem.frame_id option;
-  mutable prot : Prot.t;
-  mutable cow : bool;
-  mutable zero_fill : bool;
-}
+(* A map entry is one immediate int, stored in place in the page table:
+   bits 0-1 the protection (0 none, 1 read-only, 2 read-write), bit 2
+   zero-fill, bit 3 copy-on-write, and the bits above them the backing
+   frame plus one (0: no frame yet). Changing an entry writes a new word;
+   nothing is allocated per page. *)
+let prot_code = function
+  | Prot.No_access -> 0
+  | Prot.Read_only -> 1
+  | Prot.Read_write -> 2
+
+let encode ~frame ~prot ~cow ~zero_fill =
+  ((frame + 1) lsl 4)
+  lor (if cow then 8 else 0)
+  lor (if zero_fill then 4 else 0)
+  lor prot_code prot
+
+let frame w = (w lsr 4) - 1
+
+let prot w =
+  match w land 3 with
+  | 0 -> Prot.No_access
+  | 1 -> Prot.Read_only
+  | _ -> Prot.Read_write
+
+let cow w = w land 8 <> 0
+let zero_fill w = w land 4 <> 0
 
 type t = {
   m : Machine.t;
   name : string;
   pmap : Pmap.t;
-  table : entry Ptable.t;
+  table : Ptable.t;
   mutable next_private_vpn : int;
 }
 
@@ -84,13 +104,12 @@ let map_zero_fill t ~vpn ~npages =
   for i = 0 to npages - 1 do
     charge_page_op ~comp:Comp.Map t;
     Ptable.set t.table (vpn + i)
-      { frame = None; prot = Prot.Read_write; cow = false; zero_fill = true }
+      (encode ~frame:(-1) ~prot:Prot.Read_write ~cow:false ~zero_fill:true)
   done
 
 let map_frame t ~vpn ~frame ~prot ~eager =
   charge_page_op ~comp:Comp.Map t;
-  Ptable.set t.table vpn
-    { frame = Some frame; prot; cow = false; zero_fill = false };
+  Ptable.set t.table vpn (encode ~frame ~prot ~cow:false ~zero_fill:false);
   if eager then
     Pmap.enter t.pmap ~vpn ~frame ~writable:(Prot.can_write prot)
 
@@ -99,15 +118,16 @@ let protect t ~vpn ~npages ~prot =
   note_batch t npages;
   for i = 0 to npages - 1 do
     match Ptable.find t.table (vpn + i) with
-    | None -> invalid_arg "Vm_map.protect: page not mapped"
-    | Some e ->
+    | -1 -> invalid_arg "Vm_map.protect: page not mapped"
+    | w ->
         charge_page_op ~comp:Comp.Secure t;
-        e.prot <- prot;
-        if Pmap.lookup t.pmap ~vpn:(vpn + i) <> None then
+        Ptable.set t.table (vpn + i)
+          (encode ~frame:(frame w) ~prot ~cow:(cow w) ~zero_fill:(zero_fill w));
+        if Pmap.word t.pmap ~vpn:(vpn + i) <> -1 then
           if Prot.can_read prot then
             Pmap.protect t.pmap ~vpn:(vpn + i)
-              ~writable:(Prot.can_write prot && not e.cow)
-          else ignore (Pmap.remove t.pmap ~vpn:(vpn + i))
+              ~writable:(Prot.can_write prot && not (cow w))
+          else Pmap.remove t.pmap ~vpn:(vpn + i)
   done
 
 let free_frame t f =
@@ -129,13 +149,11 @@ let unmap t ~vpn ~npages ~free_frames =
      so the direction is cost-invisible. *)
   for i = npages - 1 downto 0 do
     match Ptable.find t.table (vpn + i) with
-    | None -> ()
-    | Some e ->
+    | -1 -> ()
+    | w ->
         charge_page_op ~comp:Comp.Unmap t;
-        ignore (Pmap.remove t.pmap ~vpn:(vpn + i));
-        (match e.frame with
-        | Some f when free_frames -> free_frame t f
-        | Some _ | None -> ());
+        Pmap.remove t.pmap ~vpn:(vpn + i);
+        if free_frames && frame w <> -1 then free_frame t (frame w);
         Ptable.remove t.table (vpn + i)
   done
 
@@ -146,24 +164,28 @@ let copy_cow ~src ~dst ~vpn ~npages =
   for i = 0 to npages - 1 do
     let p = vpn + i in
     match Ptable.find src.table p with
-    | None -> invalid_arg "Vm_map.copy_cow: source page not mapped"
-    | Some e ->
+    | -1 -> invalid_arg "Vm_map.copy_cow: source page not mapped"
+    | w -> (
         charge_page_op ~comp:Comp.Map src;
         charge_page_op ~comp:Comp.Map dst;
-        (match e.frame with
-        | Some f ->
-            Phys_mem.incref src.m.pmem f;
-            Ptable.set dst.table p
-              { frame = Some f; prot = e.prot; cow = true; zero_fill = false };
-            e.cow <- true;
-            (* Lazy physical-map update: invalidate rather than downgrade,
-               leaving both sides to fault their entries back in. *)
-            ignore (Pmap.remove src.pmap ~vpn:p)
-        | None ->
+        match frame w with
+        | -1 ->
             (* Unmaterialized zero-fill page: both sides keep private
                zero-fill semantics; no sharing needed. *)
             Ptable.set dst.table p
-              { frame = None; prot = e.prot; cow = false; zero_fill = true })
+              (encode ~frame:(-1) ~prot:(prot w) ~cow:false ~zero_fill:true)
+        | f ->
+            Phys_mem.incref src.m.pmem f;
+            (* Source first: when [src == dst] the destination's entry is
+               the one that stands. *)
+            Ptable.set src.table p
+              (encode ~frame:f ~prot:(prot w) ~cow:true
+                 ~zero_fill:(zero_fill w));
+            Ptable.set dst.table p
+              (encode ~frame:f ~prot:(prot w) ~cow:true ~zero_fill:false);
+            (* Lazy physical-map update: invalidate rather than downgrade,
+               leaving both sides to fault their entries back in. *)
+            Pmap.remove src.pmap ~vpn:p)
   done
 
 let convert_zero_fill t ~vpn ~npages =
@@ -171,26 +193,22 @@ let convert_zero_fill t ~vpn ~npages =
   note_batch t npages;
   for i = 0 to npages - 1 do
     match Ptable.find t.table (vpn + i) with
-    | None -> invalid_arg "Vm_map.convert_zero_fill: page not mapped"
-    | Some e ->
+    | -1 -> invalid_arg "Vm_map.convert_zero_fill: page not mapped"
+    | w ->
         charge_page_op ~comp:Comp.Unmap t;
-        ignore (Pmap.remove t.pmap ~vpn:(vpn + i));
-        (match e.frame with Some f -> free_frame t f | None -> ());
-        e.frame <- None;
-        e.cow <- false;
-        e.zero_fill <- true
+        Pmap.remove t.pmap ~vpn:(vpn + i);
+        if frame w <> -1 then free_frame t (frame w);
+        Ptable.set t.table (vpn + i)
+          (encode ~frame:(-1) ~prot:(prot w) ~cow:false ~zero_fill:true)
   done
 
 let mapped t ~vpn = Ptable.mem t.table vpn
 
 let prot_of t ~vpn =
-  Option.map (fun e -> e.prot) (Ptable.find t.table vpn)
+  match Ptable.find t.table vpn with -1 -> Prot.No_access | w -> prot w
 
 let frame_of t ~vpn =
-  Option.bind (Ptable.find t.table vpn) (fun e -> e.frame)
-
-let is_cow t ~vpn =
-  match Ptable.find t.table vpn with Some e -> e.cow | None -> false
+  match Ptable.find t.table vpn with -1 -> -1 | w -> frame w
 
 let entry_count t = Ptable.length t.table
 
@@ -214,21 +232,22 @@ let fault t ~vpn ~write =
     t.m.cost.Cost_model.fault_trap;
   Stats.incr t.m.stats "vm.fault";
   match Ptable.find t.table vpn with
-  | None ->
+  | -1 ->
       trace_fault t ~vpn ~write "violation";
       Violation
-  | Some e ->
-      let need = if write then Prot.can_write e.prot else Prot.can_read e.prot in
+  | w ->
+      let p = prot w in
+      let need = if write then Prot.can_write p else Prot.can_read p in
       if not need then begin
         trace_fault t ~vpn ~write "violation";
         Violation
       end
       else begin
         charge_page_op ~comp:Comp.Map t;
-        (match e.frame with
-        | None ->
+        (match frame w with
+        | -1 ->
             (* Zero-fill materialization: allocate and clear a frame. *)
-            assert e.zero_fill;
+            assert (zero_fill w);
             Machine.charge ~kind:"page.alloc" ~comp:Comp.Alloc t.m
               t.m.cost.Cost_model.page_alloc;
             Machine.charge ~kind:"page.zero" ~comp:Comp.Zero t.m
@@ -237,15 +256,17 @@ let fault t ~vpn ~write =
             trace_fault t ~vpn ~write "zero_fill";
             let f = Phys_mem.alloc t.m.pmem in
             Phys_mem.zero t.m.pmem f;
-            e.frame <- Some f;
-            e.zero_fill <- false;
-            Pmap.enter t.pmap ~vpn ~frame:f ~writable:(Prot.can_write e.prot)
-        | Some f when write && e.cow ->
+            Ptable.set t.table vpn
+              (encode ~frame:f ~prot:p ~cow:(cow w) ~zero_fill:false);
+            Pmap.enter t.pmap ~vpn ~frame:f ~writable:(Prot.can_write p)
+        | f when write && cow w ->
             if Phys_mem.refcount t.m.pmem f = 1 then begin
               (* Sharing already collapsed: claim the frame in place. *)
               Stats.incr t.m.stats "vm.cow_claim";
               trace_fault t ~vpn ~write "cow_claim";
-              e.cow <- false;
+              Ptable.set t.table vpn
+                (encode ~frame:f ~prot:p ~cow:false
+                   ~zero_fill:(zero_fill w));
               Pmap.enter t.pmap ~vpn ~frame:f ~writable:true
             end
             else begin
@@ -260,15 +281,16 @@ let fault t ~vpn ~write =
               let nf = Phys_mem.alloc t.m.pmem in
               Phys_mem.copy_frame t.m.pmem ~src:f ~dst:nf;
               Phys_mem.decref t.m.pmem f;
-              e.frame <- Some nf;
-              e.cow <- false;
+              Ptable.set t.table vpn
+                (encode ~frame:nf ~prot:p ~cow:false
+                   ~zero_fill:(zero_fill w));
               Pmap.enter t.pmap ~vpn ~frame:nf ~writable:true
             end
-        | Some f ->
+        | f ->
             (* Lazily invalidated or never-entered translation. COW pages
                are entered read-only so a later write faults again. *)
             trace_fault t ~vpn ~write "refill";
-            let writable = Prot.can_write e.prot && not e.cow in
+            let writable = Prot.can_write p && not (cow w) in
             Pmap.enter t.pmap ~vpn ~frame:f ~writable);
         Resolved
       end

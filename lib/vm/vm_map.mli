@@ -13,6 +13,30 @@
 
 type t
 
+(** {2 Entry words}
+
+    A map entry is one immediate int, stored in place in the page table:
+    the backing frame (or none), the protection, and the copy-on-write
+    and zero-fill attributes. Changing an entry writes a new word, so
+    mapping, protecting, unmapping and fault handling allocate nothing
+    per page. *)
+
+val encode :
+  frame:Fbufs_sim.Phys_mem.frame_id ->
+  prot:Prot.t ->
+  cow:bool ->
+  zero_fill:bool ->
+  int
+(** The word of an entry backed by [frame], or by no frame yet when
+    [frame] is [-1]. *)
+
+val frame : int -> Fbufs_sim.Phys_mem.frame_id
+(** The entry's frame, [-1] when it has none. *)
+
+val prot : int -> Prot.t
+val cow : int -> bool
+val zero_fill : int -> bool
+
 exception
   Protection_violation of { domain : string; vaddr : int; write : bool }
 
@@ -74,10 +98,17 @@ val convert_zero_fill : t -> vpn:int -> npages:int -> unit
 
 (* -- queries ---------------------------------------------------------- *)
 
+(** Each reads the page's entry word; none allocates. *)
+
 val mapped : t -> vpn:int -> bool
-val prot_of : t -> vpn:int -> Prot.t option
-val frame_of : t -> vpn:int -> Fbufs_sim.Phys_mem.frame_id option
-val is_cow : t -> vpn:int -> bool
+
+val prot_of : t -> vpn:int -> Prot.t
+(** The page's protection; [No_access] when it is not mapped. *)
+
+val frame_of : t -> vpn:int -> Fbufs_sim.Phys_mem.frame_id
+(** The frame backing the page, or [-1] when it is not mapped or not yet
+    materialized (a zero-fill or paged-out page). *)
+
 val entry_count : t -> int
 
 (* -- fault handling --------------------------------------------------- *)

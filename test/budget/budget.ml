@@ -160,8 +160,12 @@ let op_rows =
       roundtrip Fbuf.cached_volatile ~bytes:32768 );
     ( "op.ipc-call.cached-volatile.64p",
       roundtrip Fbuf.cached_volatile ~bytes:262144 );
+    ( "op.ipc-call.volatile-only.1p",
+      roundtrip Fbuf.volatile_only ~bytes:4096 );
     ( "op.ipc-call.volatile-only.64k",
       roundtrip Fbuf.volatile_only ~bytes:65536 );
+    ( "op.ipc-call.volatile-only.64p",
+      roundtrip Fbuf.volatile_only ~bytes:262144 );
     ("op.remap-move.16p.ping-pong", remap_ping_pong);
     ("op.three-domains.send.16k", three_domains_send);
     ("op.access.read-word", read_word);

@@ -436,9 +436,9 @@ let test_reclaim_takes_coldest_first () =
   (* a is coldest. Reclaim one: a's frames go, b's stay. *)
   ignore (Allocator.reclaim alloc ~max_fbufs:1 ());
   Alcotest.(check bool) "warm buffer keeps frame" true
-    (Vm_map.frame_of app.Pd.map ~vpn:b.Fbuf.base_vpn <> None);
+    (Vm_map.frame_of app.Pd.map ~vpn:b.Fbuf.base_vpn <> -1);
   Alcotest.(check bool) "cold buffer lost frame" true
-    (Vm_map.frame_of app.Pd.map ~vpn:a.Fbuf.base_vpn = None)
+    (Vm_map.frame_of app.Pd.map ~vpn:a.Fbuf.base_vpn = -1)
 
 let test_teardown_releases_chunks () =
   let tb, app, recv = setup2 () in
@@ -693,7 +693,7 @@ let test_reclaim_lru_order () =
   Transfer.free b ~dom:app;
   Transfer.free c ~dom:app;
   let resident fb =
-    Vm_map.frame_of app.Pd.map ~vpn:fb.Fbuf.base_vpn <> None
+    Vm_map.frame_of app.Pd.map ~vpn:fb.Fbuf.base_vpn <> -1
   in
   check Alcotest.int "two reclaimed" 2
     (Allocator.reclaim alloc ~max_fbufs:2 ());

@@ -72,7 +72,7 @@ let test_pageout_spares_warm_buffers () =
   Transfer.free warm ~dom:app;
   ignore (Pageout.balance daemon);
   Alcotest.(check bool) "warm buffer kept its memory" true
-    (Vm_map.frame_of app.Pd.map ~vpn:warm.Fbuf.base_vpn <> None)
+    (Vm_map.frame_of app.Pd.map ~vpn:warm.Fbuf.base_vpn <> -1)
 
 let test_pageout_stops_when_nothing_reclaimable () =
   let tb = Testbed.create ~nframes:64 () in

@@ -271,32 +271,178 @@ let test_tlb_reinsert_updates_permission () =
   check Alcotest.int "no duplicate" 1 (Tlb.valid_entries t);
   check_probe "writable now" Tlb.Hit (Tlb.probe t ~asid:1 ~vpn:10 ~write:true)
 
-let test_tlb_defer_cancel_take () =
+(* Queued words are opaque to the TLB; these read as Pmap translations
+   of frames 5 and 6. *)
+let test_tlb_defer_cancel_drain () =
   let t = tlb () in
-  Tlb.defer t ~asid:1 ~vpn:10 ~frame:5 ~writable:true;
-  Tlb.defer t ~asid:1 ~vpn:11 ~frame:6 ~writable:false;
+  Tlb.insert t ~asid:1 ~vpn:10 ~writable:true;
+  Tlb.insert t ~asid:1 ~vpn:11 ~writable:false;
+  Tlb.defer t ~asid:1 ~vpn:10 ~pte:11;
+  Tlb.defer t ~asid:1 ~vpn:11 ~pte:12;
   check Alcotest.int "two queued" 2 (Tlb.pending_count t);
   Alcotest.(check bool) "covered" true (Tlb.pending_covers t ~asid:1 ~vpn:10);
-  (match Tlb.find_pending t ~asid:1 ~vpn:10 with
-  | Some p ->
-      check Alcotest.int "frame recorded" 5 p.Tlb.p_frame;
-      Alcotest.(check bool) "writability recorded" true p.Tlb.p_writable
-  | None -> Alcotest.fail "pending not found");
+  check Alcotest.int "word recorded" 11 (Tlb.find_pending t ~asid:1 ~vpn:10);
+  check Alcotest.int "absent tag reads -1" (-1)
+    (Tlb.find_pending t ~asid:2 ~vpn:10);
   Tlb.cancel_pending t ~asid:1 ~vpn:10;
   check Alcotest.int "one left" 1 (Tlb.pending_count t);
-  Alcotest.(check (list (pair int int)))
-    "take drains, sorted" [ (1, 11) ] (Tlb.take_pending t);
-  check Alcotest.int "empty" 0 (Tlb.pending_count t)
+  check Alcotest.int "drain counts the queued tag" 1 (Tlb.invalidate_pending t);
+  check_probe "drained tag invalidated" Tlb.Miss
+    (Tlb.probe t ~asid:1 ~vpn:11 ~write:false);
+  check_probe "cancelled tag left live" Tlb.Hit
+    (Tlb.probe t ~asid:1 ~vpn:10 ~write:false);
+  check Alcotest.int "empty" 0 (Tlb.pending_count t);
+  check Alcotest.int "empty drain" 0 (Tlb.invalidate_pending t)
 
 let test_tlb_flush_asid_drops_pendings () =
   let t = tlb () in
-  Tlb.defer t ~asid:1 ~vpn:10 ~frame:5 ~writable:true;
-  Tlb.defer t ~asid:2 ~vpn:20 ~frame:6 ~writable:true;
+  Tlb.defer t ~asid:1 ~vpn:10 ~pte:11;
+  Tlb.defer t ~asid:2 ~vpn:20 ~pte:13;
   Tlb.flush_asid t ~asid:1;
   Alcotest.(check bool) "asid 1 pending dropped" false
     (Tlb.pending_covers t ~asid:1 ~vpn:10);
   Alcotest.(check bool) "asid 2 pending kept" true
     (Tlb.pending_covers t ~asid:2 ~vpn:20)
+
+(* Differential test of the deferred-shootdown queue against a Hashtbl
+   model. Three asids and 64 vpns give 192 tags, so probe runs collide
+   in the open-addressed table; a round has up to 200 steps, 70% of them
+   defers, so long rounds queue more than 64 tags and grow the table
+   past its first capacity. Every step
+   compares the count, each tag's membership and each recorded word
+   (read back as a Pmap translation) with the model; each round ends in
+   a drain over a TLB holding every tag, which must invalidate exactly
+   the queued ones and leave the queue empty. *)
+type queue_op =
+  | Defer of int * int * int * bool (* asid, vpn, frame, writable *)
+  | Cancel of int * int
+  | Find of int * int
+  | Covers of int * int
+  | Flush of int
+
+let queue_asids = [ 1; 2; 3 ]
+let queue_vpns = 64
+
+let show_queue_op = function
+  | Defer (a, v, f, w) -> Printf.sprintf "defer(%d,%d,%d,%b)" a v f w
+  | Cancel (a, v) -> Printf.sprintf "cancel(%d,%d)" a v
+  | Find (a, v) -> Printf.sprintf "find(%d,%d)" a v
+  | Covers (a, v) -> Printf.sprintf "covers(%d,%d)" a v
+  | Flush a -> Printf.sprintf "flush(%d)" a
+
+let gen_queue_rounds =
+  let open QCheck.Gen in
+  let asid = oneofl queue_asids and vpn = int_bound (queue_vpns - 1) in
+  let op =
+    frequency
+      [
+        ( 14,
+          map
+            (fun (((a, v), f), w) -> Defer (a, v, f, w))
+            (pair (pair (pair asid vpn) (int_bound 4095)) bool) );
+        (2, map (fun (a, v) -> Cancel (a, v)) (pair asid vpn));
+        (2, map (fun (a, v) -> Find (a, v)) (pair asid vpn));
+        (1, map (fun (a, v) -> Covers (a, v)) (pair asid vpn));
+        (1, map (fun a -> Flush a) asid);
+      ]
+  in
+  list_size (int_range 1 4) (list_size (int_range 0 200) op)
+
+let arb_queue_rounds =
+  QCheck.make gen_queue_rounds
+    ~print:
+      QCheck.Print.(
+        list (fun ops -> String.concat " " (List.map show_queue_op ops)))
+
+let prop_pending_queue rounds =
+  let t = Tlb.create ~entries:256 (Rng.create 5) in
+  let model = Hashtbl.create 64 in
+  let key a v = (a, v) in
+  let agree () =
+    if Tlb.pending_count t <> Hashtbl.length model then
+      QCheck.Test.fail_reportf "count %d, model %d" (Tlb.pending_count t)
+        (Hashtbl.length model);
+    List.iter
+      (fun a ->
+        for v = 0 to queue_vpns - 1 do
+          let got = Tlb.find_pending t ~asid:a ~vpn:v in
+          match Hashtbl.find_opt model (key a v) with
+          | None ->
+              if got <> -1 || Tlb.pending_covers t ~asid:a ~vpn:v then
+                QCheck.Test.fail_reportf "(%d,%d) queued, model has none" a v
+          | Some (f, w) ->
+              if
+                (not (Tlb.pending_covers t ~asid:a ~vpn:v))
+                || got = -1
+                || Fbufs_vm.Pmap.frame got <> f
+                || Fbufs_vm.Pmap.writable got <> w
+              then QCheck.Test.fail_reportf "(%d,%d) lost or changed" a v
+        done)
+      queue_asids
+  in
+  let step = function
+    | Defer (a, v, f, w) ->
+        Tlb.defer t ~asid:a ~vpn:v
+          ~pte:(Fbufs_vm.Pmap.encode ~frame:f ~writable:w);
+        Hashtbl.replace model (key a v) (f, w)
+    | Cancel (a, v) ->
+        Tlb.cancel_pending t ~asid:a ~vpn:v;
+        Hashtbl.remove model (key a v)
+    | Find (a, v) ->
+        let want =
+          match Hashtbl.find_opt model (key a v) with
+          | Some (f, w) -> Fbufs_vm.Pmap.encode ~frame:f ~writable:w
+          | None -> -1
+        in
+        if Tlb.find_pending t ~asid:a ~vpn:v <> want then
+          QCheck.Test.fail_reportf "find (%d,%d)" a v
+    | Covers (a, v) ->
+        if Tlb.pending_covers t ~asid:a ~vpn:v <> Hashtbl.mem model (key a v)
+        then QCheck.Test.fail_reportf "covers (%d,%d)" a v
+    | Flush a ->
+        Tlb.flush_asid t ~asid:a;
+        Hashtbl.filter_map_inplace
+          (fun (a', _) x -> if a' = a then None else Some x)
+          model
+  in
+  let drain () =
+    List.iter
+      (fun a ->
+        for v = 0 to queue_vpns - 1 do
+          Tlb.insert t ~asid:a ~vpn:v ~writable:false
+        done)
+      queue_asids;
+    let n = Tlb.invalidate_pending t in
+    if n <> Hashtbl.length model then
+      QCheck.Test.fail_reportf "drain returned %d, model %d" n
+        (Hashtbl.length model);
+    List.iter
+      (fun a ->
+        for v = 0 to queue_vpns - 1 do
+          let queued = Hashtbl.mem model (key a v) in
+          let live = Tlb.probe t ~asid:a ~vpn:v ~write:false <> Tlb.Miss in
+          if live = queued then
+            QCheck.Test.fail_reportf "(%d,%d): queued %b, live after drain %b"
+              a v queued live
+        done)
+      queue_asids;
+    Hashtbl.reset model;
+    agree ()
+  in
+  List.iter
+    (fun ops ->
+      List.iter
+        (fun op ->
+          step op;
+          agree ())
+        ops;
+      drain ())
+    rounds;
+  true
+
+let test_pending_queue_model =
+  QCheck.Test.make ~name:"deferred-shootdown queue matches a Hashtbl model"
+    ~count:100 arb_queue_rounds prop_pending_queue
 
 (* The generation word is finite. When a flush would reach [gen_limit]
    the TLB falls back to an eager per-entry sweep and resets the word to
@@ -335,7 +481,16 @@ let test_machine_charge_advances_clock_and_busy () =
   let m = Machine.create ~nframes:16 () in
   Machine.charge m 5.0;
   check fl "clock" 5.0 (Machine.now m);
-  check fl "busy" 5.0 (Machine.busy_us m)
+  check fl "busy" 5.0 (Machine.busy_us m);
+  let twin = Machine.create ~nframes:16 () in
+  Machine.charge twin 5.0;
+  Machine.charge twin (float_of_int 3 *. 0.1);
+  Machine.charge_n m 3 0.1;
+  let exact = Alcotest.float 0.0 in
+  check exact "charge_n: clock as charging the product" (Machine.now twin)
+    (Machine.now m);
+  check exact "charge_n: busy as charging the product" (Machine.busy_us twin)
+    (Machine.busy_us m)
 
 let test_machine_load_accounting () =
   let m = Machine.create ~nframes:16 () in
@@ -358,6 +513,7 @@ let test_machine_unobserved_allocates_nothing () =
   let loop () =
     for _ = 1 to 10_000 do
       Machine.charge m 1.0;
+      Machine.charge_n m 3 0.25;
       Machine.with_comp m Fbufs_metrics.Component.Copy thunk
     done
   in
@@ -523,7 +679,8 @@ let () =
           tc "flush asid selective" `Quick test_tlb_flush_asid_selective;
           tc "reinsert updates permission" `Quick
             test_tlb_reinsert_updates_permission;
-          tc "defer / cancel / take" `Quick test_tlb_defer_cancel_take;
+          tc "defer / cancel / drain" `Quick test_tlb_defer_cancel_drain;
+          QCheck_alcotest.to_alcotest test_pending_queue_model;
           tc "flush drops the asid's pendings" `Quick
             test_tlb_flush_asid_drops_pendings;
           tc "generation wraparound sweeps eagerly" `Quick
