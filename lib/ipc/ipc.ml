@@ -191,7 +191,8 @@ let call c msg ~handler =
         | fb :: _ -> fb.Fbuf.xfer
         | [] -> 0
       in
-      Machine.span_adopt c.m ~transfer:tid ~domain:c.src.Pd.name "ipc.call"
+      Machine.span_adopt c.m ~transfer:tid ~follows:0 ~domain:c.src.Pd.name
+        "ipc.call"
   in
   Machine.charge ~kind:"ipc.crossing" ~comp:Comp.Ipc c.m c.call_us;
   Stats.incr c.m.Machine.stats "ipc.call";

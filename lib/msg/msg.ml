@@ -24,29 +24,47 @@ let join a b =
   | Empty, m | m, Empty -> m
   | _ -> Cat { left = a; right = b; len = length a + length b }
 
-let rec split m k =
-  if k < 0 || k > length m then
-    invalid_arg
-      (Printf.sprintf "Msg.split: %d outside [0, %d]" k (length m));
-  if k = 0 then (Empty, m)
-  else if k = length m then (m, Empty)
+(* [clip_from] and [truncate_to] build only the side they keep; [split]
+   is the pair of them. Both assume [k] is inside [0, length m]. *)
+let rec clip_from m k =
+  if k = 0 then m
+  else if k = length m then Empty
   else
     match m with
-    | Empty -> (Empty, Empty)
-    | Leaf l ->
-        ( Leaf { l with len = k },
-          Leaf { l with off = l.off + k; len = l.len - k } )
+    | Empty -> Empty
+    | Leaf l -> Leaf { l with off = l.off + k; len = l.len - k }
     | Cat c ->
         let ll = length c.left in
-        if k <= ll then
-          let a, b = split c.left k in
-          (a, join b c.right)
-        else
-          let a, b = split c.right (k - ll) in
-          (join c.left a, b)
+        if k <= ll then join (clip_from c.left k) c.right
+        else clip_from c.right (k - ll)
 
-let clip m k = snd (split m k)
-let truncate m k = fst (split m k)
+let rec truncate_to m k =
+  if k = 0 then Empty
+  else if k = length m then m
+  else
+    match m with
+    | Empty -> Empty
+    | Leaf l -> Leaf { l with len = k }
+    | Cat c ->
+        let ll = length c.left in
+        if k <= ll then truncate_to c.left k
+        else join c.left (truncate_to c.right (k - ll))
+
+let check_cut name m k =
+  if k < 0 || k > length m then
+    invalid_arg (Printf.sprintf "Msg.%s: %d outside [0, %d]" name k (length m))
+
+let split m k =
+  check_cut "split" m k;
+  (truncate_to m k, clip_from m k)
+
+let clip m k =
+  check_cut "clip" m k;
+  clip_from m k
+
+let truncate m k =
+  check_cut "truncate" m k;
+  truncate_to m k
 
 let leaves m =
   let rec go acc = function
@@ -55,6 +73,17 @@ let leaves m =
     | Cat c -> go (go acc c.right) c.left
   in
   go [] m
+
+let rec fold_leaves f m acc =
+  match m with
+  | Empty -> acc
+  | Leaf l -> f l acc
+  | Cat c -> fold_leaves f c.right (fold_leaves f c.left acc)
+
+let rec mem_fbuf (fb : Fbuf.t) = function
+  | Empty -> false
+  | Leaf l -> l.fbuf.Fbuf.id = fb.Fbuf.id
+  | Cat c -> mem_fbuf fb c.left || mem_fbuf fb c.right
 
 (* The distinct-fbuf walk behind [fbufs], [free_all], [free_held] and IPC
    transfer. Each walk takes a fresh stamp and marks every fbuf it visits
@@ -92,20 +121,36 @@ let rec depth = function
 
 let leaf_vaddr l = Fbuf.vaddr l.fbuf + l.off
 
-let to_bytes m ~as_ =
-  let out = Bytes.create (length m) in
-  let pos = ref 0 in
-  List.iter
-    (fun l ->
-      let b = Access.read_bytes as_ ~vaddr:(leaf_vaddr l) ~len:l.len in
-      Bytes.blit b 0 out !pos l.len;
-      pos := !pos + l.len)
-    (leaves m);
+(* Reads the part of [m] (which starts at message offset [base]) that
+   overlaps [lo, hi) into [out], at [lo]'s position 0. Each overlapping
+   leaf window is one [Access.read_into], left to right: the windows of
+   [leaves (truncate (clip m lo) (hi - lo))], read without building that
+   message or its leaf list. *)
+let rec read_range as_ out lo hi base m =
+  match m with
+  | Empty -> ()
+  | Leaf l ->
+      let s = max lo base and e = min hi (base + l.len) in
+      if s < e then
+        Access.read_into as_ ~vaddr:(leaf_vaddr l + (s - base)) ~len:(e - s)
+          out ~pos:(s - lo)
+  | Cat c ->
+      let mid = base + length c.left in
+      if lo < mid then read_range as_ out lo hi base c.left;
+      if hi > mid then read_range as_ out lo hi mid c.right
+
+let sub_bytes m ~as_ ~off ~len =
+  if off < 0 || len < 0 || off > length m - len then
+    invalid_arg
+      (Printf.sprintf "Msg.sub_bytes: [%d, %d) outside [0, %d]" off (off + len)
+         (length m));
+  let out = Bytes.create len in
+  if len > 0 then read_range as_ out off (off + len) 0 m;
   out
 
-let to_string m ~as_ = Bytes.to_string (to_bytes m ~as_)
+let to_bytes m ~as_ = sub_bytes m ~as_ ~off:0 ~len:(length m)
 
-let sub_bytes m ~as_ ~off ~len = to_bytes (truncate (clip m off) len) ~as_
+let to_string m ~as_ = Bytes.to_string (to_bytes m ~as_)
 
 (* Ones'-complement sum over the message as one byte stream: a leaf ending
    on an odd byte offset shifts the pairing in the next leaf, which the

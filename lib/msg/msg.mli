@@ -29,18 +29,35 @@ val join : t -> t -> t
 (** Logical concatenation: [join hd tl] is hd's bytes followed by tl's. *)
 
 val split : t -> int -> t * t
-(** [split m k] is [(first k bytes, rest)]. Splitting inside a leaf shares
-    the fbuf with adjusted windows. Raises [Invalid_argument] when [k] is
-    outside [0, length m]. *)
+(** [split m k] is [(truncate m k, clip m k)]: the first [k] bytes and
+    the rest. Raises [Invalid_argument] when [k] is outside
+    [0, length m]. *)
 
 val clip : t -> int -> t
-(** Drop the first [k] bytes (header strip): [snd (split m k)]. *)
+(** Drop the first [k] bytes (header strip). Only the nodes on the path
+    to byte [k] are rebuilt — a leaf cut at [k] shares its fbuf with an
+    adjusted window — and nothing of the dropped side is built. Raises
+    [Invalid_argument] when [k] is outside [0, length m]. *)
 
 val truncate : t -> int -> t
-(** Keep only the first [k] bytes: [fst (split m k)]. *)
+(** Keep only the first [k] bytes, building only the kept side, as
+    {!clip} does. Raises [Invalid_argument] when [k] is outside
+    [0, length m]. *)
 
 val leaves : t -> leaf list
 (** Left-to-right leaf windows (empty leaves omitted). *)
+
+val fold_leaves : (leaf -> 'a -> 'a) -> t -> 'a -> 'a
+(** [fold_leaves f m acc] folds [f] over the leaf windows left to right,
+    the order of {!leaves}, without building the list: with an [f] that
+    captures no variables the walk allocates nothing (a device gathering
+    a PDU keeps its cursor in the accumulator). *)
+
+val mem_fbuf : Fbufs.Fbuf.t -> t -> bool
+(** Whether some leaf of the message windows this fbuf: the same answer
+    as a search of {!fbufs}, by a walk over the leaves that allocates
+    nothing. Unlike {!fold_fbufs} it takes no walk stamp, so it may run
+    inside a {!fold_fbufs} callback. *)
 
 val fbufs : t -> Fbufs.Fbuf.t list
 (** Distinct underlying fbufs in first-appearance order: the order
@@ -60,11 +77,19 @@ val depth : t -> int
 (* -- data plane ------------------------------------------------------ *)
 
 val to_bytes : t -> as_:Fbufs_vm.Pd.t -> bytes
-(** Gather the message contents (charged reads in [as_]). *)
+(** Gather the message contents (charged reads in [as_]):
+    {!sub_bytes} over the whole message. *)
 
 val to_string : t -> as_:Fbufs_vm.Pd.t -> string
 
 val sub_bytes : t -> as_:Fbufs_vm.Pd.t -> off:int -> len:int -> bytes
+(** [sub_bytes m ~as_ ~off ~len] reads bytes [off, off + len) into a
+    fresh buffer: one {!Fbufs_vm.Access.read_into} per leaf window of
+    [truncate (clip m off) len], left to right, so the charges, TLB
+    traffic and ["mem.bytes_read"] count are those of reading that
+    message's leaves, but neither the message nor its leaf list is
+    built — the result is the only allocation. Raises [Invalid_argument]
+    when the range is not inside [0, length m]. *)
 
 val checksum : t -> as_:Fbufs_vm.Pd.t -> int
 (** Ones'-complement checksum over the whole message, fragment-aware (odd

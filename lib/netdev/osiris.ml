@@ -28,17 +28,46 @@ let max_cached_paths = 16
 (* AAL5-style trailer bytes carried per PDU on the wire. *)
 let pdu_overhead = 8
 
+(* All-float record: a time stored flat, not boxed per write. *)
+type stamp = { mutable at : float }
+
+(* A cached receive path: its allocator and when it was last used (for
+   LRU replacement). *)
+type path = { alloc : Allocator.t; last_use : stamp }
+
+(* The PDUs in flight from an adapter to its peer, oldest first, in a
+   power-of-two ring of reused slots: the wire copy, the vci, the trace
+   flight id, and the causal transfer and flight span the delivery
+   continues. On one link each PDU arrives strictly after the one sent
+   before it (transmission starts no earlier than the link is free and
+   takes a positive time), and the scheduler breaks ties by scheduling
+   order, so the arrival that fires is always the oldest slot's. *)
+type wire = {
+  mutable data : Bytes.t array;
+  mutable vcis : int array;
+  mutable flights : int array;
+  mutable xfers : int array;
+  mutable spans : int array;
+  mutable head : int;
+  mutable count : int;
+}
+
 type t = {
   m : Machine.t;
   des : Des.t;
   region : Region.t;
   kernel : Pd.t;
   mutable peer : t option;
-  vci_allocs : (int, Allocator.t) Hashtbl.t;
-  vci_last_use : (int, float) Hashtbl.t;
+  paths : (int, path) Hashtbl.t;
   uncached : Allocator.t;
   mutable rx_handler : (vci:int -> Msg.t -> unit) option;
-  mutable link_free_at : float;
+  cell_us : float; (* [Cost_model.cell_time], computed once *)
+  link : stamp; (* when the outgoing link is next free *)
+  wire : wire;
+  mutable arrive : unit -> unit;
+      (* the arrival event of every PDU on the wire, bound at [connect] *)
+  mutable gather_out : Bytes.t; (* the DMA gather's cursor *)
+  mutable gather_pos : int;
   mutable cells_sent : int;
   mutable pdus_received : int;
   mutable uncached_rx : int;
@@ -49,6 +78,8 @@ type t = {
   mutable sw_demux_copies : int;
 }
 
+let wire_slots = 8
+
 let create ~m ~des ~region ~kernel ?(hw_demux = true) () =
   {
     m;
@@ -56,11 +87,24 @@ let create ~m ~des ~region ~kernel ?(hw_demux = true) () =
     region;
     kernel;
     peer = None;
-    vci_allocs = Hashtbl.create 16;
-    vci_last_use = Hashtbl.create 16;
+    paths = Hashtbl.create 16;
     uncached = Allocator.default region ~owner:kernel;
     rx_handler = None;
-    link_free_at = 0.0;
+    cell_us = Cost_model.cell_time m.Machine.cost;
+    link = { at = 0.0 };
+    wire =
+      {
+        data = Array.make wire_slots Bytes.empty;
+        vcis = Array.make wire_slots 0;
+        flights = Array.make wire_slots 0;
+        xfers = Array.make wire_slots 0;
+        spans = Array.make wire_slots 0;
+        head = 0;
+        count = 0;
+      };
+    arrive = ignore;
+    gather_out = Bytes.empty;
+    gather_pos = 0;
     cells_sent = 0;
     pdus_received = 0;
     uncached_rx = 0;
@@ -71,35 +115,26 @@ let create ~m ~des ~region ~kernel ?(hw_demux = true) () =
     sw_demux_copies = 0;
   }
 
-let connect a b =
-  a.peer <- Some b;
-  b.peer <- Some a
-
 let machine t = t.m
 
 (* Least-recently-used cached path (for replacement). *)
 let lru_vci t =
   Hashtbl.fold
-    (fun vci _ best ->
-      let used =
-        match Hashtbl.find_opt t.vci_last_use vci with
-        | Some u -> u
-        | None -> 0.0
-      in
+    (fun vci p best ->
+      let used = p.last_use.at in
       match best with
       | Some (_, bu) when bu <= used -> best
       | Some _ | None -> Some (vci, used))
-    t.vci_allocs None
+    t.paths None
 
 let evict_path t vci =
-  match Hashtbl.find_opt t.vci_allocs vci with
+  match Hashtbl.find_opt t.paths vci with
   | None -> ()
-  | Some alloc ->
+  | Some p ->
       t.evictions <- t.evictions + 1;
       Stats.incr t.m.stats "osiris.path_evicted";
-      Hashtbl.remove t.vci_allocs vci;
-      Hashtbl.remove t.vci_last_use vci;
-      Allocator.teardown alloc
+      Hashtbl.remove t.paths vci;
+      Allocator.teardown p.alloc
 
 let register_path t ~vci ~domains =
   (match domains with
@@ -108,8 +143,8 @@ let register_path t ~vci ~domains =
       invalid_arg
         "Osiris.register_path: incoming data paths originate in the kernel");
   if
-    (not (Hashtbl.mem t.vci_allocs vci))
-    && Hashtbl.length t.vci_allocs >= max_cached_paths
+    (not (Hashtbl.mem t.paths vci))
+    && Hashtbl.length t.paths >= max_cached_paths
   then begin
     match lru_vci t with
     | Some (victim, _) -> evict_path t victim
@@ -119,15 +154,16 @@ let register_path t ~vci ~domains =
     Allocator.create t.region ~path:(Path.create domains)
       ~variant:Fbuf.cached_volatile ()
   in
-  (match Hashtbl.find_opt t.vci_allocs vci with
-  | Some old when old != alloc -> Allocator.teardown old
+  (match Hashtbl.find_opt t.paths vci with
+  | Some old when old.alloc != alloc -> Allocator.teardown old.alloc
   | Some _ | None -> ());
-  Hashtbl.replace t.vci_allocs vci alloc;
-  Hashtbl.replace t.vci_last_use vci (Machine.now t.m)
+  Hashtbl.replace t.paths vci
+    { alloc; last_use = { at = Machine.now t.m } }
 
 let set_rx_handler t f = t.rx_handler <- Some f
 
-let rx_allocator t ~vci = Hashtbl.find_opt t.vci_allocs vci
+let rx_allocator t ~vci =
+  Option.map (fun p -> p.alloc) (Hashtbl.find_opt t.paths vci)
 
 let set_loss_rate t r =
   if r < 0.0 || r > 1.0 then invalid_arg "Osiris.set_loss_rate";
@@ -144,27 +180,34 @@ let pdus_received t = t.pdus_received
 let uncached_rx_pdus t = t.uncached_rx
 
 (* DMA engines address physical memory directly: no TLB, no CPU charges.
-   Frames are found through the owning domain's map. *)
+   Frames are found through the owning domain's map. The gather folds
+   over the message's leaves with a callback that captures nothing; the
+   adapter rides as the accumulator and keeps the cursor. *)
+let rec gather_segs t map vaddr remaining =
+  if remaining > 0 then begin
+    let ps = t.m.Machine.cost.Cost_model.page_size in
+    let off = vaddr mod ps in
+    let seg = min remaining (ps - off) in
+    (match Vm_map.frame_of map ~vpn:(vaddr / ps) with
+    | -1 -> Bytes.fill t.gather_out t.gather_pos seg '\000'
+    | f ->
+        Bytes.blit (Phys_mem.data t.m.pmem f) off t.gather_out t.gather_pos
+          seg);
+    t.gather_pos <- t.gather_pos + seg;
+    gather_segs t map (vaddr + seg) (remaining - seg)
+  end
+
+let gather_leaf (l : Msg.leaf) t =
+  let orig = Fbuf.originator l.Msg.fbuf in
+  gather_segs t orig.Pd.map (Fbuf.vaddr l.Msg.fbuf + l.Msg.off) l.Msg.len;
+  t
+
 let dma_gather t msg =
-  let ps = t.m.Machine.cost.Cost_model.page_size in
   let out = Bytes.create (Msg.length msg) in
-  let pos = ref 0 in
-  List.iter
-    (fun (l : Msg.leaf) ->
-      let orig = Fbuf.originator l.Msg.fbuf in
-      let rec copy vaddr remaining =
-        if remaining > 0 then begin
-          let off = vaddr mod ps in
-          let seg = min remaining (ps - off) in
-          (match Vm_map.frame_of orig.Pd.map ~vpn:(vaddr / ps) with
-          | -1 -> Bytes.fill out !pos seg '\000'
-          | f -> Bytes.blit (Phys_mem.data t.m.pmem f) off out !pos seg);
-          pos := !pos + seg;
-          copy (vaddr + seg) (remaining - seg)
-        end
-      in
-      copy (Fbuf.vaddr l.Msg.fbuf + l.Msg.off) l.Msg.len)
-    (Msg.leaves msg);
+  t.gather_out <- out;
+  t.gather_pos <- 0;
+  ignore (Msg.fold_leaves gather_leaf msg t);
+  t.gather_out <- Bytes.empty;
   out
 
 let scatter_at t (fb : Fbuf.t) ~off data =
@@ -194,16 +237,17 @@ let scatter_at t (fb : Fbuf.t) ~off data =
 
 let dma_scatter t fb data = scatter_at t fb ~off:0 data
 
-let deliver t ~flight ~cause ~vci data =
+let deliver t ~flight ~xfer ~follows ~vci data =
   let now = Des.now t.des in
   Machine.elapse_to t.m now;
   (* Continue the sender's transfer on this machine: the rx span follows
      the wire-flight span, and everything charged while the handler runs
      (interrupt, driver, demux, protocol processing, the ack) lands in
-     the same causal tree. [cause] is (transfer, flight-span) — both 0
-     when the sender recorded no spans. *)
-  let ctid, cfsp = cause in
-  let csp = Machine.span_adopt t.m ~transfer:ctid ~follows:cfsp "osiris.rx" in
+     the same causal tree. [xfer] and [follows] are the transfer and the
+     flight span, both 0 when the sender recorded no spans. *)
+  let csp =
+    Machine.span_adopt t.m ~transfer:xfer ~follows ~domain:"" "osiris.rx"
+  in
   Machine.charge ~kind:"interrupt" ~comp:Comp.Net t.m
     t.m.cost.Cost_model.interrupt;
   Machine.charge ~kind:"driver.op" ~comp:Comp.Net t.m
@@ -219,7 +263,7 @@ let deliver t ~flight ~cause ~vci data =
       Mx.observe mx net_pdu_bytes ~labels (float_of_int len));
   let ps = t.m.Machine.cost.Cost_model.page_size in
   let npages = max 1 ((len + ps - 1) / ps) in
-  let cached_path = Hashtbl.mem t.vci_allocs vci in
+  let cached_path = Hashtbl.mem t.paths vci in
   if Machine.tracing t.m then begin
     let open Fbufs_trace.Trace in
     Machine.trace_instant t.m
@@ -233,11 +277,12 @@ let deliver t ~flight ~cause ~vci data =
     if flight <> 0 then
       Machine.async_end t.m ~id:flight ~args:[ ("vci", Int vci) ] "osiris.pdu"
   end;
-  if cached_path then Hashtbl.replace t.vci_last_use vci now;
   let alloc =
-    match Hashtbl.find_opt t.vci_allocs vci with
-    | Some a -> a
-    | None ->
+    match Hashtbl.find t.paths vci with
+    | p ->
+        p.last_use.at <- now;
+        p.alloc
+    | exception Not_found ->
         t.uncached_rx <- t.uncached_rx + 1;
         Stats.incr t.m.stats "osiris.rx_uncached";
         t.uncached
@@ -273,23 +318,64 @@ let deliver t ~flight ~cause ~vci data =
   | None -> Msg.free_all msg ~dom:t.kernel);
   Machine.span_exit t.m csp
 
-let send_pdu t ~vci msg =
-  let peer =
-    match t.peer with
-    | Some p -> p
-    | None -> invalid_arg "Osiris.send_pdu: adapter is not connected"
+let grow_wire w =
+  let cap = Array.length w.data in
+  let take a blank =
+    let b = Array.make (2 * cap) blank in
+    for k = 0 to w.count - 1 do
+      b.(k) <- a.((w.head + k) land (cap - 1))
+    done;
+    b
   in
+  w.data <- take w.data Bytes.empty;
+  w.vcis <- take w.vcis 0;
+  w.flights <- take w.flights 0;
+  w.xfers <- take w.xfers 0;
+  w.spans <- take w.spans 0;
+  w.head <- 0
+
+let enqueue w ~vci ~flight ~xfer ~span data =
+  if w.count = Array.length w.data then grow_wire w;
+  let i = (w.head + w.count) land (Array.length w.data - 1) in
+  w.data.(i) <- data;
+  w.vcis.(i) <- vci;
+  w.flights.(i) <- flight;
+  w.xfers.(i) <- xfer;
+  w.spans.(i) <- span;
+  w.count <- w.count + 1
+
+(* The oldest PDU on [src]'s wire reaches [dst]. The slot is released
+   before the delivery runs, which may transmit again. *)
+let arrive src dst =
+  let w = src.wire in
+  let i = w.head in
+  let data = w.data.(i) in
+  w.data.(i) <- Bytes.empty;
+  w.head <- (i + 1) land (Array.length w.data - 1);
+  w.count <- w.count - 1;
+  deliver dst ~flight:w.flights.(i) ~xfer:w.xfers.(i) ~follows:w.spans.(i)
+    ~vci:w.vcis.(i) data
+
+let connect a b =
+  a.peer <- Some b;
+  b.peer <- Some a;
+  a.arrive <- (fun () -> arrive a b);
+  b.arrive <- (fun () -> arrive b a)
+
+let send_pdu t ~vci msg =
+  if Option.is_none t.peer then
+    invalid_arg "Osiris.send_pdu: adapter is not connected";
   (* Causal tx span; a send outside any context (driver-level retry)
      adopts the transfer stamped on the message's first fbuf. *)
   let csp =
     if not (Machine.spanning t.m) then 0
     else if Machine.current_transfer t.m <> 0 then
-      Machine.span_enter t.m "osiris.tx"
+      Machine.span_enter t.m ~domain:"" "osiris.tx"
     else
       let tid =
         match Msg.fbufs msg with fb :: _ -> fb.Fbuf.xfer | [] -> 0
       in
-      Machine.span_adopt t.m ~transfer:tid "osiris.tx"
+      Machine.span_adopt t.m ~transfer:tid ~follows:0 ~domain:"" "osiris.tx"
   in
   let ctid = Machine.current_transfer t.m in
   Machine.charge ~kind:"driver.op" ~comp:Comp.Net t.m
@@ -308,10 +394,11 @@ let send_pdu t ~vci msg =
       Mx.incr mx net_pdus ~labels ();
       Mx.observe mx net_pdu_bytes ~labels (float_of_int (Bytes.length data));
       Mx.add mx net_cells ~labels:[ t.m.Machine.name ] (float_of_int cells));
-  let tx_time = float_of_int cells *. Cost_model.cell_time t.m.cost in
-  let start = Float.max (Machine.now t.m) t.link_free_at in
+  let tx_time = float_of_int cells *. t.cell_us in
+  let now = t.m.Machine.clock.Clock.now in
+  let start = if t.link.at > now then t.link.at else now in
   let finish = start +. tx_time in
-  t.link_free_at <- finish;
+  t.link.at <- finish;
   let propagation = 1.0 in
   (* The flight id links this tx to the delivery on the peer machine; ids
      are only consumed when tracing so untraced runs are unperturbed. *)
@@ -346,17 +433,19 @@ let send_pdu t ~vci msg =
         "osiris.pdu_dropped";
       Machine.async_end t.m ~id:flight "osiris.pdu"
     end;
-    ignore
-      (Machine.span_flight t.m ~transfer:ctid ~follows:csp ~start_us:start
-         ~end_us:finish "pdu.lost")
+    if Machine.spanning t.m then
+      ignore
+        (Machine.span_flight t.m ~transfer:ctid ~follows:csp ~start_us:start
+           ~end_us:finish "pdu.lost")
   end
   else begin
     let fsp =
-      Machine.span_flight t.m ~transfer:ctid ~follows:csp ~start_us:start
-        ~end_us:(finish +. propagation) "pdu.flight"
+      if Machine.spanning t.m then
+        Machine.span_flight t.m ~transfer:ctid ~follows:csp ~start_us:start
+          ~end_us:(finish +. propagation) "pdu.flight"
+      else 0
     in
-    let cause = (ctid, fsp) in
-    Des.schedule t.des (finish +. propagation) (fun () ->
-        deliver peer ~flight ~cause ~vci data)
+    Des.schedule t.des (finish +. propagation) t.arrive;
+    enqueue t.wire ~vci ~flight ~xfer:ctid ~span:fsp data
   end;
   Machine.span_exit t.m csp

@@ -16,16 +16,16 @@ let peek msg ~as_ ~len =
          (Msg.length msg) len);
   Msg.sub_bytes msg ~as_ ~off:0 ~len
 
+(* The domain and the payload ride as the accumulator, so the callback
+   captures nothing; [Msg.mem_fbuf] takes no walk stamp, so it may run
+   inside the walk. Frees happen in the PDU's first-appearance order. *)
+let free_unshared (fb : Fbuf.t) ((dom, payload) as acc) =
+  if (not (Msg.mem_fbuf fb payload)) && Fbuf.ref_count fb dom > 0 then
+    Transfer.free fb ~dom;
+  acc
+
 let free_stripped ~dom ~pdu ~payload =
-  let kept = Msg.fbufs payload in
-  List.iter
-    (fun (fb : Fbuf.t) ->
-      let shared =
-        List.exists (fun (k : Fbuf.t) -> k.Fbuf.id = fb.Fbuf.id) kept
-      in
-      if (not shared) && Fbuf.ref_count fb dom > 0 then
-        Transfer.free fb ~dom)
-    (Msg.fbufs pdu)
+  ignore (Msg.fold_fbufs free_unshared pdu (dom, payload))
 
 let get_u16 b i = (Char.code (Bytes.get b i) lsl 8) lor Char.code (Bytes.get b (i + 1))
 

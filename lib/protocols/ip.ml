@@ -4,10 +4,15 @@ module Msg = Fbufs_msg.Msg
 let header_size = 20
 let magic = 0x4950
 
+(* One datagram in reassembly: its fragments' payloads in offset order
+   (a newer duplicate offset before the older one, as a stable sort of
+   the newest-first arrivals put it). In-order arrival appends. *)
 type reasm = {
-  mutable got : (int * Msg.t) list; (* (offset, payload) *)
+  mutable offs : int array;
+  mutable parts : Msg.t array;
+  mutable n : int;
   mutable bytes : int;
-  mutable total : int option; (* known once the last fragment arrives *)
+  mutable total : int; (* -1 until the last fragment arrives *)
 }
 
 type t = {
@@ -19,6 +24,7 @@ type t = {
   mutable up : Fbufs_xkernel.Protocol.t option;
   mutable next_id : int;
   table : (int, reasm) Hashtbl.t;
+  mutable spare : reasm; (* a cleared record, or [no_spare] *)
   mutable fragments_sent : int;
   mutable reassemblies : int;
 }
@@ -45,30 +51,27 @@ let charge_frag t =
     m.Machine.cost.Cost_model.frag_op;
   Stats.incr m.Machine.stats "ip.frag_op"
 
+let rec send_from t ~total ~id off rest =
+  let len = min t.pdu_size (Msg.length rest) in
+  let frag, rest = Msg.split rest len in
+  let more = not (Msg.is_empty rest) in
+  if more || off > 0 then charge_frag t;
+  let hdr = make_header ~total ~id ~off ~len ~more in
+  let hdr_fb, pdu = Header.prepend ~alloc:t.header_alloc ~as_:t.dom hdr frag in
+  t.fragments_sent <- t.fragments_sent + 1;
+  t.below.Fbufs_xkernel.Protocol.push pdu;
+  (* The push is synchronous: downstream consumers (driver DMA or the
+     receive side of a loopback) are done with this PDU's header. *)
+  Header.release_header ~dom:t.dom hdr_fb;
+  if more then send_from t ~total ~id (off + len) rest
+
 let push t msg =
   let m = Fbufs_xkernel.Protocol.machine t.proto in
   let csp = Machine.span_enter m ~domain:t.dom.Fbufs_vm.Pd.name "ip.push" in
   Fbufs_xkernel.Protocol.charge_op t.proto;
-  let total = Msg.length msg in
   let id = t.next_id in
   t.next_id <- t.next_id + 1;
-  let rec send off rest =
-    let len = min t.pdu_size (Msg.length rest) in
-    let frag, rest = Msg.split rest len in
-    let more = not (Msg.is_empty rest) in
-    if more || off > 0 then charge_frag t;
-    let hdr = make_header ~total ~id ~off ~len ~more in
-    let hdr_fb, pdu =
-      Header.prepend ~alloc:t.header_alloc ~as_:t.dom hdr frag
-    in
-    t.fragments_sent <- t.fragments_sent + 1;
-    t.below.Fbufs_xkernel.Protocol.push pdu;
-    (* The push is synchronous: downstream consumers (driver DMA or the
-       receive side of a loopback) are done with this PDU's header. *)
-    Header.release_header ~dom:t.dom hdr_fb;
-    if more then send (off + len) rest
-  in
-  send 0 msg;
+  send_from t ~total:(Msg.length msg) ~id 0 msg;
   Machine.span_exit m csp
 
 let deliver_up t msg =
@@ -76,13 +79,88 @@ let deliver_up t msg =
   | Some up -> up.Fbufs_xkernel.Protocol.pop msg
   | None -> failwith "Ip: no upper protocol wired"
 
+let new_reasm () =
+  {
+    offs = Array.make 4 0;
+    parts = Array.make 4 Msg.empty;
+    n = 0;
+    bytes = 0;
+    total = -1;
+  }
+
+(* The record of the last completed datagram is kept, cleared, for the
+   next one: on one path datagrams complete one at a time, so the steady
+   state allocates no record. [no_spare] stands for none; it is never
+   filled. *)
+let no_spare = new_reasm ()
+
+let take_reasm t =
+  let r = t.spare in
+  if r == no_spare then new_reasm ()
+  else begin
+    t.spare <- no_spare;
+    r
+  end
+
+let give_back t r =
+  Array.fill r.parts 0 r.n Msg.empty;
+  r.n <- 0;
+  r.bytes <- 0;
+  r.total <- -1;
+  t.spare <- r
+
+(* Insert before every fragment at [off] or beyond: an append when
+   fragments arrive in order. *)
+let insert r off payload =
+  if r.n = Array.length r.offs then begin
+    let cap = 2 * r.n in
+    let offs = Array.make cap 0 and parts = Array.make cap Msg.empty in
+    Array.blit r.offs 0 offs 0 r.n;
+    Array.blit r.parts 0 parts 0 r.n;
+    r.offs <- offs;
+    r.parts <- parts
+  end;
+  let i = ref r.n in
+  while !i > 0 && r.offs.(!i - 1) >= off do
+    r.offs.(!i) <- r.offs.(!i - 1);
+    r.parts.(!i) <- r.parts.(!i - 1);
+    decr i
+  done;
+  r.offs.(!i) <- off;
+  r.parts.(!i) <- payload;
+  r.n <- r.n + 1
+
+let rec join_parts r i acc =
+  if i = r.n then acc else join_parts r (i + 1) (Msg.join acc r.parts.(i))
+
+let reassemble t ~id ~total ~off ~len ~more payload =
+  charge_frag t;
+  let r =
+    match Hashtbl.find t.table id with
+    | r -> r
+    | exception Not_found ->
+        let r = take_reasm t in
+        Hashtbl.add t.table id r;
+        r
+  in
+  insert r off payload;
+  r.bytes <- r.bytes + len;
+  if not more then r.total <- total;
+  if r.total >= 0 && r.bytes >= r.total then begin
+    Hashtbl.remove t.table id;
+    let whole = join_parts r 0 Msg.empty in
+    give_back t r;
+    t.reassemblies <- t.reassemblies + 1;
+    deliver_up t whole
+  end
+
 let pop t pdu =
   let m = Fbufs_xkernel.Protocol.machine t.proto in
   let csp = Machine.span_enter m ~domain:t.dom.Fbufs_vm.Pd.name "ip.pop" in
   Fbufs_xkernel.Protocol.charge_op t.proto;
   let hdr = Header.peek pdu ~as_:t.dom ~len:header_size in
   (if Header.get_u16 hdr 0 <> magic then
-    Stats.incr (Fbufs_xkernel.Protocol.machine t.proto).Machine.stats "ip.bad_header"
+    Stats.incr m.Machine.stats "ip.bad_header"
   else begin
     let total = Header.get_u32 hdr 2 in
     let id = Header.get_u32 hdr 6 in
@@ -92,32 +170,7 @@ let pop t pdu =
     let payload = Msg.truncate (Msg.clip pdu header_size) len in
     Header.free_stripped ~dom:t.dom ~pdu ~payload;
     if (not more) && off = 0 then deliver_up t payload
-    else begin
-      charge_frag t;
-      let r =
-        match Hashtbl.find_opt t.table id with
-        | Some r -> r
-        | None ->
-            let r = { got = []; bytes = 0; total = None } in
-            Hashtbl.add t.table id r;
-            r
-      in
-      r.got <- (off, payload) :: r.got;
-      r.bytes <- r.bytes + len;
-      if not more then r.total <- Some total;
-      match r.total with
-      | Some want when r.bytes >= want ->
-          Hashtbl.remove t.table id;
-          let parts =
-            List.sort (fun (a, _) (b, _) -> compare a b) r.got
-          in
-          let whole =
-            List.fold_left (fun acc (_, p) -> Msg.join acc p) Msg.empty parts
-          in
-          t.reassemblies <- t.reassemblies + 1;
-          deliver_up t whole
-      | Some _ | None -> ()
-    end
+    else reassemble t ~id ~total ~off ~len ~more payload
   end);
   Machine.span_exit m csp
 
@@ -134,6 +187,7 @@ let create ~dom ~below ~header_alloc ?(pdu_size = 4096) () =
       up = None;
       next_id = 1;
       table = Hashtbl.create 16;
+      spare = no_spare;
       fragments_sent = 0;
       reassemblies = 0;
     }

@@ -64,11 +64,11 @@ let pop t pdu =
         Stats.incr stats "udp.checksum_failure"
       end
       else
-        match Hashtbl.find_opt t.ports dst with
-        | Some up ->
+        match Hashtbl.find t.ports dst with
+        | up ->
             t.delivered <- t.delivered + 1;
             up.Fbufs_xkernel.Protocol.pop payload
-        | None ->
+        | exception Not_found ->
             t.no_port_drops <- t.no_port_drops + 1;
             Stats.incr stats "udp.no_port"
     end

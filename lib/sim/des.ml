@@ -1,89 +1,131 @@
-type event = { time : float; seq : int; fn : unit -> unit }
+(* A binary min-heap on (time, seq) kept in parallel arrays: the times in
+   a flat float array, the sequence numbers and the closures beside
+   them, so scheduling and dispatch allocate nothing once the arrays
+   have grown. (time, seq) is a total order (seq is unique), so the
+   dispatch order is the same as any other heap's. Sifting swaps slots;
+   a float moves through an immutable local, which stays unboxed. *)
 
-module Heap = struct
-  (* Binary min-heap on (time, seq). *)
-  type t = { mutable arr : event array; mutable size : int }
+(* All-float record: [now] is stored flat, not boxed per dispatch. *)
+type clock = { mutable now : float }
 
-  let dummy = { time = 0.0; seq = 0; fn = ignore }
+type t = {
+  mutable times : float array;
+  mutable seqs : int array;
+  mutable fns : (unit -> unit) array;
+  mutable size : int;
+  clock : clock;
+  mutable next_seq : int;
+}
 
-  let create () = { arr = Array.make 64 dummy; size = 0 }
+let initial = 64
 
-  let less a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
+let create () =
+  {
+    times = Array.make initial 0.0;
+    seqs = Array.make initial 0;
+    fns = Array.make initial ignore;
+    size = 0;
+    clock = { now = 0.0 };
+    next_seq = 0;
+  }
 
-  let push h e =
-    if h.size = Array.length h.arr then begin
-      let bigger = Array.make (2 * h.size) dummy in
-      Array.blit h.arr 0 bigger 0 h.size;
-      h.arr <- bigger
-    end;
-    let i = ref h.size in
-    h.size <- h.size + 1;
-    h.arr.(!i) <- e;
-    (* sift up *)
-    let continue = ref true in
-    while !continue && !i > 0 do
-      let parent = (!i - 1) / 2 in
-      if less h.arr.(!i) h.arr.(parent) then begin
-        let tmp = h.arr.(parent) in
-        h.arr.(parent) <- h.arr.(!i);
-        h.arr.(!i) <- tmp;
-        i := parent
-      end
-      else continue := false
-    done
+let now t = t.clock.now
 
-  let pop h =
-    if h.size = 0 then None
-    else begin
-      let top = h.arr.(0) in
-      h.size <- h.size - 1;
-      h.arr.(0) <- h.arr.(h.size);
-      h.arr.(h.size) <- dummy;
-      (* sift down *)
-      let i = ref 0 in
-      let continue = ref true in
-      while !continue do
-        let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-        let smallest = ref !i in
-        if l < h.size && less h.arr.(l) h.arr.(!smallest) then smallest := l;
-        if r < h.size && less h.arr.(r) h.arr.(!smallest) then smallest := r;
-        if !smallest <> !i then begin
-          let tmp = h.arr.(!smallest) in
-          h.arr.(!smallest) <- h.arr.(!i);
-          h.arr.(!i) <- tmp;
-          i := !smallest
-        end
-        else continue := false
-      done;
-      Some top
+let pending t = t.size
+
+(* Whether slot [i] dispatches before slot [j]. *)
+let before t i j =
+  let ti = t.times.(i) and tj = t.times.(j) in
+  ti < tj || (ti = tj && t.seqs.(i) < t.seqs.(j))
+
+let swap t i j =
+  let ti = t.times.(i) in
+  t.times.(i) <- t.times.(j);
+  t.times.(j) <- ti;
+  let si = t.seqs.(i) in
+  t.seqs.(i) <- t.seqs.(j);
+  t.seqs.(j) <- si;
+  let fi = t.fns.(i) in
+  t.fns.(i) <- t.fns.(j);
+  t.fns.(j) <- fi
+
+let rec sift_up t i =
+  if i > 0 then begin
+    let parent = (i - 1) / 2 in
+    if before t i parent then begin
+      swap t i parent;
+      sift_up t parent
     end
-end
+  end
 
-type t = { heap : Heap.t; mutable now : float; mutable next_seq : int }
+let rec sift_down t i =
+  let l = (2 * i) + 1 and r = (2 * i) + 2 in
+  let smallest = if l < t.size && before t l i then l else i in
+  let smallest = if r < t.size && before t r smallest then r else smallest in
+  if smallest <> i then begin
+    swap t i smallest;
+    sift_down t smallest
+  end
 
-let create () = { heap = Heap.create (); now = 0.0; next_seq = 0 }
+let grow t =
+  let cap = 2 * t.size in
+  let times = Array.make cap 0.0
+  and seqs = Array.make cap 0
+  and fns = Array.make cap ignore in
+  Array.blit t.times 0 times 0 t.size;
+  Array.blit t.seqs 0 seqs 0 t.size;
+  Array.blit t.fns 0 fns 0 t.size;
+  t.times <- times;
+  t.seqs <- seqs;
+  t.fns <- fns
 
-let now t = t.now
+(* Claims the next slot for [fn] with the next sequence number; the
+   caller stores the time and sifts the slot up. *)
+let claim t fn =
+  if t.size = Array.length t.seqs then grow t;
+  let i = t.size in
+  t.size <- i + 1;
+  t.seqs.(i) <- t.next_seq;
+  t.next_seq <- t.next_seq + 1;
+  t.fns.(i) <- fn;
+  i
+
+let too_early time now =
+  invalid_arg
+    (Printf.sprintf "Des.schedule: time %.3f is before now %.3f" time now)
 
 let schedule t time fn =
-  if time < t.now then
-    invalid_arg
-      (Printf.sprintf "Des.schedule: time %.3f is before now %.3f" time t.now);
-  let seq = t.next_seq in
-  t.next_seq <- seq + 1;
-  Heap.push t.heap { time; seq; fn }
+  if time < t.clock.now then too_early time t.clock.now;
+  let i = claim t fn in
+  t.times.(i) <- time;
+  sift_up t i
 
-let schedule_after t delta fn = schedule t (t.now +. delta) fn
-
-let pending t = t.heap.Heap.size
+(* The same as [schedule t (now t +. delta) fn], written out so the sum
+   is stored without being boxed. *)
+let schedule_after t delta fn =
+  let time = t.clock.now +. delta in
+  if time < t.clock.now then too_early time t.clock.now;
+  let i = claim t fn in
+  t.times.(i) <- time;
+  sift_up t i
 
 let step t =
-  match Heap.pop t.heap with
-  | None -> false
-  | Some e ->
-      t.now <- e.time;
-      e.fn ();
-      true
+  if t.size = 0 then false
+  else begin
+    let fn = t.fns.(0) in
+    t.clock.now <- t.times.(0);
+    let last = t.size - 1 in
+    t.size <- last;
+    if last > 0 then begin
+      t.times.(0) <- t.times.(last);
+      t.seqs.(0) <- t.seqs.(last);
+      t.fns.(0) <- t.fns.(last)
+    end;
+    t.fns.(last) <- ignore;
+    sift_down t 0;
+    fn ();
+    true
+  end
 
 let run ?(limit = 10_000_000) t =
   let rec loop n =

@@ -193,12 +193,12 @@ let with_transfer m ?domain ?path_id label f =
       let tid = transfer_begin m ?domain ?path_id label in
       Fun.protect ~finally:(fun () -> transfer_end m tid) f
 
-let span_enter m ?domain ?path_id kind =
+let span_enter m ~domain ?path_id kind =
   match spans m with
   | None -> 0
   | Some s ->
       Fbufs_span.Span.enter s ~machine:m.name ~ts_us:(Clock.now m.clock)
-        ?domain ?path_id kind
+        ~domain ?path_id kind
 
 let span_exit m id =
   match spans m with
@@ -206,12 +206,12 @@ let span_exit m id =
   | Some s ->
       Fbufs_span.Span.finish s ~machine:m.name ~ts_us:(Clock.now m.clock) id
 
-let span_adopt m ~transfer ?follows ?domain ?path_id kind =
+let span_adopt m ~transfer ~follows ~domain ?path_id kind =
   match spans m with
   | None -> 0
   | Some s ->
       Fbufs_span.Span.adopt s ~machine:m.name ~ts_us:(Clock.now m.clock)
-        ~transfer ?follows ?domain ?path_id kind
+        ~transfer ~follows ~domain ?path_id kind
 
 let span_flight m ~transfer ~follows ~start_us ~end_us ?path_id kind =
   match spans m with

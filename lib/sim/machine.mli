@@ -123,8 +123,12 @@ val elapse_to : ?kind:string -> t -> float -> unit
     Wrappers over {!Fbufs_span.Span} stamped with this machine's clock
     and name. With no sink attached every call is a pointer comparison;
     begin/enter return 0 and end/exit ignore 0, so call sites need no
-    guards. Every {!charge} made while a span is open on the machine is
-    attributed to it (innermost wins) under its Table 1 component. *)
+    guards. {!span_enter} and {!span_adopt} take their domain and
+    follows-from edge as required arguments, so an unspanned call builds
+    no [Some] either; only {!span_flight}'s floats are boxed when the
+    call is made. Every {!charge} made while a span is open on the
+    machine is attributed to it (innermost wins) under its Table 1
+    component. *)
 
 val transfer_begin : t -> ?domain:string -> ?path_id:int -> string -> int
 (** Open a transfer (one end-to-end data movement) rooted on this
@@ -138,17 +142,19 @@ val with_transfer : t -> ?domain:string -> ?path_id:int -> string -> (unit -> 'a
     after [f] returns (deliveries {!span_adopt} into it); only the root
     span closes here. *)
 
-val span_enter : t -> ?domain:string -> ?path_id:int -> string -> int
-(** Child span of the innermost open span; 0 when disabled or when the
-    machine has no open transfer context. *)
+val span_enter : t -> domain:string -> ?path_id:int -> string -> int
+(** Child span of the innermost open span, run in protection domain
+    [domain] ([""] for none, a device's span); 0 when disabled or when
+    the machine has no open transfer context. *)
 
 val span_exit : t -> int -> unit
 
 val span_adopt :
-  t -> transfer:int -> ?follows:int -> ?domain:string -> ?path_id:int -> string -> int
+  t -> transfer:int -> follows:int -> domain:string -> ?path_id:int -> string -> int
 (** Continue transfer [transfer] on this machine (the receive side of a
-    cross-machine delivery), linked by a follows-from edge (default: the
-    transfer's root). Ignores transfer id 0. *)
+    cross-machine delivery), linked by a follows-from edge to span
+    [follows] (0: the transfer's root), run in [domain] (as for
+    {!span_enter}). Ignores transfer id 0. *)
 
 val span_flight :
   t ->

@@ -125,47 +125,57 @@ let write_word dom ~vaddr v =
   Bytes.unsafe_set b (off + 2) (Char.unsafe_chr ((v lsr 16) land 0xFF));
   Bytes.unsafe_set b (off + 3) (Char.unsafe_chr ((v lsr 24) land 0xFF))
 
-(* Iterate over the page-aligned segments of [vaddr, vaddr+len). *)
-let iter_segments dom ~vaddr ~len f =
-  let ps = page_size dom in
-  let rec loop va remaining =
-    if remaining > 0 then begin
-      let off = va mod ps in
-      let seg = min remaining (ps - off) in
-      f ~vaddr:va ~len:seg;
-      loop (va + seg) (remaining - seg)
-    end
-  in
-  loop vaddr len
+(* The bulk loops below walk the page segments of a range as top-level
+   recursions with their context as arguments: a local loop closure, or
+   a callback over the segments, would be a heap block per call. Each
+   segment translates, then charges [seg] bytes through
+   [Machine.charge_n] (the float [float_of_int seg *. per_byte], never
+   boxed), then moves the bytes. *)
 
-let read_bytes (dom : Pd.t) ~vaddr ~len =
+let rec read_segs (dom : Pd.t) va out pos remaining =
+  if remaining > 0 then begin
+    let m = dom.m in
+    let ps = page_size dom in
+    let off = va mod ps in
+    let seg = min remaining (ps - off) in
+    let frame = translate dom ~vaddr:va ~write:false in
+    Machine.charge_n ~comp:Comp.Copy m seg m.cost.Cost_model.copy_per_byte;
+    Bytes.blit (Phys_mem.data m.pmem frame) off out pos seg;
+    read_segs dom (va + seg) out (pos + seg) (remaining - seg)
+  end
+
+let read_into (dom : Pd.t) ~vaddr ~len out ~pos =
+  if len < 0 || pos < 0 || pos > Bytes.length out - len then
+    invalid_arg
+      (Printf.sprintf "Access.read_into: %d bytes at %d of a %d-byte buffer"
+         len pos (Bytes.length out));
+  read_segs dom vaddr out pos len;
+  Stats.add dom.m.stats "mem.bytes_read" len
+
+let read_bytes dom ~vaddr ~len =
   let out = Bytes.create len in
-  let m = dom.m in
-  let ps = page_size dom in
-  let pos = ref 0 in
-  iter_segments dom ~vaddr ~len (fun ~vaddr ~len ->
-      let frame = translate dom ~vaddr ~write:false in
-      let off = vaddr mod ps in
-      Machine.charge ~comp:Comp.Copy m
-        (float_of_int len *. m.cost.Cost_model.copy_per_byte);
-      Bytes.blit (Phys_mem.data m.pmem frame) off out !pos len;
-      pos := !pos + len);
-  Stats.add m.stats "mem.bytes_read" len;
+  read_into dom ~vaddr ~len out ~pos:0;
   out
 
+(* [charged] is false for [blit]'s write side, which its read side pays
+   for. *)
+let rec write_segs ~charged (dom : Pd.t) va src pos remaining =
+  if remaining > 0 then begin
+    let m = dom.m in
+    let ps = page_size dom in
+    let off = va mod ps in
+    let seg = min remaining (ps - off) in
+    let frame = translate dom ~vaddr:va ~write:true in
+    if charged then
+      Machine.charge_n ~comp:Comp.Copy m seg m.cost.Cost_model.copy_per_byte;
+    Bytes.blit src pos (Phys_mem.data m.pmem frame) off seg;
+    write_segs ~charged dom (va + seg) src (pos + seg) (remaining - seg)
+  end
+
 let write_bytes (dom : Pd.t) ~vaddr src =
-  let m = dom.m in
-  let ps = page_size dom in
   let len = Bytes.length src in
-  let pos = ref 0 in
-  iter_segments dom ~vaddr ~len (fun ~vaddr ~len ->
-      let frame = translate dom ~vaddr ~write:true in
-      let off = vaddr mod ps in
-      Machine.charge ~comp:Comp.Copy m
-        (float_of_int len *. m.cost.Cost_model.copy_per_byte);
-      Bytes.blit src !pos (Phys_mem.data m.pmem frame) off len;
-      pos := !pos + len);
-  Stats.add m.stats "mem.bytes_written" len
+  write_segs ~charged:true dom vaddr src 0 len;
+  Stats.add dom.m.stats "mem.bytes_written" len
 
 let write_string dom ~vaddr s = write_bytes dom ~vaddr (Bytes.of_string s)
 
@@ -174,50 +184,46 @@ let blit ~src ~src_vaddr ~dst ~dst_vaddr ~len =
      without a second per-byte charge (a real bcopy touches each byte once
      on each side; copy_per_byte is calibrated for a full load+store). *)
   let data = read_bytes src ~vaddr:src_vaddr ~len in
-  let m = dst.Pd.m in
-  let page_size_dst = page_size dst in
-  let pos = ref 0 in
-  iter_segments dst ~vaddr:dst_vaddr ~len (fun ~vaddr ~len ->
-      let frame = translate dst ~vaddr ~write:true in
-      let off = vaddr mod page_size_dst in
-      Bytes.blit data !pos (Phys_mem.data m.pmem frame) off len;
-      pos := !pos + len)
+  write_segs ~charged:false dst dst_vaddr data 0 len
 
-type checksum_state = { sum : int; odd : int option }
+(* [odd] is the unpaired high byte carried into the next range, or -1. *)
+type checksum_state = { sum : int; odd : int }
 
-let checksum_start = { sum = 0; odd = None }
+let checksum_start = { sum = 0; odd = -1 }
 
-let checksum_feed (dom : Pd.t) ~vaddr ~len state =
-  let m = dom.m in
-  let ps = page_size dom in
-  let sum = ref state.sum in
-  let odd = ref state.odd in
-  iter_segments dom ~vaddr ~len (fun ~vaddr ~len ->
-      let frame = translate dom ~vaddr ~write:false in
-      let off = vaddr mod ps in
-      Machine.charge ~comp:Comp.Copy m
-        (float_of_int len *. m.cost.Cost_model.checksum_per_byte);
-      let b = Phys_mem.data m.pmem frame in
-      let i = ref 0 in
-      (match !odd with
-      | Some hi when len > 0 ->
-          sum := !sum + ((hi lsl 8) lor Char.code (Bytes.get b off));
-          odd := None;
-          i := 1
-      | Some _ | None -> ());
-      while !i + 1 < len do
-        sum :=
-          !sum
-          + ((Char.code (Bytes.get b (off + !i)) lsl 8)
-            lor Char.code (Bytes.get b (off + !i + 1)));
-        i := !i + 2
-      done;
-      if !i < len then odd := Some (Char.code (Bytes.get b (off + !i))));
-  { sum = !sum; odd = !odd }
+let rec checksum_segs (dom : Pd.t) va remaining sum odd =
+  if remaining <= 0 then { sum; odd }
+  else begin
+    let m = dom.m in
+    let ps = page_size dom in
+    let off = va mod ps in
+    let len = min remaining (ps - off) in
+    let frame = translate dom ~vaddr:va ~write:false in
+    Machine.charge_n ~comp:Comp.Copy m len m.cost.Cost_model.checksum_per_byte;
+    let b = Phys_mem.data m.pmem frame in
+    let sum = ref sum in
+    let i = ref 0 in
+    if odd >= 0 then begin
+      sum := !sum + ((odd lsl 8) lor Char.code (Bytes.get b off));
+      i := 1
+    end;
+    while !i + 1 < len do
+      sum :=
+        !sum
+        + ((Char.code (Bytes.get b (off + !i)) lsl 8)
+          lor Char.code (Bytes.get b (off + !i + 1)));
+      i := !i + 2
+    done;
+    let odd = if !i < len then Char.code (Bytes.get b (off + !i)) else -1 in
+    checksum_segs dom (va + len) (remaining - len) !sum odd
+  end
+
+let checksum_feed dom ~vaddr ~len state =
+  checksum_segs dom vaddr len state.sum state.odd
 
 let checksum_finish state =
   let sum =
-    match state.odd with Some hi -> state.sum + (hi lsl 8) | None -> state.sum
+    if state.odd >= 0 then state.sum + (state.odd lsl 8) else state.sum
   in
   let fold s =
     let s = (s land 0xFFFF) + (s lsr 16) in

@@ -22,6 +22,17 @@ val write_word : Pd.t -> vaddr:int -> int -> unit
     Raises [Invalid_argument] if the word crosses a page boundary. *)
 
 val read_bytes : Pd.t -> vaddr:int -> len:int -> bytes
+(** A fresh buffer holding the [len] bytes at [vaddr]: {!read_into} a
+    new [len]-byte buffer. Raises [Invalid_argument] when [len] is
+    negative. *)
+
+val read_into : Pd.t -> vaddr:int -> len:int -> bytes -> pos:int -> unit
+(** [read_into dom ~vaddr ~len out ~pos] copies the [len] bytes at
+    [vaddr] into [out] at [pos]: one translation and one copy charge per
+    page segment, and [len] added to ["mem.bytes_read"]. It allocates
+    nothing, so a caller gathering several ranges into one buffer (a
+    message's leaves) pays for the result only. Raises [Invalid_argument]
+    when [len] or [pos] is negative or the range does not fit in [out]. *)
 
 val write_bytes : Pd.t -> vaddr:int -> bytes -> unit
 

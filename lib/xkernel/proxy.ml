@@ -11,12 +11,14 @@ let make region ~from_dom ~(target : Protocol.t) ~mode ~free_after ~dir =
     Printf.sprintf "%s-proxy:%s->%s:%s" dir from_dom.Pd.name
       target.Protocol.dom.Pd.name target.Protocol.name
   in
+  (* Built once per proxy; it reads the target's (mutable) entry point
+     on every call. *)
+  let invoke =
+    match dir with
+    | "push" -> fun m -> target.Protocol.push m
+    | _ -> fun m -> target.Protocol.pop m
+  in
   let forward msg =
-    let invoke =
-      match dir with
-      | "push" -> fun m -> target.Protocol.push m
-      | _ -> fun m -> target.Protocol.pop m
-    in
     Fbufs_ipc.Ipc.call conn msg ~handler:invoke;
     if free_after then Fbufs_msg.Msg.free_all msg ~dom:from_dom
   in

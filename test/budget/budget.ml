@@ -23,7 +23,12 @@ module H = Fbufs_harness
 module Testbed = H.Testbed
 module Msg = Fbufs_msg.Msg
 module Ipc = Fbufs_ipc.Ipc
+module Protocol = Fbufs_xkernel.Protocol
+module Ip = Fbufs_protocols.Ip
+module Udp = Fbufs_protocols.Udp
 module Testproto = Fbufs_protocols.Testproto
+module Osiris = Fbufs_netdev.Osiris
+module Des = Fbufs_sim.Des
 module Policy = Fbufs_policy.Policy
 module Scenario = Fbufs_policy.Scenario
 module Vm = Fbufs_vm
@@ -101,6 +106,60 @@ let three_domains_send () =
       (Testproto.make_message ~alloc:stack.H.Stacks.data_alloc
          ~as_:stack.H.Stacks.sender_dom ~bytes:16384 ())
 
+(* Figure 5's kernel-kernel path: UDP/IP in 16 KB PDUs from one host's
+   kernel over an Osiris null modem to a sink in the other's, cached
+   receive buffers on the data vci. One op pushes one message and runs
+   the scheduler until the sink has consumed it. *)
+let two_hosts_udp ~bytes () =
+  let des = Des.create () in
+  let tb1 = Testbed.create ~name:"tx" ~seed:1 () in
+  let tb2 = Testbed.create ~name:"rx" ~seed:2 () in
+  let k1 = tb1.Testbed.kernel and k2 = tb2.Testbed.kernel in
+  let ad1 =
+    Osiris.create ~m:tb1.Testbed.m ~des ~region:tb1.Testbed.region ~kernel:k1
+      ()
+  in
+  let ad2 =
+    Osiris.create ~m:tb2.Testbed.m ~des ~region:tb2.Testbed.region ~kernel:k2
+      ()
+  in
+  Osiris.connect ad1 ad2;
+  let alloc tb k = Testbed.allocator tb ~domains:[ k ] Fbuf.cached_volatile in
+  let driver =
+    Protocol.create ~name:"osiris-tx" ~dom:k1
+      ~push:(fun pdu -> Osiris.send_pdu ad1 ~vci:5 pdu)
+      ()
+  in
+  let ip1 =
+    Ip.create ~dom:k1 ~below:driver ~header_alloc:(alloc tb1 k1)
+      ~pdu_size:16384 ()
+  in
+  let udp1 =
+    Udp.create ~dom:k1 ~below:(Ip.proto ip1) ~header_alloc:(alloc tb1 k1)
+      ~dst_port:2000 ()
+  in
+  Osiris.register_path ad2 ~vci:5 ~domains:[ k2 ];
+  let ip2 =
+    Ip.create ~dom:k2
+      ~below:(Protocol.create ~name:"null" ~dom:k2 ())
+      ~header_alloc:(alloc tb2 k2) ~pdu_size:16384 ()
+  in
+  let udp2 =
+    Udp.create ~dom:k2
+      ~below:(Protocol.create ~name:"null-up" ~dom:k2 ())
+      ~header_alloc:(alloc tb2 k2) ()
+  in
+  Ip.set_up ip2 (Udp.proto udp2);
+  let sink = Testproto.sink ~dom:k2 () in
+  Udp.bind udp2 ~port:2000 (Testproto.sink_proto sink);
+  Osiris.set_rx_handler ad2 (fun ~vci:_ msg -> (Ip.proto ip2).Protocol.pop msg);
+  let data_alloc = alloc tb1 k1 in
+  fun () ->
+    let msg = Testproto.make_message ~alloc:data_alloc ~as_:k1 ~bytes () in
+    (Udp.proto udp1).Protocol.push msg;
+    Msg.free_held msg ~dom:k1;
+    Des.run des
+
 (* A mapped page whose translation is in the TLB. *)
 let tlb_hit_page () =
   let m = Fbufs_sim.Machine.create ~nframes:64 () in
@@ -145,6 +204,30 @@ let split_join () =
     let a, b = Msg.split msg 4096 in
     ignore (Msg.join a b)
 
+(* The shape IP reassembly delivers: 16 fragments of 16 KB joined left to
+   right. One op reads 4 bytes at the start of each of its 64 pages, the
+   benchmark's per-page check. *)
+let sub_bytes () =
+  let app, alloc = app_allocator () in
+  let frag _ =
+    let fb = Allocator.alloc alloc ~npages:4 in
+    Fbuf_api.touch_write fb ~as_:app;
+    Msg.of_fbuf fb ~off:0 ~len:16384
+  in
+  let msg = List.fold_left Msg.join Msg.empty (List.init 16 frag) in
+  fun () ->
+    for p = 0 to 63 do
+      ignore (Msg.sub_bytes msg ~as_:app ~off:(p * 4096) ~len:4)
+    done
+
+(* One event through the scheduler: a closure built once. *)
+let schedule_step () =
+  let des = Des.create () in
+  let fn () = () in
+  fun () ->
+    Des.schedule_after des 1.0 fn;
+    ignore (Des.step des)
+
 let serialize () =
   let app, alloc = app_allocator () in
   let leaf _ = Msg.of_fbuf (Allocator.alloc alloc ~npages:1) ~off:0 ~len:4096 in
@@ -168,11 +251,15 @@ let op_rows =
       roundtrip Fbuf.volatile_only ~bytes:262144 );
     ("op.remap-move.16p.ping-pong", remap_ping_pong);
     ("op.three-domains.send.16k", three_domains_send);
+    ("op.two-hosts.udp.16k", two_hosts_udp ~bytes:16384);
+    ("op.two-hosts.udp.256k", two_hosts_udp ~bytes:262144);
     ("op.access.read-word", read_word);
     ("op.access.read-word.tlb-miss", read_word_tlb_miss);
     ("op.access.write-word", write_word);
     ("op.msg.split-join.4k", split_join);
+    ("op.msg.sub-bytes.64x4b", sub_bytes);
     ("op.integrated.serialize.8", serialize);
+    ("op.des.schedule-step", schedule_step);
   ]
 
 let op_words fixture =

@@ -391,6 +391,189 @@ let prop_checksum_split_invariant =
           let a, b = Msg.split m k in
           Msg.checksum (Msg.join a b) ~as_:app = Msg.checksum m ~as_:app))
 
+(* ------------------------------------------------------------------ *)
+(* Cuts and range reads against a model of the leaf windows           *)
+(* ------------------------------------------------------------------ *)
+
+(* A message DAG over windows of three 2-page fbufs: windows at any
+   offset (odd ones included), joins, and either side of a split. *)
+type shape =
+  | W of int * int * int (* fbuf, offset, length (clamped when built) *)
+  | J of shape * shape
+  | L of shape * int (* fst (split m (k mod (length m + 1))) *)
+  | R of shape * int (* snd (split ...) *)
+
+let rec show_shape = function
+  | W (i, off, len) -> Printf.sprintf "W(%d,%d,%d)" i off len
+  | J (a, b) -> Printf.sprintf "J(%s,%s)" (show_shape a) (show_shape b)
+  | L (a, k) -> Printf.sprintf "L(%s,%d)" (show_shape a) k
+  | R (a, k) -> Printf.sprintf "R(%s,%d)" (show_shape a) k
+
+let fbuf_bytes = 8192
+
+let shape_gen =
+  let open QCheck.Gen in
+  let window =
+    map3
+      (fun i off len -> W (i, off, len))
+      (int_bound 2) (int_bound (fbuf_bytes - 1)) (int_range 1 fbuf_bytes)
+  in
+  sized_size (int_bound 12)
+    (fix (fun self n ->
+         if n = 0 then window
+         else
+           frequency
+             [
+               (1, window);
+               (3, map2 (fun a b -> J (a, b)) (self (n / 2)) (self (n / 2)));
+               (1, map2 (fun a k -> L (a, k)) (self (n - 1)) nat);
+               (1, map2 (fun a k -> R (a, k)) (self (n - 1)) nat);
+             ]))
+
+(* A fresh world holding three patterned fbufs: two calls build
+   identical worlds, so the same reads cost the same in each. *)
+let dag_world () =
+  let tb, app, _, alloc = setup () in
+  let fbs =
+    Array.init 3 (fun i ->
+        let fb = Allocator.alloc alloc ~npages:2 in
+        Fbuf_api.write fb ~as_:app ~off:0
+          (String.init fbuf_bytes (fun j ->
+               Char.chr (((j * 7) + (i * 31)) land 0xFF)));
+        fb)
+  in
+  (tb, app, fbs)
+
+let rec build fbs = function
+  | W (i, off, len) ->
+      Msg.of_fbuf fbs.(i) ~off ~len:(max 1 (min len (fbuf_bytes - off)))
+  | J (a, b) -> Msg.join (build fbs a) (build fbs b)
+  | L (a, k) ->
+      let m = build fbs a in
+      fst (Msg.split m (k mod (Msg.length m + 1)))
+  | R (a, k) ->
+      let m = build fbs a in
+      snd (Msg.split m (k mod (Msg.length m + 1)))
+
+(* The model of a cut: the windows of [leaves m] that overlap [lo, hi),
+   trimmed to it, found from the leaves' offsets alone. *)
+let model_windows m lo hi =
+  let rec go base = function
+    | [] -> []
+    | (l : Msg.leaf) :: rest ->
+        let s = max lo base and e = min hi (base + l.Msg.len) in
+        let tl = go (base + l.Msg.len) rest in
+        if s < e then (l.Msg.fbuf, l.Msg.off + (s - base), e - s) :: tl
+        else tl
+  in
+  go 0 (Msg.leaves m)
+
+let ids = List.map (fun ((fb : Fbuf.t), off, len) -> (fb.Fbuf.id, off, len))
+
+let windows m =
+  List.map
+    (fun (l : Msg.leaf) -> (l.Msg.fbuf.Fbuf.id, l.Msg.off, l.Msg.len))
+    (Msg.leaves m)
+
+let shape_arb = QCheck.make ~print:show_shape shape_gen
+
+let prop_cuts_match_model =
+  QCheck.Test.make ~name:"clip/truncate/split keep the windows on their side"
+    ~count:300
+    QCheck.(pair shape_arb small_nat)
+    (fun (shape, k) ->
+      let _, _, fbs = dag_world () in
+      let m = build fbs shape in
+      let n = Msg.length m in
+      let k = k mod (n + 1) in
+      (* A cut rebuilds only the path to byte [k]: never deeper. *)
+      let cut part lo hi =
+        windows part = ids (model_windows m lo hi)
+        && Msg.length part = hi - lo
+        && Msg.depth part <= Msg.depth m
+      in
+      let head, rest = Msg.split m k in
+      cut (Msg.truncate m k) 0 k
+      && cut (Msg.clip m k) k n
+      && cut head 0 k && cut rest k n)
+
+(* The reference read: the model's windows, each read with
+   [Access.read_bytes], concatenated. *)
+let reference_sub_bytes m ~as_ ~off ~len =
+  Bytes.concat Bytes.empty
+    (List.map
+       (fun ((fb : Fbuf.t), o, l) ->
+         Access.read_bytes as_ ~vaddr:(Fbuf.vaddr fb + o) ~len:l)
+       (model_windows m off (off + len)))
+
+let observe (tb : Testbed.t) =
+  let m = tb.Testbed.m in
+  ( Machine.now m,
+    Stats.get m.Machine.stats "mem.bytes_read",
+    Stats.get m.Machine.stats "tlb.miss" )
+
+let prop_sub_bytes_matches_reference =
+  QCheck.Test.make ~name:"sub_bytes reads the model's windows"
+    ~count:200
+    QCheck.(triple shape_arb small_nat small_nat)
+    (fun (shape, off, len) ->
+      let tb_ref, app_ref, fbs_ref = dag_world () in
+      let tb, app, fbs = dag_world () in
+      let m_ref = build fbs_ref shape and m = build fbs shape in
+      let n = Msg.length m in
+      let off = off * 37 mod (n + 1) in
+      let len = len * 53 mod (n - off + 1) in
+      let same_start = observe tb_ref = observe tb in
+      let want = reference_sub_bytes m_ref ~as_:app_ref ~off ~len in
+      let got = Msg.sub_bytes m ~as_:app ~off ~len in
+      same_start && Bytes.equal want got && observe tb_ref = observe tb)
+
+let prop_mem_fbuf_matches_fbufs =
+  QCheck.Test.make ~name:"mem_fbuf agrees with a search of fbufs" ~count:200
+    shape_arb
+    (fun shape ->
+      let _, _, fbs = dag_world () in
+      let m = build fbs shape in
+      let listed = Msg.fbufs m in
+      Array.for_all
+        (fun (fb : Fbuf.t) ->
+          Msg.mem_fbuf fb m
+          = List.exists (fun (f : Fbuf.t) -> f.Fbuf.id = fb.Fbuf.id) listed)
+        fbs)
+
+let test_range_checks () =
+  let tb, app, _, alloc = setup () in
+  let m =
+    Msg.join (msg_of_string alloc app "abcd") (msg_of_string alloc app "efgh")
+  in
+  let raises name f =
+    let before = observe tb in
+    Alcotest.(check bool)
+      (name ^ " raises Invalid_argument")
+      true
+      (try
+         ignore (f ());
+         false
+       with Invalid_argument _ -> true);
+    Alcotest.(check bool) (name ^ " reads nothing") true (observe tb = before)
+  in
+  raises "sub_bytes off -1" (fun () ->
+      Msg.sub_bytes m ~as_:app ~off:(-1) ~len:1);
+  raises "sub_bytes len -1" (fun () ->
+      Msg.sub_bytes m ~as_:app ~off:0 ~len:(-1));
+  raises "sub_bytes past the end" (fun () ->
+      Msg.sub_bytes m ~as_:app ~off:5 ~len:4);
+  raises "sub_bytes off past the end" (fun () ->
+      Msg.sub_bytes m ~as_:app ~off:9 ~len:0);
+  raises "clip -1" (fun () -> Msg.clip m (-1));
+  raises "clip past the end" (fun () -> Msg.clip m 9);
+  raises "truncate -1" (fun () -> Msg.truncate m (-1));
+  raises "truncate past the end" (fun () -> Msg.truncate m 9);
+  check Alcotest.int "an empty range at the end is fine" 0
+    (Bytes.length (Msg.sub_bytes m ~as_:app ~off:8 ~len:0));
+  check Alcotest.string "the whole range" "abcdefgh"
+    (Bytes.to_string (Msg.sub_bytes m ~as_:app ~off:0 ~len:8))
+
 let () =
   let tc = Alcotest.test_case in
   Alcotest.run "msg"
@@ -413,6 +596,7 @@ let () =
           tc "iter_units exact" `Quick test_iter_units_exact;
           tc "iter_units gathers only on boundary" `Quick
             test_iter_units_gather_only_on_boundary;
+          tc "range checks" `Quick test_range_checks;
         ] );
       ( "integrated",
         [
@@ -435,5 +619,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_join_lengths;
           QCheck_alcotest.to_alcotest prop_integrated_roundtrip;
           QCheck_alcotest.to_alcotest prop_checksum_split_invariant;
+          QCheck_alcotest.to_alcotest prop_cuts_match_model;
+          QCheck_alcotest.to_alcotest prop_sub_bytes_matches_reference;
+          QCheck_alcotest.to_alcotest prop_mem_fbuf_matches_fbufs;
         ] );
     ]

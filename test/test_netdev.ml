@@ -324,6 +324,117 @@ let test_dma_unblocks_sender_cpu () =
     true (cpu_time < 500.0);
   Des.run p.des
 
+(* ------------------------------------------------------------------ *)
+(* The wire: FIFO per direction, under loss and interleaved stepping    *)
+(* ------------------------------------------------------------------ *)
+
+type wire_op = Send of int * int * int (* side, bytes, vci *) | Step
+
+let show_wire_op = function
+  | Send (side, bytes, vci) -> Printf.sprintf "Send(%d,%d,%d)" side bytes vci
+  | Step -> "Step"
+
+(* The bytes of the [seq]th PDU sent by [side]: a pattern of prime period
+   that differs from one PDU to the next. *)
+let pdu_fill side seq =
+  String.init 251 (fun i -> Char.chr ((i + (seq * 7) + (side * 101)) land 0xFF))
+
+let pdu_bytes side seq bytes =
+  let fill = pdu_fill side seq in
+  String.init bytes (fun i -> fill.[i mod 251])
+
+(* Runs [ops] over a connected pair (side 0 sends on [ad1], side 1 on
+   [ad2]), drains the scheduler, and checks each direction: the PDUs the
+   sender did not drop arrive exactly once, in send order, with their
+   bytes and vci, and delivered + dropped = sent. Returns the most PDUs
+   ever in flight in one direction. *)
+let run_wire ~loss ops =
+  let p = setup () in
+  let ads = [| p.ad1; p.ad2 |] and tbs = [| p.tb1; p.tb2 |] in
+  Array.iter (fun ad -> Osiris.set_loss_rate ad loss) ads;
+  let expected = [| []; [] |] and received = [| []; [] |] in
+  let sent = [| 0; 0 |] and dropped = [| 0; 0 |] and delivered = [| 0; 0 |] in
+  let most_in_flight = ref 0 in
+  Array.iteri
+    (fun side ad ->
+      let k = tbs.(side).Testbed.kernel in
+      (* [ad] receives what the other side sends. *)
+      Osiris.set_rx_handler ad (fun ~vci msg ->
+          let from = 1 - side in
+          received.(from) <- (vci, Msg.to_string msg ~as_:k) :: received.(from);
+          delivered.(from) <- delivered.(from) + 1;
+          Msg.free_held msg ~dom:k))
+    ads;
+  Osiris.register_path p.ad2 ~vci:3 ~domains:[ p.tb2.Testbed.kernel ];
+  Osiris.register_path p.ad1 ~vci:3 ~domains:[ p.tb1.Testbed.kernel ];
+  List.iter
+    (function
+      | Step -> ignore (Des.step p.des)
+      | Send (side, bytes, vci) ->
+          let seq = sent.(side) in
+          let tb = tbs.(side) in
+          let msg = kernel_msg tb bytes (Some (pdu_fill side seq)) in
+          let lost = Osiris.pdus_dropped ads.(side) in
+          Osiris.send_pdu ads.(side) ~vci msg;
+          Msg.free_held msg ~dom:tb.Testbed.kernel;
+          sent.(side) <- seq + 1;
+          if Osiris.pdus_dropped ads.(side) > lost then
+            dropped.(side) <- dropped.(side) + 1
+          else
+            expected.(side) <-
+              (vci, pdu_bytes side seq bytes) :: expected.(side);
+          let in_flight = sent.(side) - dropped.(side) - delivered.(side) in
+          most_in_flight := max !most_in_flight in_flight)
+    ops;
+  Des.run p.des;
+  for side = 0 to 1 do
+    let dir = Printf.sprintf "direction %d" side in
+    check Alcotest.int (dir ^ ": delivered + dropped = sent") sent.(side)
+      (delivered.(side) + dropped.(side));
+    check Alcotest.int (dir ^ ": the sender's drop count") dropped.(side)
+      (Osiris.pdus_dropped ads.(side));
+    check
+      Alcotest.(list (pair int string))
+      (dir ^ ": every undropped PDU once, in order, intact")
+      (List.rev expected.(side))
+      (List.rev received.(side))
+  done;
+  !most_in_flight
+
+let wire_op_gen =
+  let open QCheck.Gen in
+  let bytes = frequency [ (3, int_range 1 2000); (1, int_range 1 65536) ] in
+  let send =
+    map3 (fun side bytes vci -> Send (side, bytes, vci)) (int_bound 1) bytes
+      (int_range 1 4)
+  in
+  frequency [ (3, send); (2, return Step) ]
+
+let prop_wire_fifo =
+  QCheck.Test.make ~name:"wire delivers each undropped PDU once, in order"
+    ~count:60
+    QCheck.(
+      pair
+        (make ~print:string_of_float (Gen.oneofl [ 0.0; 0.0; 0.3 ]))
+        (make
+           ~print:(fun ops -> String.concat "; " (List.map show_wire_op ops))
+           Gen.(list_size (int_range 1 60) wire_op_gen)))
+    (fun (loss, ops) ->
+      ignore (run_wire ~loss ops);
+      true)
+
+(* Bursts with no dispatch in between hold more PDUs in flight than the
+   ring's initial 8 slots, in both directions and under loss. *)
+let test_wire_ring_grows () =
+  let burst side =
+    List.init 20 (fun i -> Send (side, 100 + (i * 997), 1 + (i mod 4)))
+  in
+  let ops = burst 0 @ [ Step; Step ] @ burst 1 @ burst 0 in
+  Alcotest.(check bool) "more than 8 in flight" true
+    (run_wire ~loss:0.0 ops > 8);
+  Alcotest.(check bool) "more than 8 in flight under loss" true
+    (run_wire ~loss:0.3 ops > 8)
+
 let () =
   let tc = Alcotest.test_case in
   Alcotest.run "netdev"
@@ -334,6 +445,8 @@ let () =
           tc "unconnected send rejected" `Quick test_unconnected_send_rejected;
           tc "multi-pdu ordering" `Quick test_multi_pdu_ordering;
           tc "bidirectional traffic" `Quick test_bidirectional_traffic;
+          tc "wire ring grows past 8 in flight" `Quick test_wire_ring_grows;
+          QCheck_alcotest.to_alcotest prop_wire_fifo;
         ] );
       ( "vci-demux",
         [

@@ -230,6 +230,155 @@ let test_udp_checksum_detects_corruption () =
   check Alcotest.int "not delivered" 0 (Testproto.received sink)
 
 (* ------------------------------------------------------------------ *)
+(* Reassembly out of order                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* One domain, a sending IP whose fragments are captured below it, each
+   copied into a fresh buffer the way the wire delivers it, and a
+   receiving IP whose reassembled messages are kept, not freed. *)
+type reasm_rig = {
+  d : Fbufs_vm.Pd.t;
+  data_alloc : Allocator.t;
+  tx : Ip.t;
+  captured : Msg.t list ref; (* newest first *)
+  make_rx : unit -> Ip.t * Msg.t list ref;
+}
+
+let reasm_rig () =
+  let tb = Testbed.create () in
+  let d = Testbed.user_domain tb "d" in
+  let alloc () = Testbed.allocator tb ~domains:[ d ] Fbuf.cached_volatile in
+  let wire_alloc = alloc () in
+  let captured = ref [] in
+  let capture =
+    Protocol.create ~name:"capture" ~dom:d
+      ~push:(fun pdu ->
+        let b = Msg.to_bytes pdu ~as_:d in
+        let fb = Allocator.alloc wire_alloc ~npages:2 in
+        Fbuf_api.write_bytes fb ~as_:d ~off:0 b;
+        captured := Msg.of_fbuf fb ~off:0 ~len:(Bytes.length b) :: !captured)
+      ()
+  in
+  let tx =
+    Ip.create ~dom:d ~below:capture ~header_alloc:(alloc ()) ~pdu_size:4096 ()
+  in
+  let make_rx () =
+    let rx =
+      Ip.create ~dom:d
+        ~below:(Protocol.create ~name:"null" ~dom:d ())
+        ~header_alloc:(alloc ()) ~pdu_size:4096 ()
+    in
+    let delivered = ref [] in
+    Ip.set_up rx
+      (Protocol.create ~name:"keep" ~dom:d
+         ~pop:(fun m -> delivered := m :: !delivered)
+         ());
+    (rx, delivered)
+  in
+  { d; data_alloc = alloc (); tx; captured; make_rx }
+
+(* The fragments of one datagram of [bytes], in send order. *)
+let fragments rig ~bytes ~fill =
+  rig.captured := [];
+  (Ip.proto rig.tx).Protocol.push
+    (Testproto.make_message ~alloc:rig.data_alloc ~as_:rig.d ~bytes ~fill ());
+  List.rev !(rig.captured)
+
+let windows m =
+  List.map
+    (fun (l : Msg.leaf) -> (l.Msg.fbuf.Fbuf.id, l.Msg.off, l.Msg.len))
+    (Msg.leaves m)
+
+let test_reassembly_out_of_order () =
+  let rig = reasm_rig () in
+  let bytes = (4 * 4096) + 100 in
+  let frags = Array.of_list (fragments rig ~bytes ~fill:"0123456789abcdef") in
+  check Alcotest.int "five fragments" 5 (Array.length frags);
+  let deliver order =
+    let rx, delivered = rig.make_rx () in
+    List.iter (fun i -> (Ip.proto rx).Protocol.pop frags.(i)) order;
+    check Alcotest.int "one reassembly" 1 (Ip.reassemblies_completed rx);
+    match !delivered with
+    | [ m ] -> m
+    | l -> Alcotest.failf "%d messages delivered" (List.length l)
+  in
+  let in_order = deliver [ 0; 1; 2; 3; 4 ] in
+  let expected = String.init bytes (fun i -> "0123456789abcdef".[i mod 16]) in
+  check Alcotest.string "in-order bytes" expected
+    (Msg.to_string in_order ~as_:rig.d);
+  List.iter
+    (fun (name, order) ->
+      let m = deliver order in
+      check Alcotest.string (name ^ ": bytes") expected
+        (Msg.to_string m ~as_:rig.d);
+      check Alcotest.int (name ^ ": depth") (Msg.depth in_order) (Msg.depth m);
+      check
+        Alcotest.(list (triple int int int))
+        (name ^ ": leaf windows") (windows in_order) (windows m))
+    [ ("reversed", [ 4; 3; 2; 1; 0 ]); ("shuffled", [ 2; 0; 4; 1; 3 ]) ]
+
+(* A completed datagram's record is reused: a second, longer datagram
+   arriving out of order must see neither the first one's fragments nor
+   its byte count nor its length. A third datagram opened while the
+   second is incomplete must get a record of its own. *)
+let test_reassembly_record_reuse () =
+  let rig = reasm_rig () in
+  let first_bytes = 4096 + 50
+  and second_bytes = (4 * 4096) + 100
+  and third_bytes = (2 * 4096) + 30 in
+  let first = fragments rig ~bytes:first_bytes ~fill:"first" in
+  let second =
+    Array.of_list (fragments rig ~bytes:second_bytes ~fill:"SECOND!")
+  in
+  let third = Array.of_list (fragments rig ~bytes:third_bytes ~fill:"3rd") in
+  let rx, delivered = rig.make_rx () in
+  let pop f = (Ip.proto rx).Protocol.pop f in
+  List.iter pop (List.rev first);
+  List.iter pop
+    [
+      second.(1); third.(1); second.(0); third.(0); third.(2); second.(2);
+      second.(4); second.(3);
+    ];
+  check Alcotest.int "three reassemblies" 3 (Ip.reassemblies_completed rx);
+  let pattern fill n = String.init n (fun i -> fill.[i mod String.length fill]) in
+  match !delivered with
+  | [ m2; m3; m1 ] ->
+      check Alcotest.string "first datagram" (pattern "first" first_bytes)
+        (Msg.to_string m1 ~as_:rig.d);
+      check Alcotest.string "second datagram"
+        (pattern "SECOND!" second_bytes)
+        (Msg.to_string m2 ~as_:rig.d);
+      check Alcotest.int "second datagram is five payloads" 5
+        (List.length (Msg.leaves m2));
+      check Alcotest.string "third datagram" (pattern "3rd" third_bytes)
+        (Msg.to_string m3 ~as_:rig.d)
+  | l -> Alcotest.failf "%d messages delivered" (List.length l)
+
+(* A duplicate fragment goes before the copy that arrived earlier, the
+   order a stable sort of the newest-first arrivals gave. *)
+let test_reassembly_duplicate_offset () =
+  let rig = reasm_rig () in
+  let frags = Array.of_list (fragments rig ~bytes:(4096 + 100) ~fill:"dup") in
+  let copy m =
+    let b = Msg.to_bytes m ~as_:rig.d in
+    let fb = Allocator.alloc rig.data_alloc ~npages:2 in
+    Fbuf_api.write_bytes fb ~as_:rig.d ~off:0 b;
+    Msg.of_fbuf fb ~off:0 ~len:(Bytes.length b)
+  in
+  let older = frags.(0) and newer = copy frags.(0) in
+  let rx, delivered = rig.make_rx () in
+  List.iter (fun f -> (Ip.proto rx).Protocol.pop f) [ older; newer; frags.(1) ];
+  let id m = (List.hd (Msg.leaves m)).Msg.fbuf.Fbuf.id in
+  match !delivered with
+  | [ m ] ->
+      check
+        Alcotest.(list int)
+        "newer duplicate first, then the older, then the tail"
+        [ id newer; id older; id frags.(1) ]
+        (List.map (fun (l : Msg.leaf) -> l.Msg.fbuf.Fbuf.id) (Msg.leaves m))
+  | l -> Alcotest.failf "%d messages delivered" (List.length l)
+
+(* ------------------------------------------------------------------ *)
 (* Multi-domain stack                                                  *)
 (* ------------------------------------------------------------------ *)
 
@@ -359,6 +508,10 @@ let () =
           tc "small message not fragmented" `Quick
             test_small_message_not_fragmented;
           tc "reassembly byte integrity" `Quick test_reassembly_byte_integrity;
+          tc "reassembly out of order" `Quick test_reassembly_out_of_order;
+          tc "reassembly record reuse" `Quick test_reassembly_record_reuse;
+          tc "reassembly duplicate offset" `Quick
+            test_reassembly_duplicate_offset;
           tc "udp demux by port" `Quick test_udp_demux_by_port;
           tc "udp unbound port drops" `Quick test_udp_unbound_port_drops;
           tc "udp checksum validates" `Quick test_udp_checksum_validates;

@@ -154,6 +154,42 @@ let test_bulk_rw_cross_page () =
   let back = Access.read_bytes a ~vaddr:va ~len:8192 in
   check Alcotest.bytes "cross-page integrity" payload back
 
+(* [read_into] fills a window of the caller's buffer with what
+   [write_bytes] stored, charges one copy per byte, and counts the bytes
+   in "mem.bytes_read"; a range that does not fit raises before any
+   read. *)
+let test_read_into_window () =
+  let m, a, _ = setup () in
+  let vpn = Vm_map.reserve_private a.Pd.map ~npages:3 in
+  Vm_map.map_zero_fill a.Pd.map ~vpn ~npages:3;
+  let va = (vpn * ps m) + (ps m / 2) in
+  let payload = Bytes.init 6000 (fun i -> Char.chr ((i * 3) land 0xFF)) in
+  Access.write_bytes a ~vaddr:va payload;
+  let counted () = Stats.get m.Machine.stats "mem.bytes_read" in
+  let out = Bytes.make 6010 '.' in
+  let read0 = counted () and busy0 = Machine.busy_us m in
+  Access.read_into a ~vaddr:va ~len:6000 out ~pos:5;
+  check Alcotest.string "window filled, margins untouched"
+    ("....." ^ Bytes.to_string payload ^ ".....")
+    (Bytes.to_string out);
+  check Alcotest.int "bytes counted" (read0 + 6000) (counted ());
+  check (Alcotest.float 1e-9) "one copy charge per byte"
+    (6000.0 *. m.Machine.cost.Cost_model.copy_per_byte)
+    (Machine.busy_us m -. busy0);
+  let now = Machine.now m in
+  List.iter
+    (fun (len, pos) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "len %d at %d raises" len pos)
+        true
+        (try
+           Access.read_into a ~vaddr:va ~len out ~pos;
+           false
+         with Invalid_argument _ -> true))
+    [ (10, 6005); (1, -1); (-1, 0); (6011, 0) ];
+  check (Alcotest.float 0.0) "rejected reads charge nothing" now (Machine.now m);
+  check Alcotest.int "rejected reads count nothing" (read0 + 6000) (counted ())
+
 let test_blit_between_domains () =
   let m, a, b = setup () in
   let vpn_a = Vm_map.reserve_private a.Pd.map ~npages:2 in
@@ -526,6 +562,7 @@ let () =
           tc "read-only write violates" `Quick test_read_only_write_violates;
           tc "no-access read violates" `Quick test_no_access_read_violates;
           tc "bulk rw cross page" `Quick test_bulk_rw_cross_page;
+          tc "read_into window" `Quick test_read_into_window;
           tc "blit between domains" `Quick test_blit_between_domains;
           tc "checksum known value" `Quick test_checksum_known_value;
           tc "checksum odd length" `Quick test_checksum_odd_length;
