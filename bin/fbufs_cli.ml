@@ -74,7 +74,7 @@ let zero_flag =
 
 let no_elision_flag =
   let doc =
-    "Disable generation-tagged TLB shootdown deferral and elision: every \
+    "Disable TLB shootdown deferral and elision: every \
      protection downgrade and unmap pays the immediate per-page \
      shootdown, reproducing the pre-elision cost model exactly."
   in
@@ -356,10 +356,10 @@ let check_cmd =
       if quick then List.concat_map (fun s -> [ (s, false); (s, true) ]) seeds
       else List.map (fun s -> (s, adversary)) seeds
     in
-    let run_jobs () =
+    let run_jobs ?on_refusal () =
       List.filter_map
         (fun (seed, adversary) ->
-          let o = Fbufs_check.run_seed ~seed ~ops ~adversary in
+          let o = Fbufs_check.run_seed ?on_refusal ~seed ~ops ~adversary () in
           Format.printf "%a@." Fbufs_check.pp_outcome o;
           if Fbufs_check.Driver.failed o.Fbufs_check.report then Some o
           else None)
@@ -371,20 +371,17 @@ let check_cmd =
       | Some dir ->
           let module O = Fbufs_obs in
           let r = O.Recorder.create ~dir in
-          Fbufs_check.Driver.refusal_hook :=
-            Some
-              (fun what ->
-                O.Recorder.note r ~kind:"check.refusal"
-                  ~args:[ ("op", Fbufs_trace.Trace.Str what) ]
-                  ();
-                ignore (O.Recorder.trigger r ~reason:("refusal:" ^ what)));
+          let on_refusal what =
+            O.Recorder.note r ~kind:"check.refusal"
+              ~args:[ ("op", Fbufs_trace.Trace.Str what) ]
+              ();
+            ignore (O.Recorder.trigger r ~reason:("refusal:" ^ what))
+          in
           Fun.protect
-            ~finally:(fun () ->
-              Fbufs_check.Driver.refusal_hook := None;
-              O.Recorder.disarm r)
+            ~finally:(fun () -> O.Recorder.disarm r)
             (fun () ->
               H.Run.with_outputs ~extend:(O.Recorder.arm r) (fun () ->
-                  let failures = run_jobs () in
+                  let failures = run_jobs ~on_refusal () in
                   ignore (O.Recorder.trigger ~force:true r ~reason:"exit");
                   failures))
     in

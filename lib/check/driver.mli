@@ -23,20 +23,24 @@ type report = {
 val failed : report -> bool
 val pp_report : Format.formatter -> report -> unit
 
-val replay : seed:int -> Op.t list -> report
+val replay : ?on_refusal:(string -> unit) -> seed:int -> Op.t list -> report
 (** Build a fresh world from [seed] and run the sequence. Never raises:
-    divergences are reported in [failure]. *)
+    divergences are reported in [failure]. [on_refusal] (default
+    [ignore]) is called with the op description whenever a documented
+    refusal fires (an expected [Dead_fbuf]/[Invalid_argument] observed,
+    or a divergence raised while expecting one); [check --record] passes
+    the flight recorder's trigger so adversary-mode refusals can fire a
+    post-mortem dump. *)
 
 val gen_ops : seed:int -> n:int -> adversary:bool -> Op.t list
 (** The operation sequence for a seed, via a non-perturbing
     {!Fbufs_sim.Rng.fork} of the machine seed. *)
 
-val run : seed:int -> ops:int -> adversary:bool -> report * Op.t list
+val run :
+  ?on_refusal:(string -> unit) ->
+  seed:int ->
+  ops:int ->
+  adversary:bool ->
+  unit ->
+  report * Op.t list
 (** [gen_ops] + [replay]; returns the sequence for shrinking. *)
-
-val refusal_hook : (string -> unit) option ref
-(** Called with the op description whenever a documented refusal fires
-    (an expected [Dead_fbuf]/[Invalid_argument] observed, or a
-    divergence raised while expecting one). [None] by default; the
-    flight recorder installs itself here so adversary-mode refusals can
-    trigger a post-mortem dump. *)

@@ -22,10 +22,11 @@ type outcome = {
   shrunk : Op.t list option;  (* minimal reproducer, failures only *)
 }
 
-let run_seed ~seed ~ops ~adversary =
-  let report, sequence = Driver.run ~seed ~ops ~adversary in
+let run_seed ?on_refusal ~seed ~ops ~adversary () =
+  let report, sequence = Driver.run ?on_refusal ~seed ~ops ~adversary () in
   let shrunk =
-    if Driver.failed report then Some (fst (Shrink.minimize ~seed sequence))
+    if Driver.failed report then
+      Some (fst (Shrink.minimize ?on_refusal ~seed sequence))
     else None
   in
   { seed; adversary; report; shrunk }

@@ -27,7 +27,14 @@ type outcome = {
       (** minimal reproducer, present exactly when the run failed *)
 }
 
-val run_seed : seed:int -> ops:int -> adversary:bool -> outcome
-(** Generate, replay, and (on failure) shrink one seeded run. *)
+val run_seed :
+  ?on_refusal:(string -> unit) ->
+  seed:int ->
+  ops:int ->
+  adversary:bool ->
+  unit ->
+  outcome
+(** Generate, replay, and (on failure) shrink one seeded run; every
+    replay passes [on_refusal] to {!Driver.replay}. *)
 
 val pp_outcome : Format.formatter -> outcome -> unit

@@ -71,9 +71,8 @@ type t = {
   allocs : allocator array;
   mutable rev_fbufs : fbuf list;
   mutable next_key : int;
-  (* TLB discipline mirror, see the window/generation section below. *)
+  (* TLB discipline mirror, see the window section below. *)
   windows : (int, unit) Hashtbl.t;
-  mutable gens : (int * int) list;  (* dom -> expected generation *)
 }
 
 let create ~page_size ?(alpha = 0.0) specs =
@@ -87,7 +86,6 @@ let create ~page_size ?(alpha = 0.0) specs =
     rev_fbufs = [];
     next_key = 0;
     windows = Hashtbl.create 256;
-    gens = [];
   }
 
 let all t = List.rev t.rev_fbufs
@@ -378,7 +376,7 @@ let balance_order t ~allocs ~free =
   in
   List.sort (fun a b -> compare (key a) (key b)) cands
 
-(* -- TLB shootdown windows and generations ---------------------------- *)
+(* -- TLB shootdown windows --------------------------------------------- *)
 
 (* Mirror of the deferred-shootdown discipline (Pmap/Tlb). The model
    cannot predict which pages are TLB-resident — replacement is random in
@@ -390,21 +388,12 @@ let balance_order t ~allocs ~free =
    real TLB falls on a windowed page — a pending on a page that never
    saw a sanctioned teardown means a shootdown was deferred on the wrong
    path. Windows only accumulate; precision comes from the companion
-   per-entry audit in the driver, not from closing them.
-
-   Generations move only on explicit ASID flushes, which the replay world
-   never issues, so the expected value pins any stray [Tlb.flush_asid] a
-   future change might introduce. The windows hashtable is private to the
-   model (nothing here is shared with the subject). *)
+   per-entry audit in the driver, not from closing them. The windows
+   hashtable is private to the model (nothing here is shared with the
+   subject). *)
 
 let window_open t ~vpn = Hashtbl.replace t.windows vpn ()
 let window_sanctions t ~vpn = Hashtbl.mem t.windows vpn
-
-let expected_generation t ~dom =
-  match List.assoc_opt dom t.gens with Some g -> g | None -> 0
-
-let note_asid_flush t ~dom =
-  t.gens <- (dom, expected_generation t ~dom + 1) :: List.remove_assoc dom t.gens
 
 let apply_reclaim t fb =
   fb.resident <- false;

@@ -148,15 +148,10 @@ val balance_order : t -> allocs:int list -> free:int -> fbuf list
     The model's view of the deferred-shootdown rules: which pages are
     {e allowed} to have a queued shootdown (a sanctioned-teardown
     superset — TLB residency itself is random in the subject and not
-    predictable), and what generation each address space must be at
-    (the replay world never flushes an ASID, so a moved generation is a
-    divergence). *)
+    predictable). *)
 
 val window_open : t -> vpn:int -> unit
 (** Record that [vpn] saw a teardown that may defer its shootdown. *)
 
 val window_sanctions : t -> vpn:int -> bool
 (** Whether a queued shootdown on [vpn] is sanctioned. *)
-
-val expected_generation : t -> dom:int -> int
-val note_asid_flush : t -> dom:int -> unit

@@ -7,7 +7,8 @@
    since a shrunk sequence exposing a *different* divergence is still a
    minimal reproducer of a real bug. *)
 
-let fails ~seed ops = Driver.failed (Driver.replay ~seed ops)
+let fails ?on_refusal ~seed ops =
+  Driver.failed (Driver.replay ?on_refusal ~seed ops)
 
 let take n l = List.filteri (fun i _ -> i < n) l
 let drop_slice l ~at ~len =
@@ -16,7 +17,7 @@ let drop_slice l ~at ~len =
 (* Classic delta debugging: try removing chunks of size n/2, n/4, ... 1,
    restarting from the current (smaller) sequence after each successful
    removal. *)
-let ddmin ~seed ops =
+let ddmin ?on_refusal ~seed ops =
   let ops = ref ops in
   let chunk = ref (max 1 (List.length !ops / 2)) in
   while !chunk >= 1 do
@@ -27,7 +28,9 @@ let ddmin ~seed ops =
       let at = ref 0 in
       while !at < List.length !ops do
         let cand = drop_slice !ops ~at:!at ~len:!chunk in
-        if List.length cand < List.length !ops && fails ~seed cand then begin
+        if
+          List.length cand < List.length !ops && fails ?on_refusal ~seed cand
+        then begin
           ops := cand;
           progressed := true
           (* keep [at]: the next slice slid into place *)
@@ -40,12 +43,12 @@ let ddmin ~seed ops =
   done;
   !ops
 
-let minimize ~seed ops =
-  match Driver.replay ~seed ops with
+let minimize ?on_refusal ~seed ops =
+  match Driver.replay ?on_refusal ~seed ops with
   | { Driver.failure = None; _ } as r -> (ops, r)
   | { Driver.failure = Some (step, _, _); _ } ->
       (* Truncating to the failing step is the big first win: everything
          after it is dead weight by construction. *)
       let ops = take (step + 1) ops in
-      let ops = ddmin ~seed ops in
-      (ops, Driver.replay ~seed ops)
+      let ops = ddmin ?on_refusal ~seed ops in
+      (ops, Driver.replay ?on_refusal ~seed ops)

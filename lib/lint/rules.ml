@@ -524,7 +524,7 @@ let l7_pass ~file str =
 (* ------------------------------------------------------------------ *)
 (* L6: metric registrations                                            *)
 
-(* A registration is an application of [counter]/[gauge]/[histogram]
+(* A registration is an application of [counter]/[gauge]/[sketch]
    (under any module alias of [Fbufs_metrics.Metrics]) carrying both the
    [~name] and [~help] labelled arguments — the registration signature.
    Three disciplines, all static approximations of what the runtime
@@ -562,7 +562,7 @@ let labelled l args =
 
 let is_metric_registration f args =
   (match rev_path f with
-  | Some (("counter" | "gauge" | "histogram" | "sketch") :: _) -> true
+  | Some (("counter" | "gauge" | "sketch") :: _) -> true
   | _ -> false)
   && labelled "name" args <> None
   && labelled "help" args <> None

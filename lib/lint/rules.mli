@@ -39,7 +39,7 @@
       of a call whose result carries an fbuf handle ([Allocator.alloc],
       [Msg.of_fbuf], [Testproto.make_message]).
     - {b L6 — metric registration discipline}: every
-      [Fbufs_metrics.Metrics] registration ([counter]/[gauge]/[histogram]
+      [Fbufs_metrics.Metrics] registration ([counter]/[gauge]/[sketch]
       under any module alias, recognized by its [~name]/[~help]
       signature) must pass a string literal matching
       [^fbufs_[a-z0-9_]+$] as its name, must not reuse a literal already

@@ -5,13 +5,17 @@
    both the live counters and the cost attribution. *)
 
 module Json = Fbufs_trace.Json
-module Histogram = Fbufs_trace.Histogram
 
 let kind_str = function
   | Metrics.Counter -> "counter"
   | Metrics.Gauge -> "gauge"
-  | Metrics.Hist -> "histogram"
   | Metrics.Sketch -> "sketch"
+
+(* Prometheus has no sketch type: a sketch family's [_count], [_sum] and
+   [{quantile=...}] samples are the summary shape. *)
+let prometheus_type = function
+  | Metrics.Sketch -> "summary"
+  | k -> kind_str k
 
 (* Prometheus label-value escaping: backslash, quote, newline. *)
 let escape s =
@@ -66,32 +70,27 @@ let to_prometheus t =
       let d = s.def in
       if not (Hashtbl.mem seen d.id) then begin
         Hashtbl.add seen d.id ();
-        emit_header d.name d.help (kind_str d.kind)
+        emit_header d.name d.help (prometheus_type d.kind)
       end;
-      let distribution ~count ~sum ~percentile =
-        let ls = label_str d.labels s.labels in
-        Buffer.add_string b (Printf.sprintf "%s_count%s %d\n" d.name ls count);
-        Buffer.add_string b
-          (Printf.sprintf "%s_sum%s %s\n" d.name ls (fnum sum));
-        List.iter
-          (fun p ->
-            let q =
-              label_str
-                (d.labels @ [ "quantile" ])
-                (s.labels @ [ Printf.sprintf "%.2f" (p /. 100.0) ])
-            in
-            Buffer.add_string b
-              (Printf.sprintf "%s%s %s\n" d.name q (fnum (percentile p))))
-          [ 50.0; 90.0; 99.0 ]
-      in
-      match (s.histo, s.sketch) with
-      | Some h, _ ->
-          distribution ~count:(Histogram.count h) ~sum:(Histogram.sum h)
-            ~percentile:(Histogram.percentile h)
-      | None, Some sk ->
-          distribution ~count:(Sketch.count sk) ~sum:(Sketch.sum sk)
-            ~percentile:(Sketch.quantile sk)
-      | None, None ->
+      match s.sketch with
+      | Some sk ->
+          let ls = label_str d.labels s.labels in
+          Buffer.add_string b
+            (Printf.sprintf "%s_count%s %d\n" d.name ls (Sketch.count sk));
+          Buffer.add_string b
+            (Printf.sprintf "%s_sum%s %s\n" d.name ls (fnum (Sketch.sum sk)));
+          List.iter
+            (fun p ->
+              let q =
+                label_str
+                  (d.labels @ [ "quantile" ])
+                  (s.labels @ [ Printf.sprintf "%.2f" (p /. 100.0) ])
+              in
+              Buffer.add_string b
+                (Printf.sprintf "%s%s %s\n" d.name q
+                   (fnum (Sketch.quantile sk p))))
+            [ 50.0; 90.0; 99.0 ]
+      | None ->
           Buffer.add_string b
             (Printf.sprintf "%s%s %s\n" d.name
                (label_str d.labels s.labels)

@@ -7,8 +7,8 @@
 
 val to_prometheus : Metrics.t -> string
 (** Prometheus text format: [# HELP]/[# TYPE] headers followed by
-    [name{label="v"} value] lines; histograms emit [_count], [_sum] and
-    p50/p90/p99 quantile lines. *)
+    [name{label="v"} value] lines; sketch families are typed [summary]
+    and emit [_count], [_sum] and p50/p90/p99 quantile lines. *)
 
 val to_json : Metrics.t -> Fbufs_trace.Json.t
 val to_json_string : Metrics.t -> string

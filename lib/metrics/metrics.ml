@@ -9,7 +9,7 @@
    disabled" is represented by the absence of an instance — the
    instrumented code paths then do no registry work at all. *)
 
-type kind = Counter | Gauge | Hist | Sketch
+type kind = Counter | Gauge | Sketch
 
 type def = {
   id : int;
@@ -44,7 +44,6 @@ let register kind ~name ~help ?(labels = []) () =
 
 let counter ~name ~help ?labels () = register Counter ~name ~help ?labels ()
 let gauge ~name ~help ?labels () = register Gauge ~name ~help ?labels ()
-let histogram ~name ~help ?labels () = register Hist ~name ~help ?labels ()
 let sketch ~name ~help ?labels () = register Sketch ~name ~help ?labels ()
 
 let definitions () =
@@ -53,13 +52,12 @@ let definitions () =
 
 let find_def name = Hashtbl.find_opt defs name
 
-(* A value cell. Counters and gauges use [v]; histograms use [hist];
-   sketch-kind metrics use [sk]. [n] counts observations (for
-   distributions and counter increments). *)
+(* A value cell. Counters and gauges use [v]; sketch-kind metrics use
+   [sk]. [n] counts observations (for distributions and counter
+   increments). *)
 type cell = {
   mutable v : float;
   mutable n : int;
-  hist : Fbufs_trace.Histogram.t option;
   sk : Sketch.t option;
 }
 
@@ -87,14 +85,10 @@ let cell t d labels =
         {
           v = 0.0;
           n = 0;
-          hist =
-            (match d.kind with
-            | Hist -> Some (Fbufs_trace.Histogram.create ())
-            | Counter | Gauge | Sketch -> None);
           sk =
             (match d.kind with
             | Sketch -> Some (Sketch.create ())
-            | Counter | Gauge | Hist -> None);
+            | Counter | Gauge -> None);
         }
       in
       Hashtbl.add t.cells key c;
@@ -114,22 +108,15 @@ let set t d ?(labels = []) x =
 
 let observe t d ?(labels = []) x =
   let c = cell t d labels in
-  (match (c.hist, c.sk) with
-  | Some h, _ -> Fbufs_trace.Histogram.add h x
-  | None, Some sk -> Sketch.add sk x
-  | None, None -> c.v <- c.v +. x);
+  (match c.sk with Some sk -> Sketch.add sk x | None -> c.v <- c.v +. x);
   c.n <- c.n + 1
 
-let cell_value d c =
-  match (d.kind, c.hist, c.sk) with
-  | Hist, Some h, _ -> Fbufs_trace.Histogram.sum h
-  | Sketch, _, Some sk -> Sketch.sum sk
-  | _ -> c.v
+let cell_value c = match c.sk with Some sk -> Sketch.sum sk | None -> c.v
 
 let value t d ~labels =
   check_labels d labels;
   match Hashtbl.find_opt t.cells (d.id, labels) with
-  | Some c -> Some (cell_value d c)
+  | Some c -> Some (cell_value c)
   | None -> None
 
 let value_by_name t ~name ~labels =
@@ -140,7 +127,7 @@ let total_by_name t ~name =
   | None -> 0.0
   | Some d ->
       Hashtbl.fold
-        (fun (id, _) c acc -> if id = d.id then acc +. cell_value d c else acc)
+        (fun (id, _) c acc -> if id = d.id then acc +. cell_value c else acc)
         t.cells 0.0
 
 type sample = {
@@ -148,7 +135,6 @@ type sample = {
   labels : string list;
   value : float;
   count : int;
-  histo : Fbufs_trace.Histogram.t option;
   sketch : Sketch.t option;
 }
 
@@ -163,9 +149,8 @@ let samples t =
           {
             def = d;
             labels;
-            value = cell_value d c;
+            value = cell_value c;
             count = c.n;
-            histo = c.hist;
             sketch = c.sk;
           }
           :: acc)

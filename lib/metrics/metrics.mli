@@ -10,7 +10,7 @@
     lint rule L6 additionally checks, statically, that registrations use
     literal names at module init. *)
 
-type kind = Counter | Gauge | Hist | Sketch
+type kind = Counter | Gauge | Sketch
 
 type def = {
   id : int;  (** dense registration index *)
@@ -28,18 +28,10 @@ val gauge : name:string -> help:string -> ?labels:string list -> unit -> def
 (** Register a gauge (set to current level). Raises [Invalid_argument] on
     a bad or duplicate name, as {!counter}. *)
 
-val histogram :
-  name:string -> help:string -> ?labels:string list -> unit -> def
-(** Register a distribution metric backed by
-    {!Fbufs_trace.Histogram}. Raises [Invalid_argument] on a bad or
-    duplicate name, as {!counter}. *)
-
 val sketch : name:string -> help:string -> ?labels:string list -> unit -> def
 (** Register a distribution metric backed by a mergeable quantile
-    {!Sketch} (default relative-error bound) instead of a log-bucket
-    histogram — the bounded-memory choice for high-cardinality label
-    sets. Raises [Invalid_argument] on a bad or duplicate name, as
-    {!counter}. *)
+    {!Sketch} (default relative-error bound). Raises [Invalid_argument]
+    on a bad or duplicate name, as {!counter}. *)
 
 val definitions : unit -> def list
 (** All registered definitions in registration order. *)
@@ -63,12 +55,12 @@ val set : t -> def -> ?labels:string list -> float -> unit
 (** Gauge write (overwrites the cell). *)
 
 val observe : t -> def -> ?labels:string list -> float -> unit
-(** Distribution sample (histogram or sketch, per the def's kind); on a
-    scalar def behaves like {!add}. *)
+(** Distribution sample into a sketch def's cell; on a scalar def
+    behaves like {!add}. *)
 
 val value : t -> def -> labels:string list -> float option
-(** Current value of one cell ([None] if never touched). Histograms and
-    sketches report their sample sum. All three accessors raise
+(** Current value of one cell ([None] if never touched). Sketches
+    report their sample sum. All three accessors raise
     [Invalid_argument] when the label-value count does not match the
     definition. *)
 
@@ -82,7 +74,6 @@ type sample = {
   labels : string list;
   value : float;
   count : int;  (** number of updates that hit this cell *)
-  histo : Fbufs_trace.Histogram.t option;  (** populated for [Hist] cells *)
   sketch : Sketch.t option;  (** populated for [Sketch] cells *)
 }
 

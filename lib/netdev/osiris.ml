@@ -11,7 +11,7 @@ let net_pdus =
     ~labels:[ "machine"; "dir" ] ()
 
 let net_pdu_bytes =
-  Mx.histogram ~name:"fbufs_net_pdu_bytes"
+  Mx.sketch ~name:"fbufs_net_pdu_bytes"
     ~help:"PDU payload sizes, by direction" ~labels:[ "machine"; "dir" ] ()
 
 let net_cells =

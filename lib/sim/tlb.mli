@@ -10,25 +10,22 @@
     against non-volatile fbufs), and upgrading leads to a TLB modification
     fault on the next write through a stale read-only entry.
 
-    Two mechanisms make invalidation cheap for the fbuf reuse path:
+    Every valid entry's (ASID, VPN) tag is kept in an open-addressed
+    index from tag to slot, so a probe, a refill and a shootdown are O(1)
+    rather than a scan of the array, and an entry is live exactly when
+    it is valid.
 
-    - {b Generations.} Every ASID owns a generation word and every entry is
-      tagged with the generation current when it was inserted; an entry is
-      live only while the tags match. {!flush_asid} is therefore an O(1)
-      generation bump — stale entries are reclaimed lazily when a probe or
-      insert next lands on them, and a generation-word wraparound falls
-      back to one eager sweep before resetting to zero.
-
-    - {b Deferred shootdowns.} Instead of invalidating immediately, the VM
-      layer may queue a shootdown ({!defer}) to be either cancelled when
-      the identical translation is re-entered (fbuf reuse — the elision the
-      whole exercise is after) or drained in one batch at the next
-      synchronization barrier ({!invalidate_pending}). The queue records
-      the removed translation's pmap word (frame and writability) so
-      re-entry can prove identity. It is an open-addressed table of
-      immediate ints: queueing, cancelling and draining allocate nothing.
-      The TLB itself charges nothing; cost accounting stays with the
-      callers. *)
+    Invalidation is cheap on the fbuf reuse path through {b deferred
+    shootdowns}: instead of invalidating immediately, the VM layer may
+    queue a shootdown ({!defer}) to be either cancelled when the identical
+    translation is re-entered (fbuf reuse — the elision the whole exercise
+    is after) or drained in one batch at the next synchronization barrier
+    ({!invalidate_pending}). The queue records the removed translation's
+    pmap word (frame and writability) so re-entry can prove identity. The
+    queue and the tag index are two instances of one table of immediate
+    ints: probing, refilling, queueing, cancelling and draining allocate
+    nothing. The TLB itself charges nothing; cost accounting stays with
+    the callers. *)
 
 type t
 
@@ -39,44 +36,29 @@ type probe_result =
           is read-only: the hardware raises a TLB modification exception *)
   | Miss  (** no entry for this (asid, vpn) *)
 
-val create : ?entries:int -> ?gen_limit:int -> Rng.t -> t
-(** [entries] defaults to 64 (R3000); [gen_limit] is the exclusive upper
-    bound on a per-ASID generation word before the wraparound sweep runs
-    (default [2{^20}]; raises [Invalid_argument] when < 2 or when
-    [entries] is not positive). *)
+val create : ?entries:int -> Rng.t -> t
+(** [entries] defaults to 64 (R3000); raises [Invalid_argument] when it
+    is not positive. *)
 
 val entries : t -> int
 
 val probe : t -> asid:int -> vpn:int -> write:bool -> probe_result
-(** Look up a translation. Never changes the visible contents, but may
-    lazily reclaim a generation-stale slot it lands on. *)
+(** Look up a translation. Changes nothing. *)
 
 val insert : t -> asid:int -> vpn:int -> writable:bool -> unit
 (** Refill after a miss (or after a modification fault, with the new
     permission). Replaces the existing entry for (asid, vpn) if any,
-    otherwise prefers a non-live slot and falls back to evicting a random
-    victim. *)
+    otherwise prefers the lowest-numbered invalid slot and falls back to
+    evicting a random victim. *)
 
 val invalidate : t -> asid:int -> vpn:int -> unit
 (** Shoot down one entry if present. *)
 
-val flush_asid : t -> asid:int -> unit
-(** Invalidate every entry belonging to one address space: an O(1)
-    generation bump (plus dropping that ASID's queued shootdowns, which it
-    subsumes), degenerating to an eager sweep only on generation-word
-    wraparound. *)
-
-val flush_all : t -> unit
-
 val valid_entries : t -> int
-(** Number of live entries (for tests and locality diagnostics);
-    generation-stale slots do not count. *)
-
-val generation : t -> asid:int -> int
-(** Current generation word of [asid] (for tests and the checker). *)
+(** Number of valid entries (for tests and locality diagnostics). *)
 
 val iter_live : t -> (asid:int -> vpn:int -> writable:bool -> unit) -> unit
-(** Iterate the live entries (for the checker's stale-translation audit). *)
+(** Iterate the valid entries (for the checker's stale-translation audit). *)
 
 (** {2 Deferred-shootdown queue} *)
 

@@ -11,7 +11,7 @@ let encode ~frame ~writable = (frame lsl 1) lor Bool.to_int writable
 let frame w = w lsr 1
 let writable w = w land 1 = 1
 
-(* Deferred/elidable shootdowns (generation-tagged TLB). On: removes of
+(* Deferred/elidable shootdowns (the TLB's pending queue). On: removes of
    TLB-cached translations are queued instead of flushed and cancelled
    outright when the identical translation is re-entered; removes of
    uncached translations pay nothing. Off: every downgrade and remove

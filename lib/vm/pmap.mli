@@ -27,7 +27,7 @@ val writable : int -> bool
 val elision_enabled : bool ref
 (** Deferred/elidable shootdowns (default on). When off, every downgrade
     and remove pays the immediate per-page shootdown, reproducing the
-    pre-generation-TLB (PR6) cost model exactly. *)
+    pre-deferral (PR6) cost model exactly. *)
 
 val chaos_defer_downgrade : bool ref
 (** Fault injection for the differential checker (default off): defer

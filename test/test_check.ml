@@ -16,7 +16,7 @@ module Msg = Fbufs_msg.Msg
 module Integrated = Fbufs_msg.Integrated
 
 let check_seed ~adversary seed =
-  let report, _ = Check.Driver.run ~seed ~ops:300 ~adversary in
+  let report, _ = Check.Driver.run ~seed ~ops:300 ~adversary () in
   match report.Check.Driver.failure with
   | None -> ()
   | Some (step, op, msg) ->
@@ -63,7 +63,7 @@ let test_chaos_bug_caught_and_shrunk () =
   Fun.protect ~finally:(fun () -> Transfer.chaos_skip_protect := false)
   @@ fun () ->
   Transfer.chaos_skip_protect := true;
-  let report, ops = Check.Driver.run ~seed:1 ~ops:400 ~adversary:false in
+  let report, ops = Check.Driver.run ~seed:1 ~ops:400 ~adversary:false () in
   Alcotest.(check bool) "seeded bug detected" true (Check.Driver.failed report);
   let shrunk, shrunk_report = Check.Shrink.minimize ~seed:1 ops in
   Alcotest.(check bool) "shrunk sequence still fails" true
@@ -85,7 +85,7 @@ let test_tlb_chaos_bug_caught_and_shrunk () =
   Fun.protect ~finally:(fun () -> Pmap.chaos_defer_downgrade := false)
   @@ fun () ->
   Pmap.chaos_defer_downgrade := true;
-  let report, ops = Check.Driver.run ~seed:1 ~ops:400 ~adversary:false in
+  let report, ops = Check.Driver.run ~seed:1 ~ops:400 ~adversary:false () in
   Alcotest.(check bool) "seeded bug detected" true (Check.Driver.failed report);
   let shrunk, shrunk_report = Check.Shrink.minimize ~seed:1 ops in
   Alcotest.(check bool) "shrunk sequence still fails" true

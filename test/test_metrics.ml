@@ -69,8 +69,8 @@ let rt_counter =
 
 let rt_gauge = Mx.gauge ~name:"fbufs_test_rt_depth" ~help:"round-trip gauge" ()
 
-let rt_hist =
-  Mx.histogram ~name:"fbufs_test_rt_bytes" ~help:"round-trip histogram" ()
+let rt_sketch =
+  Mx.sketch ~name:"fbufs_test_rt_bytes" ~help:"round-trip sketch" ()
 
 let populated () =
   let mx = Mx.create () in
@@ -78,7 +78,7 @@ let populated () =
   Mx.incr mx rt_counter ~labels:[ "7" ] ();
   Mx.incr mx rt_counter ~labels:[ "9" ] ();
   Mx.set mx rt_gauge 42.0;
-  List.iter (Mx.observe mx rt_hist) [ 10.0; 20.0; 30.0 ];
+  List.iter (Mx.observe mx rt_sketch) [ 10.0; 20.0; 30.0 ];
   Ledger.charge (Mx.ledger mx) ~machine:"tb" ~comp:Component.Copy
     ~kind:"bcopy" 2.5;
   mx
@@ -99,7 +99,7 @@ let test_json_round_trip () =
     (flat_value flats "fbufs_test_rt_total" [ ("path", "7") ]);
   check (Alcotest.float 0.0) "gauge cell" 42.0
     (flat_value flats "fbufs_test_rt_depth" []);
-  check (Alcotest.float 0.0) "histogram sum" 60.0
+  check (Alcotest.float 0.0) "sketch sum" 60.0
     (flat_value flats "fbufs_test_rt_bytes" []);
   check (Alcotest.float 0.0) "ledger family" 2.5
     (flat_value flats "fbufs_cost_us_total"
@@ -119,7 +119,7 @@ let test_prometheus_text () =
     [
       "# TYPE fbufs_test_rt_total counter";
       "fbufs_test_rt_total{path=\"7\"} 2";
-      "# TYPE fbufs_test_rt_bytes histogram";
+      "# TYPE fbufs_test_rt_bytes summary";
       "fbufs_test_rt_bytes_count 3";
       "fbufs_cost_us_total{machine=\"tb\",component=\"copy\",kind=\"bcopy\"} \
        2.5";
@@ -215,7 +215,7 @@ let test_counters_match_model () =
   List.iter
     (fun (seed, adversary) ->
       let (report, _), _ =
-        metered (fun () -> Check.Driver.run ~seed ~ops:300 ~adversary)
+        metered (fun () -> Check.Driver.run ~seed ~ops:300 ~adversary ())
       in
       if Check.Driver.failed report then
         Alcotest.failf "seed %d (adversary %b): %s" seed adversary

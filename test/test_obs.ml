@@ -220,7 +220,7 @@ let test_planted_violation_still_fails_checker () =
   Fun.protect ~finally:(fun () -> Policy.chaos_skip_threshold := false)
   @@ fun () ->
   Policy.chaos_skip_threshold := true;
-  let report, _ops = Check.Driver.run ~seed:1 ~ops:400 ~adversary:true in
+  let report, _ops = Check.Driver.run ~seed:1 ~ops:400 ~adversary:true () in
   Alcotest.(check bool) "offline checker catches the same fault" true
     (Check.Driver.failed report)
 

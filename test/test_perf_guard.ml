@@ -273,8 +273,8 @@ let test_sketch_disabled_exact () =
 (* The TLB deferral rework keeps the PR 6 immediate-shootdown behaviour
    reachable behind [Pmap.elision_enabled]; its simulated costs in that
    mode are pinned byte-for-byte by the noelide goldens. This guards the
-   real cost: the generation tags and the pending queue the rework added
-   must not tax the legacy path — an elision-off alloc/touch/free cycle
+   real cost: the pending queue the rework added must not tax the
+   legacy path — an elision-off alloc/touch/free cycle
    (which pays every shootdown eagerly and uses none of the machinery)
    stays within 1.05x of the elision-on cycle that benefits from it. *)
 let elision_fixture () =

@@ -276,7 +276,7 @@ let test_policy_chaos_bug_caught_and_shrunk () =
   Fun.protect ~finally:(fun () -> Policy.chaos_skip_threshold := false)
   @@ fun () ->
   Policy.chaos_skip_threshold := true;
-  let report, ops = Check.Driver.run ~seed:1 ~ops:400 ~adversary:true in
+  let report, ops = Check.Driver.run ~seed:1 ~ops:400 ~adversary:true () in
   Alcotest.(check bool) "seeded bug detected" true (Check.Driver.failed report);
   let shrunk, shrunk_report = Check.Shrink.minimize ~seed:1 ops in
   Alcotest.(check bool) "shrunk sequence still fails" true

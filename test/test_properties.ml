@@ -56,39 +56,56 @@ let prop_pmem_conservation =
 (* TLB against a reference model                                       *)
 (* ------------------------------------------------------------------ *)
 
+(* Eight asids by 64 vpns pour 512 tags into 1-16 entries, so probe runs
+   in the tag index collide and wrap and most inserts evict. A miss is
+   always legitimate (capacity evictions), so the converse check after
+   every op is what catches a lost tag: every entry the TLB reports must
+   probe as a hit, with the model's permission, and [valid_entries] must
+   count exactly those entries. *)
 let prop_tlb_never_lies =
   QCheck.Test.make
     ~name:"TLB hits always agree with the reference map (misses are free)"
     ~count:200
-    QCheck.(list_of_size Gen.(5 -- 80) (triple (int_bound 3) (int_bound 4) (int_bound 8)))
-    (fun ops ->
-      let tlb = Tlb.create ~entries:4 (Rng.create 1) in
+    QCheck.(
+      pair (int_range 1 16)
+        (list_of_size
+           Gen.(5 -- 200)
+           (triple (int_bound 2) (int_bound 7) (int_bound 63))))
+    (fun (entries, ops) ->
+      let tlb = Tlb.create ~entries (Rng.create 1) in
       let model : (int * int, bool) Hashtbl.t = Hashtbl.create 16 in
+      let ok = ref true in
+      let converse () =
+        let n = ref 0 in
+        Tlb.iter_live tlb (fun ~asid ~vpn ~writable ->
+            incr n;
+            if
+              Tlb.probe tlb ~asid ~vpn ~write:false = Tlb.Miss
+              || Hashtbl.find_opt model (asid, vpn) <> Some writable
+            then ok := false);
+        if !n <> Tlb.valid_entries tlb then ok := false
+      in
       List.iter
         (fun (op, asid, vpn) ->
-          match op with
-          | 0 ->
-              Tlb.insert tlb ~asid ~vpn ~writable:(vpn mod 2 = 0);
-              Hashtbl.replace model (asid, vpn) (vpn mod 2 = 0)
-          | 1 ->
+          (match op with
+          | 0 | 1 ->
+              Tlb.insert tlb ~asid ~vpn ~writable:(op = 1);
+              Hashtbl.replace model (asid, vpn) (op = 1)
+          | _ ->
               Tlb.invalidate tlb ~asid ~vpn;
-              Hashtbl.remove model (asid, vpn)
-          | 2 ->
-              Tlb.flush_asid tlb ~asid;
-              Hashtbl.iter
-                (fun (a, v) _ ->
-                  if a = asid then Hashtbl.remove model (a, v))
-                (Hashtbl.copy model)
-          | _ -> ())
+              Hashtbl.remove model (asid, vpn));
+          converse ())
         ops;
-      (* Probe everything: a Hit must match the model exactly; a Miss is
-         always legitimate (capacity evictions). *)
-      let ok = ref true in
-      for asid = 0 to 4 do
-        for vpn = 0 to 8 do
-          match Tlb.probe tlb ~asid ~vpn ~write:false with
-          | Tlb.Hit | Tlb.Hit_readonly ->
-              if not (Hashtbl.mem model (asid, vpn)) then ok := false
+      (* Probe everything: a Hit must match the model exactly. *)
+      for asid = 0 to 7 do
+        for vpn = 0 to 63 do
+          match Tlb.probe tlb ~asid ~vpn ~write:true with
+          | Tlb.Hit ->
+              if Hashtbl.find_opt model (asid, vpn) <> Some true then
+                ok := false
+          | Tlb.Hit_readonly ->
+              if Hashtbl.find_opt model (asid, vpn) <> Some false then
+                ok := false
           | Tlb.Miss -> ()
         done
       done;

@@ -256,14 +256,6 @@ let test_tlb_invalidate () =
   Tlb.invalidate t ~asid:1 ~vpn:10;
   check_probe "gone" Tlb.Miss (Tlb.probe t ~asid:1 ~vpn:10 ~write:false)
 
-let test_tlb_flush_asid_selective () =
-  let t = tlb () in
-  Tlb.insert t ~asid:1 ~vpn:10 ~writable:true;
-  Tlb.insert t ~asid:2 ~vpn:20 ~writable:true;
-  Tlb.flush_asid t ~asid:1;
-  check_probe "asid 1 gone" Tlb.Miss (Tlb.probe t ~asid:1 ~vpn:10 ~write:false);
-  check_probe "asid 2 stays" Tlb.Hit (Tlb.probe t ~asid:2 ~vpn:20 ~write:false)
-
 let test_tlb_reinsert_updates_permission () =
   let t = tlb () in
   Tlb.insert t ~asid:1 ~vpn:10 ~writable:false;
@@ -294,16 +286,6 @@ let test_tlb_defer_cancel_drain () =
   check Alcotest.int "empty" 0 (Tlb.pending_count t);
   check Alcotest.int "empty drain" 0 (Tlb.invalidate_pending t)
 
-let test_tlb_flush_asid_drops_pendings () =
-  let t = tlb () in
-  Tlb.defer t ~asid:1 ~vpn:10 ~pte:11;
-  Tlb.defer t ~asid:2 ~vpn:20 ~pte:13;
-  Tlb.flush_asid t ~asid:1;
-  Alcotest.(check bool) "asid 1 pending dropped" false
-    (Tlb.pending_covers t ~asid:1 ~vpn:10);
-  Alcotest.(check bool) "asid 2 pending kept" true
-    (Tlb.pending_covers t ~asid:2 ~vpn:20)
-
 (* Differential test of the deferred-shootdown queue against a Hashtbl
    model. Three asids and 64 vpns give 192 tags, so probe runs collide
    in the open-addressed table; a round has up to 200 steps, 70% of them
@@ -318,7 +300,6 @@ type queue_op =
   | Cancel of int * int
   | Find of int * int
   | Covers of int * int
-  | Flush of int
 
 let queue_asids = [ 1; 2; 3 ]
 let queue_vpns = 64
@@ -328,7 +309,6 @@ let show_queue_op = function
   | Cancel (a, v) -> Printf.sprintf "cancel(%d,%d)" a v
   | Find (a, v) -> Printf.sprintf "find(%d,%d)" a v
   | Covers (a, v) -> Printf.sprintf "covers(%d,%d)" a v
-  | Flush a -> Printf.sprintf "flush(%d)" a
 
 let gen_queue_rounds =
   let open QCheck.Gen in
@@ -343,7 +323,6 @@ let gen_queue_rounds =
         (2, map (fun (a, v) -> Cancel (a, v)) (pair asid vpn));
         (2, map (fun (a, v) -> Find (a, v)) (pair asid vpn));
         (1, map (fun (a, v) -> Covers (a, v)) (pair asid vpn));
-        (1, map (fun a -> Flush a) asid);
       ]
   in
   list_size (int_range 1 4) (list_size (int_range 0 200) op)
@@ -399,11 +378,6 @@ let prop_pending_queue rounds =
     | Covers (a, v) ->
         if Tlb.pending_covers t ~asid:a ~vpn:v <> Hashtbl.mem model (key a v)
         then QCheck.Test.fail_reportf "covers (%d,%d)" a v
-    | Flush a ->
-        Tlb.flush_asid t ~asid:a;
-        Hashtbl.filter_map_inplace
-          (fun (a', _) x -> if a' = a then None else Some x)
-          model
   in
   let drain () =
     List.iter
@@ -443,35 +417,6 @@ let prop_pending_queue rounds =
 let test_pending_queue_model =
   QCheck.Test.make ~name:"deferred-shootdown queue matches a Hashtbl model"
     ~count:100 arb_queue_rounds prop_pending_queue
-
-(* The generation word is finite. When a flush would reach [gen_limit]
-   the TLB falls back to an eager per-entry sweep and resets the word to
-   zero — and that sweep must clear every entry tagged for the asid, or
-   an old entry whose tag happens to equal the wrapped generation would
-   resurrect with its stale translation. *)
-let test_tlb_generation_wraparound () =
-  let t = Tlb.create ~entries:4 ~gen_limit:3 (Rng.create 9) in
-  Tlb.insert t ~asid:1 ~vpn:10 ~writable:true;
-  Tlb.flush_asid t ~asid:1;
-  check Alcotest.int "gen bumped" 1 (Tlb.generation t ~asid:1);
-  Tlb.insert t ~asid:1 ~vpn:11 ~writable:true;
-  Tlb.flush_asid t ~asid:1;
-  check Alcotest.int "gen bumped again" 2 (Tlb.generation t ~asid:1);
-  Tlb.insert t ~asid:1 ~vpn:12 ~writable:true;
-  (* 2 + 1 >= gen_limit: eager sweep instead of a bump. *)
-  Tlb.flush_asid t ~asid:1;
-  check Alcotest.int "gen wrapped to zero" 0 (Tlb.generation t ~asid:1);
-  check_probe "gen-0 era entry did not resurrect" Tlb.Miss
-    (Tlb.probe t ~asid:1 ~vpn:10 ~write:false);
-  check_probe "gen-1 era entry did not resurrect" Tlb.Miss
-    (Tlb.probe t ~asid:1 ~vpn:11 ~write:false);
-  check_probe "gen-2 era entry swept" Tlb.Miss
-    (Tlb.probe t ~asid:1 ~vpn:12 ~write:false);
-  check Alcotest.int "no live entries" 0 (Tlb.valid_entries t);
-  Tlb.insert t ~asid:1 ~vpn:13 ~writable:true;
-  check_probe "post-wrap insert lives" Tlb.Hit
-    (Tlb.probe t ~asid:1 ~vpn:13 ~write:false);
-  check Alcotest.int "exactly the fresh entry" 1 (Tlb.valid_entries t)
 
 (* ------------------------------------------------------------------ *)
 (* Machine                                                             *)
@@ -678,15 +623,10 @@ let () =
           tc "readonly write faults" `Quick test_tlb_readonly_write_faults;
           tc "capacity eviction" `Quick test_tlb_capacity_eviction;
           tc "invalidate" `Quick test_tlb_invalidate;
-          tc "flush asid selective" `Quick test_tlb_flush_asid_selective;
           tc "reinsert updates permission" `Quick
             test_tlb_reinsert_updates_permission;
           tc "defer / cancel / drain" `Quick test_tlb_defer_cancel_drain;
           QCheck_alcotest.to_alcotest test_pending_queue_model;
-          tc "flush drops the asid's pendings" `Quick
-            test_tlb_flush_asid_drops_pendings;
-          tc "generation wraparound sweeps eagerly" `Quick
-            test_tlb_generation_wraparound;
         ] );
       ( "machine",
         [
