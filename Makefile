@@ -14,9 +14,9 @@ check:
 	dune build @all && dune runtest
 
 # Static fbuf-discipline analyzer: rules L1-L7 over the sources plus the
-# Layer-B abstract interpreter over the built-in data-path specs. The
-# shipped tree is clean, so the committed baseline is empty; a non-empty
-# baseline only papers over known findings while a fix is in flight.
+# Layer-C interprocedural typestate analysis (C1-C4). The shipped tree
+# is clean, so the committed baseline is empty; a non-empty baseline
+# only papers over known findings while a fix is in flight.
 lint:
 	dune exec bin/fbufs_cli.exe -- lint --format text --baseline lint_baseline.json
 

@@ -501,10 +501,10 @@ let lint_cmd =
        ~doc:
          "Static fbuf-discipline analysis: parsetree lint of the repo's \
           sources (immutability, determinism, documented raises, \
-          reference pairing, no handle laundering), interprocedural \
-          typestate analysis of fbuf handles (use-after-free, leaks, \
-          write-after-send, read-before-secure) plus abstract \
-          interpretation of the declarative data-path specs")
+          reference pairing, no handle laundering, metric registration, \
+          span open/close balance) plus interprocedural typestate \
+          analysis of fbuf handles (use-after-free, leaks, \
+          write-after-send, read-before-secure)")
     Term.(const run $ format $ baseline $ out $ root)
 
 let exp_conv =

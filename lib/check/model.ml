@@ -96,7 +96,6 @@ let ref_count fb dom =
   match List.assoc_opt dom fb.refs with Some n -> n | None -> 0
 
 let total_refs fb = List.fold_left (fun acc (_, n) -> acc + n) 0 fb.refs
-let holders fb = List.map fst fb.refs
 
 let add_ref fb dom =
   fb.refs <- (dom, ref_count fb dom + 1) :: List.remove_assoc dom fb.refs

@@ -67,7 +67,6 @@ val allocator : t -> int -> allocator
 val size_bytes : t -> fbuf -> int
 val ref_count : fbuf -> int -> int
 val total_refs : fbuf -> int
-val holders : fbuf -> int list
 
 val parked_of : allocator -> fbuf list
 val parked_len : allocator -> int

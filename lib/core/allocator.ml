@@ -49,7 +49,7 @@ type t = {
       (* [Some (on_all_freed t)], built once: every fresh fbuf takes it *)
 }
 
-let set_share t sh = t.share <- sh
+let set_share t sh = t.share <- Some sh
 
 let grow_hook t n =
   match t.share with None -> () | Some sh -> sh.sh_grow n
@@ -489,7 +489,6 @@ let needs_frames t ~npages =
 let parked = parked_fbufs
 let free_extents t = t.extents
 let owned_chunks t = t.chunks
-let is_torn_down t = t.torn_down
 
 let teardown t =
   if t.torn_down then invalid_arg "Allocator.teardown: already torn down";

@@ -41,8 +41,8 @@ type share = {
     paged-out parked buffer behind the allocator's back — such memory is
     charged back at the buffer's next allocation. *)
 
-val set_share : t -> share option -> unit
-(** Attach (or detach, with [None]) sharing-policy hooks. *)
+val set_share : t -> share -> unit
+(** Attach sharing-policy hooks. *)
 
 val create :
   Region.t -> path:Path.t -> variant:Fbuf.variant -> ?policy:policy -> unit -> t
@@ -89,8 +89,6 @@ val free_extents : t -> (int * int) list
 val owned_chunks : t -> (int * int) list
 (** The [(base_vpn, nchunks)] chunk grants this allocator holds from the
     region, most recent first. *)
-
-val is_torn_down : t -> bool
 
 val needs_frames : t -> npages:int -> bool
 (** Whether [alloc ~npages] right now would have to claim fresh physical

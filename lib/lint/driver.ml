@@ -39,10 +39,10 @@ let read_file path =
 
 (* Overlapping rules can agree on a span: L4 (syntactic some-but-not-all
    paths) and C2 (interprocedural no-path leak) both anchor at the
-   acquiring application, as do L1 and C3 for payload writes. When both
-   fire at the same position, keep only the more precise Layer C finding.
-   Filtering preserves the {!Finding.compare}-sorted order. *)
-let shadowed_by = [ ("L4", "C2"); ("L1", "C3") ]
+   acquiring application. When both fire at the same position, keep only
+   the more precise Layer C finding. Filtering preserves the
+   {!Finding.compare}-sorted order. *)
+let shadowed_by = [ ("L4", "C2") ]
 
 let dedup findings =
   List.filter
@@ -77,8 +77,7 @@ let run ~root =
       files
   in
   let typestate = Typestate.lint_units units in
-  let specs = List.concat_map Pathspec.verify Pathspec.builtins in
-  dedup (List.sort_uniq F.compare (source @ typestate @ specs))
+  dedup (List.sort_uniq F.compare (source @ typestate))
 
 let render_text ppf findings =
   List.iter (fun f -> Format.fprintf ppf "%a@." F.pp f) findings;

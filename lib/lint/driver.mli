@@ -3,9 +3,8 @@
     [fbufs_cli lint] calls {!run} with the repository root (found by
     walking up from the working directory to the nearest [dune-project]),
     lints every [.ml] under [lib/], [bin/], [examples/], [bench/] and
-    [test/], verifies every {!Pathspec.builtins} spec, and fails on any
-    finding absent from the checked-in baseline ([lint_baseline.json],
-    shipped empty). *)
+    [test/], and fails on any finding absent from the checked-in baseline
+    ([lint_baseline.json], shipped empty). *)
 
 val source_dirs : string list
 (** [lib; bin; examples; bench; test] — the roots scanned for sources. *)
@@ -14,14 +13,14 @@ val find_root : unit -> string option
 (** Nearest ancestor of the working directory containing [dune-project]. *)
 
 val run : root:string -> Finding.t list
-(** All findings from every layer — Layer A per-file rules, Layer C
+(** All findings from both layers — Layer A per-file rules and Layer C
     interprocedural typestate ({!Typestate.lint_units} over every unit
-    that parses), {!Pathspec} checks — sorted, duplicates removed, and
-    {!dedup}-filtered. Skips [_build] and dot-directories. *)
+    that parses) — sorted, duplicates removed, and {!dedup}-filtered.
+    Skips [_build] and dot-directories. *)
 
 val dedup : Finding.t list -> Finding.t list
 (** Drop a syntactic finding shadowed by its interprocedural refinement
-    at the same [file:line:col] — L4 by C2, L1 by C3 — keeping the list's
+    at the same [file:line:col] — L4 by C2 — keeping the list's
     {!Finding.compare} order intact. {!run} applies this already. *)
 
 val render_text : Format.formatter -> Finding.t list -> unit

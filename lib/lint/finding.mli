@@ -1,17 +1,18 @@
 (** Lint findings: one rule violation anchored to a [file:line] span.
 
-    Shared by both analyzer layers — the source lint ({!Rules}) reports
-    spans in real [.ml]/[.mli] files, the path-spec verifier ({!Pathspec})
-    reports synthetic [spec/<name>] spans where the line is the 1-based
-    index of the offending operation. The JSON encoding round-trips through
+    Shared by both analyzer layers — the source lint ({!Rules}) and the
+    interprocedural typestate analysis ({!Typestate}) — which both report
+    spans in real [.ml]/[.mli] files. The JSON encoding round-trips through
     {!Fbufs_trace.Json} so CI artifacts and the baseline share one
     grammar. *)
 
 type t = {
-  rule : string;  (** "L1".."L5" (source lint) or "B1".."B3" (path specs) *)
-  file : string;  (** root-relative source path, or [spec/<name>] *)
-  line : int;  (** 1-based; for specs, the operation index *)
-  col : int;  (** 0-based column; 0 for spec findings *)
+  rule : string;
+      (** ["E0"] (parse error), ["L1"].."L7" (source lint) or
+          ["C1"].."C4" (typestate) *)
+  file : string;  (** root-relative source path *)
+  line : int;  (** 1-based *)
+  col : int;  (** 0-based column *)
   msg : string;
 }
 

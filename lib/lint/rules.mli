@@ -1,8 +1,8 @@
 (** Layer A: source lint over the repo's own [.ml]/[.mli] files.
 
     Parses with [compiler-libs.common] (the toolchain's own parser — no new
-    dependency) and walks the parsetree. Five rules, each a static
-    approximation of an fbuf discipline the type system does not enforce:
+    dependency) and walks the parsetree. Seven rules, each a static
+    approximation of a discipline the type system does not enforce:
 
     - {b L1 — payload immutability} (paper section 3.1): no direct
       [Bytes.set]/[Bytes.blit]/[Bytes.fill] (or their [unsafe_] variants)
@@ -47,6 +47,13 @@
       initialization — not under a lambda or loop, where a re-run would
       raise at runtime. Exempt: [test/] (the metrics tests register bad
       names on purpose to exercise the runtime rejection).
+    - {b L7 — span open/close balance}: a scope that opens a causal span
+      ([span_enter], [span_adopt], [span_begin], [transfer_begin]) must
+      close it ([span_exit], [span_end], [transfer_end]) on {e every}
+      syntactic exit path. Unlike L4, never closing is also a finding:
+      span ids mean nothing outside their machine, so there is no
+      ownership hand-off. Exempt: [lib/sim], [lib/span], [lib/trace]
+      (the machinery drains open spans by design) and [test/].
 
     Rule scoping is by root-relative path with ['/'] separators. Fixture
     tests use paths outside every allowlist so all rules apply. *)

@@ -13,11 +13,7 @@ let rule_meta =
     ("L4", "reference acquired here is relinquished on some paths only");
     ("L5", "no handle laundering through Obj.magic or ignored handles");
     ("L6", "metric registration discipline");
-    ("L7", "pathspec violation");
-    ("B0", "pathspec: required file missing");
-    ("B1", "pathspec: forbidden dependency");
-    ("B2", "pathspec: required marker missing");
-    ("B3", "pathspec: stale reference");
+    ("L7", "causal span opened here is not closed on every exit path");
     ("C1", "use after free / double free of an fbuf handle");
     ("C2", "fbuf leaked on every exit path");
     ("C3", "write after send: in-flight payloads are immutable");

@@ -247,27 +247,19 @@ let register t alloc ~klass =
   t.entries <- t.entries @ [ e ];
   let dynamic = match t.kind with Static -> false | Fb_dynamic _ -> true in
   Allocator.set_share alloc
-    (Some
-       {
-         Allocator.sh_dynamic = dynamic;
-         sh_admit = (fun ~npages ~growth -> admit t e ~npages ~growth);
-         sh_grow =
-           (fun n ->
-             e.e_held <- e.e_held + n;
-             note_held t e);
-         sh_shrink =
-           (fun n ->
-             e.e_held <- e.e_held - n;
-             note_held t e);
-       });
+    {
+      Allocator.sh_dynamic = dynamic;
+      sh_admit = (fun ~npages ~growth -> admit t e ~npages ~growth);
+      sh_grow =
+        (fun n ->
+          e.e_held <- e.e_held + n;
+          note_held t e);
+      sh_shrink =
+        (fun n ->
+          e.e_held <- e.e_held - n;
+          note_held t e);
+    };
   note_held t e
-
-let unregister t alloc =
-  match find_entry t alloc with
-  | None -> ()
-  | Some e ->
-      Allocator.set_share alloc None;
-      t.entries <- List.filter (fun e' -> e' != e) t.entries
 
 (* Pageout-daemon victim ordering: static defers to the daemon's global
    LRU; dynamic ranks over-threshold buffers (at sweep-start free level)
@@ -296,9 +288,6 @@ let pageout_order t (vs : Pageout.victim list) =
 (* Introspection *)
 let held t alloc =
   match find_entry t alloc with None -> None | Some e -> Some e.e_held
-
-let klass_of t alloc =
-  match find_entry t alloc with None -> None | Some e -> Some e.e_klass
 
 let over_threshold t alloc =
   match find_entry t alloc with

@@ -97,9 +97,6 @@ val register : t -> Fbufs.Allocator.t -> klass:klass -> unit
     admission decision (whose hook refuses by raising {!Dropped}).
     Raises [Invalid_argument] if the allocator is already registered. *)
 
-val unregister : t -> Fbufs.Allocator.t -> unit
-(** Detach the hooks; unknown allocators are ignored. *)
-
 val pageout_order :
   t -> Fbufs.Pageout.victim list -> Fbufs.Pageout.victim list
 (** Victim ordering for [Pageout.create ~order]: {!Static} defers to the
@@ -111,8 +108,6 @@ val pageout_order :
 
 val held : t -> Fbufs.Allocator.t -> int option
 (** Held pages of a registered path (Active + parked still-charged). *)
-
-val klass_of : t -> Fbufs.Allocator.t -> klass option
 
 val over_threshold : t -> Fbufs.Allocator.t -> bool
 (** Whether the path currently holds more than its threshold at the

@@ -152,13 +152,11 @@ type receiver = {
   rproto : Protocol.t;
   mutable up : Protocol.t option;
   mutable expected : int;
-  mutable duplicates : int;
   mutable delivered : int;
 }
 
 let receiver_proto r = r.rproto
 let set_up r p = r.up <- Some p
-let duplicates_dropped r = r.duplicates
 let delivered r = r.delivered
 
 let send_ack r ~cum_seq =
@@ -191,7 +189,6 @@ let receiver_pop r pdu =
       end
       else begin
         (* Out of order or duplicate: drop, re-assert cumulative state. *)
-        r.duplicates <- r.duplicates + 1;
         Msg.free_held payload ~dom:r.rdom;
         if r.expected > 0 then send_ack r ~cum_seq:(r.expected - 1)
       end
@@ -208,7 +205,6 @@ let create_receiver ~dom ~ack_below ~header_alloc () =
       rproto;
       up = None;
       expected = 0;
-      duplicates = 0;
       delivered = 0;
     }
   in

@@ -67,5 +67,4 @@ val receiver_proto : receiver -> Fbufs_xkernel.Protocol.t
 val set_up : receiver -> Fbufs_xkernel.Protocol.t -> unit
 (** In-order delivery of message payloads. *)
 
-val duplicates_dropped : receiver -> int
 val delivered : receiver -> int

@@ -250,10 +250,6 @@ let fresh_id m =
   m.next_id <- i + 1;
   i
 
-let cpu_load m ~since =
-  let span = now m -. since in
-  if span <= 0.0 then 0.0 else Float.min 1.0 (m.busy.busy_us /. span)
-
 let busy_us m = m.busy.busy_us
 
 let checkpoint m = (now m, busy_us m)

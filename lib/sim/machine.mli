@@ -223,10 +223,6 @@ val busy_us : t -> float
 val fresh_asid : t -> int
 val fresh_id : t -> int
 
-val cpu_load : t -> since:float -> float
-(** Fraction of wall (simulated) time the CPU was busy since the given
-    timestamp pair captured with {!checkpoint}. *)
-
 val checkpoint : t -> float * float
 (** [(now, busy)] snapshot, for differential load measurement with
     {!load_since}. *)

@@ -1,6 +1,6 @@
 (* Fbufs_lint: one known-bad fixture per rule, each pinned to an exact
-   file:line, plus negative (clean) fixtures, the JSON round-trip the CI
-   artifact and baseline depend on, and the built-in path specs.
+   file:line, plus negative (clean) fixtures and the JSON round-trip the
+   CI artifact and baseline depend on.
 
    The fixtures use paths outside every allowlist (lib/demo/...) so all
    rules apply; the dogfood test lints the real lib/core/lifecycle unit
@@ -8,7 +8,10 @@
 
 module Finding = Fbufs_lint.Finding
 module Rules = Fbufs_lint.Rules
-module Pathspec = Fbufs_lint.Pathspec
+module Typestate = Fbufs_lint.Typestate
+module Summary = Fbufs_lint.Summary
+module Driver = Fbufs_lint.Driver
+module Sarif = Fbufs_lint.Sarif
 
 let check = Alcotest.check
 
@@ -23,8 +26,13 @@ let finding_t =
 let lint ?intf impl = Rules.lint_unit ~file:"lib/demo/fixture.ml" ~impl ?intf ()
 
 (* Exactly one finding with the expected rule and span; the message is
-   asserted by keyword so wording can evolve without breaking the test. *)
+   asserted by keyword so wording can evolve without breaking the test.
+   The rule must be one the SARIF table documents. *)
 let expect_one ~rule ~line ~keyword findings =
+  Alcotest.(check bool)
+    (Printf.sprintf "%s has a SARIF rule_meta entry" rule)
+    true
+    (List.mem_assoc rule Sarif.rule_meta);
   check Alcotest.int "exactly one finding" 1 (List.length findings);
   let f = List.hd findings in
   check Alcotest.string "rule" rule f.Finding.rule;
@@ -249,106 +257,6 @@ let test_l3_dogfood_lifecycle () =
   check (Alcotest.list finding_t) "lifecycle is lint-clean" [] fs
 
 (* ------------------------------------------------------------------ *)
-(* Layer B: bad specs                                                  *)
-
-let spec ?(receivers = [ ("consumer", Pathspec.Ro) ]) ops =
-  {
-    Pathspec.name = "fixture";
-    originator = "producer";
-    trusted_originator = false;
-    receivers;
-    cached = true;
-    volatile = true;
-    ops;
-  }
-
-let test_b1_read_before_secure () =
-  Pathspec.verify
-    (spec
-       [
-         Write "producer";
-         Send ("producer", "consumer");
-         Read "consumer";
-         Free "consumer";
-         Free "producer";
-       ])
-  |> expect_one ~rule:"B1" ~line:3 ~keyword:"before any secure"
-
-let test_b2_dual_write_permission () =
-  Pathspec.verify
-    (spec
-       ~receivers:[ ("consumer", Pathspec.Rw) ]
-       [
-         Write "producer";
-         Send ("producer", "consumer");
-         Touch "consumer";
-         Free "consumer";
-         Free "producer";
-       ])
-  |> expect_one ~rule:"B2" ~line:0 ~keyword:"read-write"
-
-let test_b2_write_after_secure () =
-  Pathspec.verify
-    (spec
-       [
-         Write "producer";
-         Send ("producer", "consumer");
-         Secure "consumer";
-         Write "producer";
-         Read "consumer";
-         Free "consumer";
-         Free "producer";
-       ])
-  |> expect_one ~rule:"B2" ~line:4 ~keyword:"revoked"
-
-let test_b3_escaping_reference () =
-  Pathspec.verify
-    (spec
-       [
-         Write "producer";
-         Append_ref ("producer", `Out_of_region);
-         Send ("producer", "consumer");
-         Touch "consumer";
-         Free "consumer";
-         Free "producer";
-       ])
-  |> expect_one ~rule:"B3" ~line:2 ~keyword:"outside the fbuf region"
-
-let test_b0_leaked_reference () =
-  Pathspec.verify
-    (spec
-       [
-         Write "producer";
-         Send ("producer", "consumer");
-         Touch "consumer";
-         Free "producer";
-       ])
-  |> expect_one ~rule:"B0" ~line:4 ~keyword:"still holds"
-
-let test_secure_then_read_is_clean () =
-  let fs =
-    Pathspec.verify
-      (spec
-         [
-           Write "producer";
-           Send ("producer", "consumer");
-           Secure "consumer";
-           Read "consumer";
-           Free "consumer";
-           Free "producer";
-         ])
-  in
-  check (Alcotest.list finding_t) "no findings" [] fs
-
-let test_builtin_specs_verify_clean () =
-  List.iter
-    (fun (s : Pathspec.spec) ->
-      check (Alcotest.list finding_t)
-        (Printf.sprintf "spec %s" s.Pathspec.name)
-        [] (Pathspec.verify s))
-    Pathspec.builtins
-
-(* ------------------------------------------------------------------ *)
 (* JSON round-trip (artifact and baseline grammar)                     *)
 
 let test_json_round_trip () =
@@ -356,7 +264,7 @@ let test_json_round_trip () =
     [
       Finding.v ~rule:"L1" ~file:"lib/demo/a.ml" ~line:7 ~col:2
         "message with \"quotes\" and a\nnewline";
-      Finding.v ~rule:"B2" ~file:"spec/fixture" ~line:0 "config-level";
+      Finding.v ~rule:"C2" ~file:"lib/demo/b.ml" ~line:0 "line zero";
     ]
   in
   let s = Fbufs_trace.Json.to_string (Finding.list_to_json fs) in
@@ -381,11 +289,6 @@ let test_malformed_baseline_rejected () =
 
 (* ------------------------------------------------------------------ *)
 (* Layer C: interprocedural typestate — bad fixtures                   *)
-
-module Typestate = Fbufs_lint.Typestate
-module Summary = Fbufs_lint.Summary
-module Driver = Fbufs_lint.Driver
-module Sarif = Fbufs_lint.Sarif
 
 let lint_c impl = Typestate.lint_unit ~file:"lib/demo/fixture.ml" ~impl
 
@@ -459,6 +362,34 @@ let test_c4_read_before_secure_via_helper () =
     \  Transfer.free fb ~dom:producer\n"
   |> expect_one ~rule:"C4" ~line:11 ~keyword:"before secure"
 
+let test_c4_direct_read_before_secure () =
+  lint_c
+    "let spy tb producer consumer =\n\
+    \  let alloc =\n\
+    \    Testbed.allocator tb ~domains:[ producer; consumer ]\n\
+    \      Fbuf.cached_volatile\n\
+    \  in\n\
+    \  let fb = Allocator.alloc alloc ~npages:1 in\n\
+    \  Fbuf_api.write fb ~as_:producer ~off:0 \"hello\";\n\
+    \  Transfer.send fb ~src:producer ~dst:consumer;\n\
+    \  let seen = Fbuf_api.read_string fb ~as_:consumer ~off:0 ~len:5 in\n\
+    \  Transfer.secure fb;\n\
+    \  Transfer.free fb ~dom:consumer;\n\
+    \  Transfer.free fb ~dom:producer;\n\
+    \  seen\n"
+  |> expect_one ~rule:"C4" ~line:9 ~keyword:"before secure"
+
+let test_c3_write_after_secure () =
+  lint_c
+    "let rewrite alloc producer consumer =\n\
+    \  let fb = Allocator.alloc alloc ~npages:1 in\n\
+    \  Transfer.send fb ~src:producer ~dst:consumer;\n\
+    \  Transfer.secure fb;\n\
+    \  Fbuf_api.write fb ~as_:producer ~off:0 \"late\";\n\
+    \  Transfer.free fb ~dom:consumer;\n\
+    \  Transfer.free fb ~dom:producer\n"
+  |> expect_one ~rule:"C3" ~line:5 ~keyword:"secured"
+
 let test_c3_direct_write_after_send () =
   lint_c
     "let demo alloc src dst =\n\
@@ -509,6 +440,22 @@ let test_c_clean_two_domain_free () =
     \  Transfer.secure fb;\n\
     \  Transfer.free fb ~dom:dst;\n\
     \  Transfer.free fb ~dom:src\n"
+
+let test_c_clean_secure_then_read () =
+  expect_clean "reading a secured volatile fbuf is safe"
+    "let careful tb producer consumer =\n\
+    \  let alloc =\n\
+    \    Testbed.allocator tb ~domains:[ producer; consumer ]\n\
+    \      Fbuf.cached_volatile\n\
+    \  in\n\
+    \  let fb = Allocator.alloc alloc ~npages:1 in\n\
+    \  Fbuf_api.write fb ~as_:producer ~off:0 \"hello\";\n\
+    \  Transfer.send fb ~src:producer ~dst:consumer;\n\
+    \  Transfer.secure fb;\n\
+    \  let seen = Fbuf_api.read_string fb ~as_:consumer ~off:0 ~len:5 in\n\
+    \  Transfer.free fb ~dom:consumer;\n\
+    \  Transfer.free fb ~dom:producer;\n\
+    \  seen\n"
 
 let test_c_clean_branchy_free_is_l4_territory () =
   (* Relinquished on one path only: L4's finding, not C2's (C2 is the
@@ -617,7 +564,7 @@ let test_sarif_shape () =
     [
       Finding.v ~rule:"C1" ~file:"examples/quickstart.ml" ~line:43 ~col:65
         "use after free";
-      Finding.v ~rule:"B2" ~file:"spec/fixture" ~line:0 "config-level";
+      Finding.v ~rule:"C2" ~file:"lib/demo/b.ml" ~line:0 "line zero";
     ]
   in
   let module J = Fbufs_trace.Json in
@@ -650,8 +597,8 @@ let test_sarif_shape () =
    with
   | Some (J.Int 43) -> ()
   | _ -> Alcotest.fail "startLine");
-  (* 0-based finding column becomes 1-based SARIF column; line 0
-     (config-level findings) clamps to 1. *)
+  (* 0-based finding column becomes 1-based SARIF column; line 0 clamps
+     to 1, SARIF's first line. *)
   (match
      get
        [
@@ -674,9 +621,16 @@ let test_sarif_shape () =
   | _ -> Alcotest.fail "clamped startLine");
   match get [ "runs"; "0"; "tool"; "driver"; "rules" ] doc with
   | Some (J.List rules) ->
-      check Alcotest.int "all rules documented"
-        (List.length Sarif.rule_meta)
-        (List.length rules)
+      check
+        Alcotest.(list string)
+        "every rule this tool emits, and no other, is documented"
+        [ "E0"; "L1"; "L2"; "L3"; "L4"; "L5"; "L6"; "L7"; "C1"; "C2"; "C3"; "C4" ]
+        (List.map
+           (fun r ->
+             match J.member "id" r with
+             | Some (J.String id) -> id
+             | _ -> Alcotest.fail "rule without an id")
+           rules)
   | _ -> Alcotest.fail "rules array"
 
 (* ------------------------------------------------------------------ *)
@@ -844,16 +798,6 @@ let () =
           tc "L7 span exemption" `Quick test_l7_exempt_under_span;
           tc "dogfood: lifecycle" `Quick test_l3_dogfood_lifecycle;
         ] );
-      ( "layer-b",
-        [
-          tc "B1 read before secure" `Quick test_b1_read_before_secure;
-          tc "B2 rw receiver" `Quick test_b2_dual_write_permission;
-          tc "B2 write after secure" `Quick test_b2_write_after_secure;
-          tc "B3 escaping reference" `Quick test_b3_escaping_reference;
-          tc "B0 leaked reference" `Quick test_b0_leaked_reference;
-          tc "secure-then-read clean" `Quick test_secure_then_read_is_clean;
-          tc "builtins verify clean" `Quick test_builtin_specs_verify_clean;
-        ] );
       ( "json",
         [
           tc "round trip" `Quick test_json_round_trip;
@@ -874,6 +818,9 @@ let () =
             test_c3_direct_write_after_send;
           tc "C4 read before secure via helper" `Quick
             test_c4_read_before_secure_via_helper;
+          tc "C4 direct read before secure" `Quick
+            test_c4_direct_read_before_secure;
+          tc "C3 write after secure" `Quick test_c3_write_after_secure;
         ] );
       ( "layer-c-clean",
         [
@@ -882,6 +829,7 @@ let () =
           tc "rx handler lambda" `Quick test_c_clean_rx_handler_lambda;
           tc "returned handle" `Quick test_c_clean_returned_handle;
           tc "two-domain free" `Quick test_c_clean_two_domain_free;
+          tc "secure then read" `Quick test_c_clean_secure_then_read;
           tc "branchy free stays L4's" `Quick
             test_c_clean_branchy_free_is_l4_territory;
           tc "allow annotation" `Quick test_c_allow_annotation_suppresses;
