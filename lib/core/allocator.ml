@@ -94,7 +94,7 @@ let reclaimed_total =
     ~help:"Parked fbufs whose physical memory the pageout daemon reclaimed"
     ~labels:[ "machine"; "path" ] ()
 
-let path_labels t m = [ m.Machine.name; string_of_int t.path.Path.id ]
+let path_label t mx = Mx.int_label mx t.path.Path.id
 
 (* Depth and live-count gauges are re-set from the authoritative fields
    after every state change, so they cannot drift from the allocator. *)
@@ -103,18 +103,17 @@ let sync_gauges t =
   match Machine.metrics m with
   | None -> ()
   | Some mx ->
-      let labels = path_labels t m in
-      Mx.set mx free_depth ~labels (float_of_int t.free_len);
-      Mx.set mx live_gauge ~labels (float_of_int t.live)
+      let path = path_label t mx in
+      Mx.set2 mx free_depth m.Machine.name path (float_of_int t.free_len);
+      Mx.set2 mx live_gauge m.Machine.name path (float_of_int t.live)
 
 let note_class t npages delta =
   let m = Region.machine t.region in
   match Machine.metrics m with
   | None -> ()
   | Some mx ->
-      Mx.add mx free_class
-        ~labels:(path_labels t m @ [ string_of_int npages ])
-        delta
+      Mx.add3 mx free_class m.Machine.name (path_label t mx)
+        (Mx.int_label mx npages) delta
 
 let cls_for t npages =
   match Hashtbl.find t.free_classes npages with
@@ -162,9 +161,8 @@ let clear_parked t =
    | Some mx ->
        Hashtbl.iter
          (fun npages _ ->
-           Mx.set mx free_class
-             ~labels:(path_labels t m @ [ string_of_int npages ])
-             0.0)
+           Mx.set3 mx free_class m.Machine.name (path_label t mx)
+             (Mx.int_label mx npages) 0.0)
          t.free_classes);
   Hashtbl.reset t.free_classes;
   t.free_len <- 0
@@ -358,9 +356,8 @@ let activate t m (fb : Fbuf.t) ~npages ~cache_hit =
   (match Machine.metrics m with
   | None -> ()
   | Some mx ->
-      Mx.incr mx alloc_total
-        ~labels:(path_labels t m @ [ (if cache_hit then "hit" else "fresh") ])
-        ());
+      Mx.incr3 mx alloc_total m.Machine.name (path_label t mx)
+        (if cache_hit then "hit" else "fresh"));
   sync_gauges t;
   fb
 
@@ -445,7 +442,7 @@ let reclaim t ?(older_than_us = 0.0) ~max_fbufs () =
   | None -> ()
   | Some mx ->
       if take > 0 then
-        Mx.add mx reclaimed_total ~labels:(path_labels t m)
+        Mx.add2 mx reclaimed_total m.Machine.name (path_label t mx)
           (float_of_int take));
   if take > 0 && Machine.tracing m then
     Machine.trace_instant m ~domain:t.owner.Pd.name ~path_id:t.path.Path.id
@@ -472,7 +469,8 @@ let reclaim_one t (fb : Fbuf.t) =
   let m = Region.machine t.region in
   (match Machine.metrics m with
   | None -> ()
-  | Some mx -> Mx.add mx reclaimed_total ~labels:(path_labels t m) 1.0);
+  | Some mx ->
+      Mx.add2 mx reclaimed_total m.Machine.name (path_label t mx) 1.0);
   if Machine.tracing m then
     Machine.trace_instant m ~domain:t.owner.Pd.name ~path_id:t.path.Path.id
       ~args:[ ("fbufs", Fbufs_trace.Trace.Int 1) ]

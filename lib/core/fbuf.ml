@@ -80,8 +80,7 @@ let note_ref t op =
   match Fbufs_sim.Machine.metrics m with
   | None -> ()
   | Some mx ->
-      Fbufs_metrics.Metrics.incr mx refcount_ops
-        ~labels:[ m.Fbufs_sim.Machine.name; op ] ()
+      Fbufs_metrics.Metrics.incr2 mx refcount_ops m.Fbufs_sim.Machine.name op
 
 (* A domain's entry stays at 0 after its last reference drops, so the
    next grant overwrites it in place instead of adding a bucket. *)

@@ -82,8 +82,7 @@ let balance t =
   | None -> ()
   | Some mx ->
       if !reclaimed > 0 then
-        Mx.add mx victims_total ~labels:[ m.Machine.name ]
-          (float_of_int !reclaimed));
+        Mx.add1 mx victims_total m.Machine.name (float_of_int !reclaimed));
   (if Machine.tracing m then
      Machine.span_end m
        ~args:[ ("reclaimed", Fbufs_trace.Trace.Int !reclaimed) ]

@@ -52,7 +52,7 @@ let protect_originator (fb : Fbuf.t) =
   (match Machine.metrics fb.Fbuf.m with
   | None -> ()
   | Some mx ->
-      Mx.incr mx secured_total ~labels:[ fb.Fbuf.m.Machine.name ] ());
+      Mx.incr1 mx secured_total fb.Fbuf.m.Machine.name);
   fb.Fbuf.secured <- true
 
 let secure fb =
@@ -101,10 +101,8 @@ let send (fb : Fbuf.t) ~src ~dst =
   (match Machine.metrics fb.Fbuf.m with
   | None -> ()
   | Some mx ->
-      Mx.incr mx sends_total
-        ~labels:
-          [ fb.Fbuf.m.Machine.name; string_of_int fb.Fbuf.path.Path.id ]
-        ());
+      Mx.incr2 mx sends_total fb.Fbuf.m.Machine.name
+        (Mx.int_label mx fb.Fbuf.path.Path.id));
   if Machine.tracing fb.Fbuf.m then
     trace_fbuf_event fb ~domain:src.Pd.name
       ~extra:[ ("dst", Fbufs_trace.Trace.Str dst.Pd.name) ]

@@ -20,11 +20,25 @@ let transfer_wall =
       "End-to-end wall time per causal transfer (mergeable quantile sketch)"
     ~labels:[ "label" ] ()
 
+(* A transfer's wall is its latest closed-span end minus its start, 0
+   without a closed span: the figure [Critical.analyze] reports as
+   [wall_us], without extracting the path. [found] is nan until a closed
+   span is seen; each step passes an existing boxed end along. *)
+let rec latest_end found = function
+  | [] -> found
+  | (sp : Span.span) :: rest ->
+      latest_end
+        (if Span.is_closed sp && (Float.is_nan found || sp.Span.end_us > found)
+         then sp.Span.end_us
+         else found)
+        rest
+
 let roll_transfer_walls mx sink =
   List.iter
     (fun (tr : Span.transfer) ->
-      let s = Critical.analyze sink tr in
-      Mx.observe mx transfer_wall ~labels:[ tr.Span.label ] s.Critical.wall_us)
+      let finish = latest_end Float.nan tr.Span.spans in
+      Mx.observe1 mx transfer_wall tr.Span.label
+        (if Float.is_nan finish then 0.0 else finish -. tr.Span.t_start_us))
     (Span.transfers sink)
 
 (* Per-component breakdown of everything the run charged. The total row
@@ -58,10 +72,7 @@ let print_breakdown mx =
   end
 
 let write_file path contents =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc contents)
+  Fbufs_trace.Json.write_file path (fun oc -> output_string oc contents)
 
 (* One requested output file: a note on stdout says where it went; an
    unwritable path is reported on stderr and never fails the run. *)

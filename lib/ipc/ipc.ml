@@ -88,9 +88,7 @@ let note_deallocs c kind n =
   match Machine.metrics c.m with
   | None -> ()
   | Some mx ->
-      Mx.add mx deallocs_total
-        ~labels:[ c.m.Machine.name; kind ]
-        (float_of_int n)
+      Mx.add2 mx deallocs_total c.m.Machine.name kind (float_of_int n)
 
 let src c = c.src
 let dst c = c.dst
@@ -199,14 +197,8 @@ let call c msg ~handler =
   (match Machine.metrics c.m with
   | None -> ()
   | Some mx ->
-      Mx.incr mx calls_total
-        ~labels:
-          [
-            c.m.Machine.name;
-            facility_name c.facility;
-            (match c.mode with Rebuild -> "rebuild" | Integrated -> "integrated");
-          ]
-        ());
+      Mx.incr3 mx calls_total c.m.Machine.name (facility_name c.facility)
+        (match c.mode with Rebuild -> "rebuild" | Integrated -> "integrated"));
   (match c.mode with
   | Rebuild ->
       (* Flatten to an fbuf list, marshal one descriptor per buffer, and

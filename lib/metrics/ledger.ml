@@ -1,5 +1,5 @@
-(* Cost-attribution ledger: every simulated-us charge lands in a cell
-   keyed by (machine, component, charge kind).
+(* Cost-attribution ledger: every simulated-us charge lands in the row of
+   its (machine, charge kind), in that row's cell for its component.
 
    Two accumulators serve two different exactness claims:
 
@@ -14,54 +14,76 @@
      arrival order, the same float operations in the same order as the
      machine's own busy-time accumulator — so [charged_us] is bitwise
      equal to [Machine.busy_us] and proves no charge escaped
-     attribution. *)
+     attribution.
 
-type cell = { mutable sum : float; mutable err : float; mutable n : int }
+   A row keeps its cells in flat arrays indexed by [Component.index]:
+   sums and compensation terms in float arrays, counts in an int array.
+   A charge finds its row with two string-keyed lookups that allocate
+   nothing, and writes floats into float arrays, so it builds no key and
+   boxes no float. A cell exists once its count is non-zero. *)
 
-type t = {
-  cells : (string * int * string, cell) Hashtbl.t;
-  charged : (string, float ref) Hashtbl.t;
-  mutable machine_order : string list; (* reverse insertion order *)
+let ncomp = List.length Component.all
+let comps = Array.of_list Component.all
+
+type row_cells = { sum : float array; err : float array; n : int array }
+
+type machine = {
+  name : string;
+  charged : float array;  (* one slot: the arrival-ordered total *)
+  kinds : (string, row_cells) Hashtbl.t;
 }
 
-let create () =
-  { cells = Hashtbl.create 64; charged = Hashtbl.create 4; machine_order = [] }
+type t = {
+  by_name : (string, machine) Hashtbl.t;
+  mutable order : machine list;  (* reverse first-charge order *)
+}
 
-let clear t =
-  Hashtbl.reset t.cells;
-  Hashtbl.reset t.charged;
-  t.machine_order <- []
+let create () = { by_name = Hashtbl.create 4; order = [] }
 
-(* Neumaier variant of Kahan summation. *)
-let cell_add c x =
-  let s = c.sum +. x in
-  c.err <-
-    (c.err
-    +. if Float.abs c.sum >= Float.abs x then c.sum -. s +. x else x -. s +. c.sum
-    );
-  c.sum <- s;
-  c.n <- c.n + 1
+let machine_of t name =
+  match Hashtbl.find t.by_name name with
+  | m -> m
+  | exception Not_found ->
+      let m = { name; charged = [| 0.0 |]; kinds = Hashtbl.create 32 } in
+      Hashtbl.add t.by_name name m;
+      t.order <- m :: t.order;
+      m
 
-let cell_value c = c.sum +. c.err
+let row_of m kind =
+  match Hashtbl.find m.kinds kind with
+  | r -> r
+  | exception Not_found ->
+      let r =
+        {
+          sum = Array.make ncomp 0.0;
+          err = Array.make ncomp 0.0;
+          n = Array.make ncomp 0;
+        }
+      in
+      Hashtbl.add m.kinds kind r;
+      r
 
+(* Neumaier variant of Kahan summation, on cell [i] of row [r]. *)
 let charge t ~machine ~comp ~kind us =
-  let key = (machine, Component.index comp, kind) in
-  (match Hashtbl.find t.cells key with
-  | c -> cell_add c us
-  | exception Not_found ->
-      let c = { sum = 0.0; err = 0.0; n = 0 } in
-      Hashtbl.add t.cells key c;
-      cell_add c us);
-  match Hashtbl.find t.charged machine with
-  | r -> r := !r +. us
-  | exception Not_found ->
-      Hashtbl.add t.charged machine (ref us);
-      t.machine_order <- machine :: t.machine_order
+  let m = machine_of t machine in
+  let r = row_of m kind in
+  let i = Component.index comp in
+  let sum = r.sum.(i) in
+  let s = sum +. us in
+  r.err.(i) <-
+    (r.err.(i)
+    +. if Float.abs sum >= Float.abs us then sum -. s +. us else us -. s +. sum
+    );
+  r.sum.(i) <- s;
+  r.n.(i) <- r.n.(i) + 1;
+  m.charged.(0) <- m.charged.(0) +. us
 
 let charged_us t ~machine =
-  match Hashtbl.find_opt t.charged machine with Some r -> !r | None -> 0.0
+  match Hashtbl.find_opt t.by_name machine with
+  | Some m -> m.charged.(0)
+  | None -> 0.0
 
-let machines t = List.rev t.machine_order
+let machines t = List.rev_map (fun m -> m.name) t.order
 
 type row = {
   machine : string;
@@ -71,15 +93,27 @@ type row = {
   count : int;
 }
 
-let comp_of_index i =
-  match List.nth_opt Component.all i with Some c -> c | None -> Component.Other
-
 let rows t =
-  Hashtbl.fold
-    (fun (machine, ci, kind) c acc ->
-      { machine; comp = comp_of_index ci; kind; us = cell_value c; count = c.n }
-      :: acc)
-    t.cells []
+  List.fold_left
+    (fun acc m ->
+      Hashtbl.fold
+        (fun kind r acc ->
+          let acc = ref acc in
+          for i = ncomp - 1 downto 0 do
+            if r.n.(i) > 0 then
+              acc :=
+                {
+                  machine = m.name;
+                  comp = comps.(i);
+                  kind;
+                  us = r.sum.(i) +. r.err.(i);
+                  count = r.n.(i);
+                }
+                :: !acc
+          done;
+          !acc)
+        m.kinds acc)
+    [] t.order
   |> List.sort (fun a b ->
          match compare a.machine b.machine with
          | 0 -> (
@@ -105,7 +139,10 @@ let total_us t =
   List.fold_left (fun acc (_, us) -> acc +. us) 0.0 (by_component t)
 
 let charge_count t =
-  Hashtbl.fold (fun _ c acc -> acc + c.n) t.cells 0
+  List.fold_left
+    (fun acc m ->
+      Hashtbl.fold (fun _ r acc -> Array.fold_left ( + ) acc r.n) m.kinds acc)
+    0 t.order
 
 (* Collapsed-stack (flamegraph) export: one "frame1;frame2;frame3 value"
    line per cell, value in integer nanoseconds of simulated time so

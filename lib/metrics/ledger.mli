@@ -1,8 +1,9 @@
 (** Cost-attribution ledger.
 
-    Every simulated-microsecond charge is recorded under a
-    [(machine, component, charge kind)] key; the per-component breakdown
-    and the collapsed-stack export are read out of these cells. The
+    Every simulated-microsecond charge is recorded in the row of its
+    (machine, charge kind), in that row's cell for its component; the
+    per-component breakdown and the collapsed-stack export are read out
+    of these cells. A charge allocates nothing once its row exists. The
     ledger never reads wall-clock time and never advances simulated time:
     it only observes the charges the machines make.
 
@@ -17,7 +18,6 @@
 type t
 
 val create : unit -> t
-val clear : t -> unit
 
 val charge :
   t -> machine:string -> comp:Component.t -> kind:string -> float -> unit

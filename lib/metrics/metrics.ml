@@ -52,83 +52,161 @@ let definitions () =
 
 let find_def name = Hashtbl.find_opt defs name
 
-(* A value cell. Counters and gauges use [v]; sketch-kind metrics use
-   [sk]. [n] counts observations (for distributions and counter
-   increments). *)
+(* Values live in one trie per definition, with one string-keyed level
+   per label: the node a tuple of label values leads to is that tuple's
+   cell. A cell keeps its value in a one-slot float array, stored flat,
+   so an update boxes nothing; with its label values passed as
+   arguments, an update allocates nothing once its cell exists. A node
+   is a cell once it has been updated ([n > 0]). *)
+
 type cell = {
-  mutable v : float;
+  kids : (string, cell) Hashtbl.t;
+  labels : string list;  (* the values leading here, built once *)
+  v : float array;  (* one slot *)
   mutable n : int;
-  sk : Sketch.t option;
+  sk : Sketch.t option;  (* sketch defs, at the last label level *)
 }
 
+type table = { tdef : def; arity : int; root : cell }
+
 type t = {
-  cells : (int * string list, cell) Hashtbl.t;
+  mutable tables : table option array;  (* by definition id *)
+  int_labels : (int, string) Hashtbl.t;
   ledger : Ledger.t;
 }
 
-let create () = { cells = Hashtbl.create 128; ledger = Ledger.create () }
+let create () =
+  {
+    tables = Array.make (max 64 !next_id) None;
+    int_labels = Hashtbl.create 16;
+    ledger = Ledger.create ();
+  }
+
 let ledger t = t.ledger
 
-let check_labels d labels =
-  if List.length labels <> List.length d.labels then
-    invalid_arg
-      (Printf.sprintf "Metrics: %s expects %d label values, got %d" d.name
-         (List.length d.labels) (List.length labels))
+let int_label t i =
+  match Hashtbl.find t.int_labels i with
+  | s -> s
+  | exception Not_found ->
+      let s = string_of_int i in
+      Hashtbl.add t.int_labels i s;
+      s
 
-let cell t d labels =
-  check_labels d labels;
-  let key = (d.id, labels) in
-  match Hashtbl.find_opt t.cells key with
-  | Some c -> c
-  | None ->
-      let c =
-        {
-          v = 0.0;
-          n = 0;
-          sk =
-            (match d.kind with
-            | Sketch -> Some (Sketch.create ())
-            | Counter | Gauge -> None);
-        }
-      in
-      Hashtbl.add t.cells key c;
-      c
+(* A sketch def's cells at the last label level carry the sketch. *)
+let new_cell d arity labels =
+  {
+    kids = Hashtbl.create 4;
+    labels;
+    v = [| 0.0 |];
+    n = 0;
+    sk =
+      (match d.kind with
+      | Sketch when List.length labels = arity -> Some (Sketch.create ())
+      | Sketch | Counter | Gauge -> None);
+  }
 
-let add t d ?(labels = []) x =
-  let c = cell t d labels in
-  c.v <- c.v +. x;
+let find_table t d =
+  if d.id < Array.length t.tables then t.tables.(d.id) else None
+
+let new_table t d =
+  if d.id >= Array.length t.tables then begin
+    let a = Array.make (2 * (d.id + 1)) None in
+    Array.blit t.tables 0 a 0 (Array.length t.tables);
+    t.tables <- a
+  end;
+  let arity = List.length d.labels in
+  let tb = { tdef = d; arity; root = new_cell d arity [] } in
+  t.tables.(d.id) <- Some tb;
+  tb
+
+let arity_error (d : def) got =
+  invalid_arg
+    (Printf.sprintf "Metrics: %s expects %d label values, got %d" d.name
+       (List.length d.labels) got)
+
+(* The definition's table, checked against the number of label values
+   the caller passes. *)
+let table t d arity =
+  let tb = match find_table t d with Some tb -> tb | None -> new_table t d in
+  if tb.arity <> arity then arity_error d arity;
+  tb
+
+(* The label list is built only when the cell is created. *)
+let child tb c label =
+  match Hashtbl.find c.kids label with
+  | k -> k
+  | exception Not_found ->
+      let k = new_cell tb.tdef tb.arity (c.labels @ [ label ]) in
+      Hashtbl.add c.kids label k;
+      k
+
+let cell0 t d = (table t d 0).root
+let cell1 t d a = let tb = table t d 1 in child tb tb.root a
+let cell2 t d a b = let tb = table t d 2 in child tb (child tb tb.root a) b
+
+let cell3 t d a b c =
+  let tb = table t d 3 in
+  child tb (child tb (child tb tb.root a) b) c
+
+let add_at c x =
+  c.v.(0) <- c.v.(0) +. x;
   c.n <- c.n + 1
 
-let incr t d ?labels () = add t d ?labels 1.0
-
-let set t d ?(labels = []) x =
-  let c = cell t d labels in
-  c.v <- x;
+let set_at c x =
+  c.v.(0) <- x;
   c.n <- c.n + 1
 
-let observe t d ?(labels = []) x =
-  let c = cell t d labels in
-  (match c.sk with Some sk -> Sketch.add sk x | None -> c.v <- c.v +. x);
+let observe_at c x =
+  (match c.sk with
+  | Some sk -> Sketch.add sk x
+  | None -> c.v.(0) <- c.v.(0) +. x);
   c.n <- c.n + 1
 
-let cell_value c = match c.sk with Some sk -> Sketch.sum sk | None -> c.v
+let incr t d = add_at (cell0 t d) 1.0
+let incr1 t d a = add_at (cell1 t d a) 1.0
+let incr2 t d a b = add_at (cell2 t d a b) 1.0
+let incr3 t d a b c = add_at (cell3 t d a b c) 1.0
+let add t d x = add_at (cell0 t d) x
+let add1 t d a x = add_at (cell1 t d a) x
+let add2 t d a b x = add_at (cell2 t d a b) x
+let add3 t d a b c x = add_at (cell3 t d a b c) x
+let set t d x = set_at (cell0 t d) x
+let set1 t d a x = set_at (cell1 t d a) x
+let set2 t d a b x = set_at (cell2 t d a b) x
+let set3 t d a b c x = set_at (cell3 t d a b c) x
+let observe t d x = observe_at (cell0 t d) x
+let observe1 t d a x = observe_at (cell1 t d a) x
+let observe2 t d a b x = observe_at (cell2 t d a b) x
+let observe3 t d a b c x = observe_at (cell3 t d a b c) x
 
-let value t d ~labels =
-  check_labels d labels;
-  match Hashtbl.find_opt t.cells (d.id, labels) with
-  | Some c -> Some (cell_value c)
-  | None -> None
+let cell_value c =
+  match c.sk with Some sk -> Sketch.sum sk | None -> c.v.(0)
+
+let value t (d : def) ~labels =
+  let got = List.length labels in
+  if got <> List.length d.labels then arity_error d got;
+  let rec walk c = function
+    | [] -> if c.n > 0 then Some (cell_value c) else None
+    | l :: rest -> (
+        match Hashtbl.find_opt c.kids l with
+        | Some k -> walk k rest
+        | None -> None)
+  in
+  match find_table t d with None -> None | Some tb -> walk tb.root labels
 
 let value_by_name t ~name ~labels =
   match find_def name with None -> None | Some d -> value t d ~labels
 
+let rec fold_cells f c acc =
+  Hashtbl.fold
+    (fun _ k acc -> fold_cells f k acc)
+    c.kids
+    (if c.n > 0 then f c acc else acc)
+
 let total_by_name t ~name =
-  match find_def name with
+  match Option.bind (find_def name) (find_table t) with
   | None -> 0.0
-  | Some d ->
-      Hashtbl.fold
-        (fun (id, _) c acc -> if id = d.id then acc +. cell_value c else acc)
-        t.cells 0.0
+  | Some tb -> fold_cells (fun c acc -> acc +. cell_value c) tb.root 0.0
 
 type sample = {
   def : def;
@@ -139,22 +217,22 @@ type sample = {
 }
 
 let samples t =
-  let by_id = Hashtbl.create 64 in
-  List.iter (fun d -> Hashtbl.add by_id d.id d) (definitions ());
-  Hashtbl.fold
-    (fun (id, labels) c acc ->
-      match Hashtbl.find_opt by_id id with
+  Array.fold_left
+    (fun acc -> function
       | None -> acc
-      | Some d ->
-          {
-            def = d;
-            labels;
-            value = cell_value c;
-            count = c.n;
-            sketch = c.sk;
-          }
-          :: acc)
-    t.cells []
+      | Some tb ->
+          fold_cells
+            (fun c acc ->
+              {
+                def = tb.tdef;
+                labels = c.labels;
+                value = cell_value c;
+                count = c.n;
+                sketch = c.sk;
+              }
+              :: acc)
+            tb.root acc)
+    [] t.tables
   |> List.sort (fun a b ->
          match compare a.def.id b.def.id with
          | 0 -> compare a.labels b.labels

@@ -48,15 +48,43 @@ val create : unit -> t
 val ledger : t -> Ledger.t
 (** The cost-attribution ledger carried alongside the counters. *)
 
-val incr : t -> def -> ?labels:string list -> unit -> unit
-val add : t -> def -> ?labels:string list -> float -> unit
+(** {2 Updates}
 
-val set : t -> def -> ?labels:string list -> float -> unit
-(** Gauge write (overwrites the cell). *)
+    One function per update and label count: [incr2 t d a b] bumps the
+    cell of label values [a], [b]. The label values are arguments, not a
+    list, so an update builds no key and, once its cell exists, allocates
+    nothing. Each raises [Invalid_argument] when the definition declares
+    a different number of labels. *)
 
-val observe : t -> def -> ?labels:string list -> float -> unit
+val incr : t -> def -> unit
+val incr1 : t -> def -> string -> unit
+val incr2 : t -> def -> string -> string -> unit
+val incr3 : t -> def -> string -> string -> string -> unit
+val add : t -> def -> float -> unit
+val add1 : t -> def -> string -> float -> unit
+val add2 : t -> def -> string -> string -> float -> unit
+val add3 : t -> def -> string -> string -> string -> float -> unit
+
+val set : t -> def -> float -> unit
+(** Gauge write (overwrites the cell); [set1]..[set3] likewise. *)
+
+val set1 : t -> def -> string -> float -> unit
+val set2 : t -> def -> string -> string -> float -> unit
+val set3 : t -> def -> string -> string -> string -> float -> unit
+
+val observe : t -> def -> float -> unit
 (** Distribution sample into a sketch def's cell; on a scalar def
-    behaves like {!add}. *)
+    behaves like {!add}. [observe1]..[observe3] likewise. *)
+
+val observe1 : t -> def -> string -> float -> unit
+val observe2 : t -> def -> string -> string -> float -> unit
+val observe3 : t -> def -> string -> string -> string -> float -> unit
+
+val int_label : t -> int -> string
+(** The label value of an int (a path id, a size class), made once per
+    instance: [string_of_int i], without a fresh string per update. *)
+
+(** {2 Reads} *)
 
 val value : t -> def -> labels:string list -> float option
 (** Current value of one cell ([None] if never touched). Sketches

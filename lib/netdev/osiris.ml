@@ -258,9 +258,9 @@ let deliver t ~flight ~xfer ~follows ~vci data =
   (match Machine.metrics t.m with
   | None -> ()
   | Some mx ->
-      let labels = [ t.m.Machine.name; "rx" ] in
-      Mx.incr mx net_pdus ~labels ();
-      Mx.observe mx net_pdu_bytes ~labels (float_of_int len));
+      let name = t.m.Machine.name in
+      Mx.incr2 mx net_pdus name "rx";
+      Mx.observe2 mx net_pdu_bytes name "rx" (float_of_int len));
   let ps = t.m.Machine.cost.Cost_model.page_size in
   let npages = max 1 ((len + ps - 1) / ps) in
   let cached_path = Hashtbl.mem t.paths vci in
@@ -390,10 +390,10 @@ let send_pdu t ~vci msg =
   (match Machine.metrics t.m with
   | None -> ()
   | Some mx ->
-      let labels = [ t.m.Machine.name; "tx" ] in
-      Mx.incr mx net_pdus ~labels ();
-      Mx.observe mx net_pdu_bytes ~labels (float_of_int (Bytes.length data));
-      Mx.add mx net_cells ~labels:[ t.m.Machine.name ] (float_of_int cells));
+      let name = t.m.Machine.name in
+      Mx.incr2 mx net_pdus name "tx";
+      Mx.observe2 mx net_pdu_bytes name "tx" (float_of_int (Bytes.length data));
+      Mx.add1 mx net_cells name (float_of_int cells));
   let tx_time = float_of_int cells *. t.cell_us in
   let now = t.m.Machine.clock.Clock.now in
   let start = if t.link.at > now then t.link.at else now in
@@ -426,7 +426,7 @@ let send_pdu t ~vci msg =
     Stats.incr t.m.stats "osiris.pdu_dropped";
     (match Machine.metrics t.m with
     | None -> ()
-    | Some mx -> Mx.incr mx net_dropped ~labels:[ t.m.Machine.name ] ());
+    | Some mx -> Mx.incr1 mx net_dropped t.m.Machine.name);
     if Machine.tracing t.m then begin
       Machine.trace_instant t.m
         ~args:[ ("vci", Fbufs_trace.Trace.Int vci) ]

@@ -39,7 +39,7 @@ let violate t mx msg =
   t.violation_count <- t.violation_count + 1;
   if List.length t.violations < max_violations then
     t.violations <- (rule, msg) :: t.violations;
-  Mx.incr mx violations_total ~labels:[ rule ] ();
+  Mx.incr1 mx violations_total rule;
   match t.recorder with
   | Some r ->
       Recorder.note r ~kind:"monitor.violation"
@@ -54,7 +54,7 @@ let violate t mx msg =
 
 (* Held pages per path stay within [grace] of the path's threshold. *)
 let check_gauges t mx =
-  Mx.incr mx checks_total ~labels:[ rule ] ();
+  Mx.incr1 mx checks_total rule;
   let held =
     List.filter
       (fun (s : Mx.sample) -> s.Mx.def.Mx.name = "fbufs_policy_held_pages")

@@ -193,14 +193,12 @@ let write_dump t ~reason =
   let prefix = Printf.sprintf "postmortem-%d-" t.dumps in
   List.iter
     (fun (name, content) ->
-      let path = Filename.concat t.dir (prefix ^ name) in
-      let oc = open_out path in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () -> output_string oc content))
+      Json.write_file
+        (Filename.concat t.dir (prefix ^ name))
+        (fun oc -> output_string oc content))
     (render_dump t ~reason);
   match t.metrics with
-  | Some mx -> Mx.incr mx dumps_total ~labels:[ metric_label reason ] ()
+  | Some mx -> Mx.incr1 mx dumps_total (metric_label reason)
   | None -> ()
 
 let trigger ?(force = false) t ~reason =
@@ -215,7 +213,7 @@ let trigger ?(force = false) t ~reason =
   else begin
     t.suppressed <- t.suppressed + 1;
     (match t.metrics with
-    | Some mx -> Mx.incr mx suppressed_total ~labels:[ metric_label reason ] ()
+    | Some mx -> Mx.incr1 mx suppressed_total (metric_label reason)
     | None -> ());
     false
   end

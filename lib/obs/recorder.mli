@@ -49,7 +49,8 @@ val trigger : ?force:bool -> t -> reason:string -> bool
     previous dump or past 4 dumps; [~force:true] (the [--dump-on-exit]
     path) bypasses both. Counted in [fbufs_obs_dumps_total{reason}] /
     [fbufs_obs_dump_suppressed_total{reason}] when the armed record
-    carries a registry. *)
+    carries a registry. A dump file that cannot be written raises
+    [Sys_error]. *)
 
 val render_dump : t -> reason:string -> (string * string) list
 (** The dump a {!trigger} would write, as [(filename, content)] pairs,

@@ -114,19 +114,19 @@ let machine t = Region.machine t.region
 let free_frames t = Phys_mem.free_frames (machine t).Machine.pmem
 let find_entry t alloc = List.find_opt (fun e -> e.e_alloc == alloc) t.entries
 
-let entry_labels t e =
-  let m = machine t in
-  let path = Allocator.path e.e_alloc in
-  [ m.Machine.name; string_of_int path.Path.id; klass_label e.e_klass ]
+(* One bump of [d] under an entry's (machine, path, class) labels. *)
+let incr_entry mx d t e =
+  Mx.incr3 mx d (machine t).Machine.name
+    (Mx.int_label mx (Allocator.path e.e_alloc).Path.id)
+    (klass_label e.e_klass)
 
 let note_held t e =
   match Machine.metrics (machine t) with
   | None -> ()
   | Some mx ->
-      let m = machine t in
       let path = Allocator.path e.e_alloc in
-      Mx.set mx held_gauge
-        ~labels:[ m.Machine.name; string_of_int path.Path.id ]
+      Mx.set2 mx held_gauge (machine t).Machine.name
+        (Mx.int_label mx path.Path.id)
         (float_of_int e.e_held)
 
 let record t ev = if t.recording then t.events <- ev :: t.events
@@ -179,8 +179,7 @@ let admit t e ~npages ~growth =
     (match Machine.metrics m with
     | None -> ()
     | Some mx ->
-        Mx.set mx threshold_gauge
-          ~labels:[ m.Machine.name; string_of_int path_id ]
+        Mx.set2 mx threshold_gauge m.Machine.name (Mx.int_label mx path_id)
           (float_of_int (min thr max_int)));
     if growth = 0 || !chaos_skip_threshold || e.e_held + growth <= thr then begin
       record t
@@ -190,7 +189,7 @@ let admit t e ~npages ~growth =
       t.n_admitted <- t.n_admitted + 1;
       match Machine.metrics m with
       | None -> ()
-      | Some mx -> Mx.incr mx admitted_total ~labels:(entry_labels t e) ()
+      | Some mx -> incr_entry mx admitted_total t e
     end
     else
       match next_victim t e ~free with
@@ -209,7 +208,7 @@ let admit t e ~npages ~growth =
           (match Machine.metrics m with
           | None -> ()
           | Some mx ->
-              Mx.incr mx evictions_total ~labels:(entry_labels t ve) ());
+              incr_entry mx evictions_total t ve);
           Allocator.reclaim_one ve.e_alloc fb;
           decide ()
       | None ->
@@ -220,7 +219,7 @@ let admit t e ~npages ~growth =
           t.n_dropped <- t.n_dropped + 1;
           (match Machine.metrics m with
           | None -> ()
-          | Some mx -> Mx.incr mx dropped_total ~labels:(entry_labels t e) ());
+          | Some mx -> incr_entry mx dropped_total t e);
           raise
             (Dropped
                (Printf.sprintf

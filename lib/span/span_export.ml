@@ -11,12 +11,9 @@ module Comp = Fbufs_metrics.Component
    lane, domains after it) come from Fbufs_trace.Chrome.
 
    JSONL: one self-contained object per line — a "transfer" line then
-   its "span" lines — with a round-trip parser used by the tests and by
-   external tooling that wants the raw trees. *)
-
-let ns_list a = Json.List (Array.to_list (Array.map (fun n -> Json.Int n) a))
-
-let float_or_null f = if Float.is_nan f then Json.Null else Json.Float f
+   its "span" lines — printed field by field with Json's scalar
+   printers, and a round-trip parser used by the tests and by external
+   tooling that wants the raw trees. *)
 
 (* -- Chrome trace_event ------------------------------------------------- *)
 
@@ -93,10 +90,7 @@ let chrome t =
   Chrome.document lanes (List.rev !events)
 
 let write_chrome path t =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
+  Json.write_file path (fun oc ->
       let buf = Buffer.create 65536 in
       Json.to_buffer buf (chrome t);
       Buffer.output_buffer oc buf;
@@ -104,55 +98,81 @@ let write_chrome path t =
 
 (* -- JSONL -------------------------------------------------------------- *)
 
-let transfer_line (tr : Span.transfer) =
-  Json.Obj
-    [
-      ("type", Json.String "transfer");
-      ("tid", Json.Int tr.Span.tid);
-      ("label", Json.String tr.Span.label);
-      ("root", Json.Int tr.Span.root);
-      ("start_us", Json.Float tr.Span.t_start_us);
-      ("cells_ns", ns_list tr.Span.cells_ns);
-    ]
+(* Lines are printed straight into the buffer, in the field order and
+   with the bytes [Json.to_buffer] would give the same record as a tree
+   (an open span's nan [end_us] prints as [null]). A field is the
+   literal that opens it, [{|,"name":|}], then its value. *)
+let int_field buf k i =
+  Buffer.add_string buf k;
+  Json.add_int buf i
 
-let span_line (sp : Span.span) =
-  Json.Obj
-    [
-      ("type", Json.String "span");
-      ("id", Json.Int sp.Span.id);
-      ("transfer", Json.Int sp.Span.transfer);
-      ("parent", Json.Int sp.Span.parent);
-      ("follows", Json.Int sp.Span.follows);
-      ("kind", Json.String sp.Span.kind);
-      ("machine", Json.String sp.Span.machine);
-      ("domain", Json.String sp.Span.domain);
-      ("path_id", Json.Int sp.Span.path_id);
-      ("start_us", Json.Float sp.Span.start_us);
-      ("end_us", float_or_null sp.Span.end_us);
-      ("charges_ns", ns_list sp.Span.charges_ns);
-    ]
+let str_field buf k s =
+  Buffer.add_string buf k;
+  Json.add_string buf s
+
+let float_field buf k f =
+  Buffer.add_string buf k;
+  Json.add_float buf f
+
+let ns_field buf k a =
+  Buffer.add_string buf k;
+  Buffer.add_char buf '[';
+  for i = 0 to Array.length a - 1 do
+    if i > 0 then Buffer.add_char buf ',';
+    Json.add_int buf a.(i)
+  done;
+  Buffer.add_char buf ']'
+
+let add_transfer_line buf (tr : Span.transfer) =
+  int_field buf {|{"type":"transfer","tid":|} tr.Span.tid;
+  str_field buf {|,"label":|} tr.Span.label;
+  int_field buf {|,"root":|} tr.Span.root;
+  float_field buf {|,"start_us":|} tr.Span.t_start_us;
+  ns_field buf {|,"cells_ns":|} tr.Span.cells_ns;
+  Buffer.add_string buf "}\n"
+
+let add_span_line buf (sp : Span.span) =
+  int_field buf {|{"type":"span","id":|} sp.Span.id;
+  int_field buf {|,"transfer":|} sp.Span.transfer;
+  int_field buf {|,"parent":|} sp.Span.parent;
+  int_field buf {|,"follows":|} sp.Span.follows;
+  str_field buf {|,"kind":|} sp.Span.kind;
+  str_field buf {|,"machine":|} sp.Span.machine;
+  str_field buf {|,"domain":|} sp.Span.domain;
+  int_field buf {|,"path_id":|} sp.Span.path_id;
+  float_field buf {|,"start_us":|} sp.Span.start_us;
+  float_field buf {|,"end_us":|} sp.Span.end_us;
+  ns_field buf {|,"charges_ns":|} sp.Span.charges_ns;
+  Buffer.add_string buf "}\n"
+
+(* [tr.spans] is newest first; the lines go oldest first. *)
+let rec add_span_lines buf = function
+  | [] -> ()
+  | sp :: older ->
+      add_span_lines buf older;
+      add_span_line buf sp
+
+let add_transfer buf (tr : Span.transfer) =
+  add_transfer_line buf tr;
+  add_span_lines buf tr.Span.spans
 
 let jsonl_of_transfers trs =
   let buf = Buffer.create 65536 in
-  List.iter
-    (fun (tr : Span.transfer) ->
-      Json.to_buffer buf (transfer_line tr);
-      Buffer.add_char buf '\n';
-      List.iter
-        (fun sp ->
-          Json.to_buffer buf (span_line sp);
-          Buffer.add_char buf '\n')
-        (Span.spans_of tr))
-    trs;
+  List.iter (add_transfer buf) trs;
   Buffer.contents buf
 
 let jsonl t = jsonl_of_transfers (Span.transfers t)
 
+(* One transfer's lines at a time: a full sweep's JSONL is tens of MB. *)
 let write_jsonl path t =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (jsonl t))
+  Json.write_file path (fun oc ->
+      let buf = Buffer.create 4096 in
+      List.iter
+        (fun tr ->
+          Buffer.clear buf;
+          add_transfer buf tr;
+          Buffer.output_buffer oc buf)
+        (Span.transfers t))
 
 exception Parse_error of string
 

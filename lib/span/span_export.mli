@@ -9,6 +9,8 @@ val chrome : Span.t -> Fbufs_trace.Json.t
     their machine's tid 1 lane). Loadable in about:tracing / Perfetto. *)
 
 val write_chrome : string -> Span.t -> unit
+(** {!chrome} into a file. Raises [Sys_error] when the file cannot be
+    written, a failure at the final flush included. *)
 
 val jsonl : Span.t -> string
 (** One JSON object per line: each transfer line followed by its span
@@ -19,6 +21,8 @@ val jsonl_of_transfers : Span.transfer list -> string
     sampled root ring); output round-trips through {!parse_jsonl}. *)
 
 val write_jsonl : string -> Span.t -> unit
+(** {!jsonl} into a file, written one transfer's lines at a time. Raises
+    [Sys_error] as {!write_chrome}. *)
 
 exception Parse_error of string
 

@@ -131,10 +131,7 @@ let to_json t =
 let to_string t = Json.to_string (to_json t)
 
 let write_file t path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_string t))
+  Json.write_file path (fun oc -> output_string oc (to_string t))
 
 let phase_name = function
   | Trace.Instant -> "i"
@@ -174,10 +171,7 @@ let jsonl evs =
 
 (* Streamed line by line: a full trace's JSONL is tens of MB. *)
 let write_jsonl t path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
+  Json.write_file path (fun oc ->
       let buf = Buffer.create 256 in
       Trace.iter t (fun ev ->
           Buffer.clear buf;

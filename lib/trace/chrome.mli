@@ -32,6 +32,8 @@ val to_json : Trace.t -> Json.t
 val to_string : Trace.t -> string
 
 val write_file : Trace.t -> string -> unit
+(** {!to_string} into a file. Raises [Sys_error] when the file cannot be
+    written, a failure at the final flush included. *)
 
 val jsonl : Trace.event list -> string
 (** One raw event per line:
@@ -40,4 +42,5 @@ val jsonl : Trace.event list -> string
     flight recorder renders its event subsets with it too. *)
 
 val write_jsonl : Trace.t -> string -> unit
-(** {!jsonl} of every retained event. *)
+(** {!jsonl} of every retained event, into a file. Raises [Sys_error]
+    as {!write_file}. *)

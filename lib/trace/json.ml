@@ -11,46 +11,88 @@ type t =
 (* Printing                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let escape_to buf s =
+(* The scalar printers every JSON writer shares, tree-built or streamed:
+   each prints straight into the buffer, so a writer that calls them per
+   field allocates no intermediate tree, list or [Printf] closure. *)
+
+(* The escape of one byte, [""] for none. A control byte without a short
+   form gets ["\\u00"], and its two hex digits follow it. *)
+let escape_of = function
+  | '"' -> "\\\""
+  | '\\' -> "\\\\"
+  | '\n' -> "\\n"
+  | '\r' -> "\\r"
+  | '\t' -> "\\t"
+  | '\b' -> "\\b"
+  | '\012' -> "\\f"
+  | c when Char.code c < 0x20 -> "\\u00"
+  | _ -> ""
+
+let hex = "0123456789abcdef"
+
+(* [s] from [i] on, where [s.[from .. i-1]] needs no escape: such runs go
+   into the buffer in one blit. *)
+let rec add_escaped buf s from i =
+  if i = String.length s then Buffer.add_substring buf s from (i - from)
+  else
+    match escape_of (String.unsafe_get s i) with
+    | "" -> add_escaped buf s from (i + 1)
+    | esc ->
+        Buffer.add_substring buf s from (i - from);
+        Buffer.add_string buf esc;
+        if String.length esc = 4 then begin
+          let c = Char.code (String.unsafe_get s i) in
+          Buffer.add_char buf hex.[c lsr 4];
+          Buffer.add_char buf hex.[c land 15]
+        end;
+        add_escaped buf s (i + 1) (i + 1)
+
+let add_string buf s =
   Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\b' -> Buffer.add_string buf "\\b"
-      | '\012' -> Buffer.add_string buf "\\f"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+  add_escaped buf s 0 0;
   Buffer.add_char buf '"'
 
-(* Shortest decimal that parses back to exactly [f]: writing a value and
-   reading it again must be the identity (the sketch serialization's
-   [equal] and the span JSONL round-trip rely on it), without printing
-   17 digits for every 0.1. *)
-let float_to_string f =
-  if Float.is_integer f && Float.abs f < 1e15 then
-    Printf.sprintf "%.1f" f
+(* Digits of [n <= 0], most significant first: negative, so [min_int]
+   needs no special case. *)
+let rec add_digits buf n =
+  if n <= -10 then add_digits buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 - (n mod 10)))
+
+let add_int buf i =
+  if i < 0 then begin
+    Buffer.add_char buf '-';
+    add_digits buf i
+  end
+  else add_digits buf (-i)
+
+(* The primitive [Printf]'s [%.1f] and [%.Ng] conversions end in, called
+   with the same format strings: the same bytes without building a
+   format closure per scalar. *)
+external format_float : string -> float -> string = "caml_format_float"
+
+(* Shortest of three precisions that parses back to exactly [f]: writing
+   a value and reading it again must be the identity (the sketch
+   serialization's [equal] and the span JSONL round-trip rely on it),
+   without printing 17 digits for every 0.1. JSON has no non-finite
+   numbers, so those print as [null]. *)
+let add_float buf f =
+  if not (Float.is_finite f) then Buffer.add_string buf "null"
+  else if Float.is_integer f && Float.abs f < 1e15 then
+    Buffer.add_string buf (format_float "%.1f" f)
   else
-    let s = Printf.sprintf "%.12g" f in
-    if float_of_string s = f then s
+    let s = format_float "%.12g" f in
+    if float_of_string s = f then Buffer.add_string buf s
     else
-      let s = Printf.sprintf "%.15g" f in
-      if float_of_string s = f then s else Printf.sprintf "%.17g" f
+      let s = format_float "%.15g" f in
+      if float_of_string s = f then Buffer.add_string buf s
+      else Buffer.add_string buf (format_float "%.17g" f)
 
 let rec to_buffer buf = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-  | Int i -> Buffer.add_string buf (string_of_int i)
-  | Float f ->
-      if Float.is_finite f then Buffer.add_string buf (float_to_string f)
-      else Buffer.add_string buf "null"
-  | String s -> escape_to buf s
+  | Int i -> add_int buf i
+  | Float f -> add_float buf f
+  | String s -> add_string buf s
   | List l ->
       Buffer.add_char buf '[';
       List.iteri
@@ -64,7 +106,7 @@ let rec to_buffer buf = function
       List.iteri
         (fun i (k, v) ->
           if i > 0 then Buffer.add_char buf ',';
-          escape_to buf k;
+          add_string buf k;
           Buffer.add_char buf ':';
           to_buffer buf v)
         fields;
@@ -74,6 +116,19 @@ let to_string v =
   let buf = Buffer.create 256 in
   to_buffer buf v;
   Buffer.contents buf
+
+(* Every exporter writes its file through here. A failed write often
+   shows only when [close_out] flushes, so the channel is closed inside
+   the success path, where that failure is the caller's [Sys_error]; on
+   any other failure it is closed without a second error and the first
+   one is raised again. *)
+let write_file path f =
+  let oc = open_out path in
+  match f oc with
+  | () -> close_out oc
+  | exception e ->
+      close_out_noerr oc;
+      raise e
 
 (* ------------------------------------------------------------------ *)
 (* Parsing (recursive descent)                                         *)

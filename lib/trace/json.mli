@@ -15,10 +15,40 @@ type t =
   | Obj of (string * t) list
 
 val to_buffer : Buffer.t -> t -> unit
-(** Compact serialization. Non-finite floats are emitted as [null] (JSON
-    has no representation for them). *)
+(** Compact serialization, printed with {!add_int}, {!add_float} and
+    {!add_string}. *)
 
 val to_string : t -> string
+
+(** {1 Scalar printers}
+
+    What {!to_buffer} prints for one scalar, for writers that stream
+    records straight into a buffer instead of building a tree. Apart
+    from the buffer's own growth, {!add_int} and {!add_string} allocate
+    nothing; {!add_float} gets its digits from the runtime as a fresh
+    string and reads a non-integral value back to check it. *)
+
+val add_int : Buffer.t -> int -> unit
+(** Decimal digits, the bytes of [string_of_int]. *)
+
+val add_float : Buffer.t -> float -> unit
+(** The shortest of [%.12g], [%.15g] and [%.17g] that reads back as
+    exactly the same float, or [%.1f] for an integral value of magnitude
+    below 1e15.
+    Non-finite floats are emitted as [null] (JSON has no representation
+    for them). The bytes are those [Printf.sprintf] prints for the same
+    conversions. *)
+
+val add_string : Buffer.t -> string -> unit
+(** A quoted JSON string: quote, backslash and the control characters
+    escaped ([\\uXXXX] for those without a short form); other bytes
+    are copied as they are. *)
+
+val write_file : string -> (out_channel -> unit) -> unit
+(** [write_file path f] opens [path], lets [f] write to it and closes
+    it. A failed open, write or close raises [Sys_error] (a write that
+    fails only when the channel is flushed included); when [f] raises,
+    the channel is closed and [f]'s exception is raised again. *)
 
 exception Parse_error of string
 

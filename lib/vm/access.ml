@@ -10,7 +10,7 @@ let tlb_events =
 let note_tlb (m : Machine.t) event =
   match Machine.metrics m with
   | None -> ()
-  | Some mx -> Mx.incr mx tlb_events ~labels:[ m.Machine.name; event ] ()
+  | Some mx -> Mx.incr2 mx tlb_events m.Machine.name event
 
 let page_size (dom : Pd.t) = dom.m.cost.Cost_model.page_size
 

@@ -47,17 +47,17 @@ let tlb_elided =
 let note_op_m m op =
   match Machine.metrics m with
   | None -> ()
-  | Some mx -> Mx.incr mx pmap_ops ~labels:[ m.Machine.name; op ] ()
+  | Some mx -> Mx.incr2 mx pmap_ops m.Machine.name op
 
 let note_shootdown m ~reason =
   match Machine.metrics m with
   | None -> ()
-  | Some mx -> Mx.incr mx tlb_shootdowns ~labels:[ m.Machine.name; reason ] ()
+  | Some mx -> Mx.incr2 mx tlb_shootdowns m.Machine.name reason
 
 let note_elided m ~reason =
   match Machine.metrics m with
   | None -> ()
-  | Some mx -> Mx.incr mx tlb_elided ~labels:[ m.Machine.name; reason ] ()
+  | Some mx -> Mx.incr2 mx tlb_elided m.Machine.name reason
 
 let note_op t op = note_op_m t.m op
 

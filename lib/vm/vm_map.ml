@@ -72,15 +72,14 @@ let batched_saved =
 let note_vm_op t op =
   match Machine.metrics t.m with
   | None -> ()
-  | Some mx -> Mx.incr mx vm_ops ~labels:[ t.m.Machine.name; op ] ()
+  | Some mx -> Mx.incr2 mx vm_ops t.m.Machine.name op
 
 let note_batch t npages =
   if npages > 1 then
     match Machine.metrics t.m with
     | None -> ()
     | Some mx ->
-        Mx.add mx batched_saved ~labels:[ t.m.Machine.name ]
-          (float_of_int (npages - 1))
+        Mx.add1 mx batched_saved t.m.Machine.name (float_of_int (npages - 1))
 
 let charge_range_op ?comp t =
   Machine.charge ~kind:"vm.range_op" ?comp t.m t.m.cost.Cost_model.vm_range_op;

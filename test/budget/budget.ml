@@ -12,7 +12,8 @@
    Run rows cover the computation behind each fbufs_cli experiment,
    without the printing; the buffer-sharing rows are what [ablation
    --only buffer-sharing] prints. Operation rows cover [window] ops of
-   one operation on a fresh fixture, after [warmup] ops.
+   one operation on a fresh fixture, after [warmup] ops. Observed rows
+   cover an experiment run with sinks attached, exports included.
 
    All rows run in one process in this fixed order: fig4 and fig5
    allocate a few words more on their first run in a process than on
@@ -32,6 +33,12 @@ module Des = Fbufs_sim.Des
 module Policy = Fbufs_policy.Policy
 module Scenario = Fbufs_policy.Scenario
 module Vm = Fbufs_vm
+module Machine = Fbufs_sim.Machine
+module Json = Fbufs_trace.Json
+module Mx = Fbufs_metrics.Metrics
+module Expo = Fbufs_metrics.Expo
+module Span = Fbufs_span.Span
+module Span_export = Fbufs_span.Span_export
 
 let warmup = 20
 let window = 1000
@@ -262,6 +269,40 @@ let op_rows =
     ("op.des.schedule-step", schedule_step);
   ]
 
+(* ---------- observed runs ------------------------------------------- *)
+
+(* What [Run.with_outputs] does for [--metrics F.json] and [--spans
+   F.jsonl], without its notes: one observer record installed for the
+   run, then the transfer walls rolled into the registry and both
+   exports written, to the null device. *)
+let observed ~metrics ~spans run () =
+  let mx = if metrics then Some (Mx.create ()) else None in
+  let sink = if spans then Some (Span.create ()) else None in
+  Machine.with_obs { Machine.no_obs with metrics = mx; spans = sink } run;
+  Option.iter
+    (fun s ->
+      Option.iter (fun mx -> H.Run.roll_transfer_walls mx s) mx;
+      Span_export.write_jsonl Filename.null s)
+    sink;
+  Option.iter
+    (fun mx ->
+      Json.write_file Filename.null (fun oc ->
+          output_string oc (Expo.to_json_string mx)))
+    mx
+
+let observed_rows =
+  [
+    ( "run.table1.metrics",
+      observed ~metrics:true ~spans:false (fun () ->
+          ignore (H.Exp_table1.run ())) );
+    ( "run.fig5.spans",
+      observed ~metrics:false ~spans:true (fun () ->
+          ignore (H.Exp_fig5.run ~uncached:false ())) );
+    ( "run.fig6.observed",
+      observed ~metrics:true ~spans:true (fun () ->
+          ignore (H.Exp_fig5.run ~uncached:true ())) );
+  ]
+
 let op_words fixture =
   let op = fixture () in
   for _ = 1 to warmup do
@@ -275,4 +316,5 @@ let op_words fixture =
 let () =
   let print name words = Printf.printf "%-40s %d\n" name words in
   List.iter (fun (name, run) -> print name (words run)) run_rows;
-  List.iter (fun (name, fixture) -> print name (op_words fixture)) op_rows
+  List.iter (fun (name, fixture) -> print name (op_words fixture)) op_rows;
+  List.iter (fun (name, run) -> print name (words run)) observed_rows

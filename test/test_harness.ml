@@ -298,6 +298,57 @@ let test_window_monotone () =
     (Printf.sprintf "window 8 (%.0f) >= window 1 (%.0f)" w8 w1)
     true (w8 >= w1)
 
+(* A sink whose file cannot be written gets a "cannot write" note on
+   stderr and the run still returns normally. /dev/full accepts the open
+   and fails the write, at the flush that closing the channel does. *)
+let cli_exe () =
+  List.find_opt Sys.file_exists
+    [ "../bin/fbufs_cli.exe"; "_build/default/bin/fbufs_cli.exe" ]
+
+let count_sub s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i acc =
+    if i + m > n then acc
+    else if String.sub s i m = sub then go (i + m) (acc + 1)
+    else go (i + 1) acc
+  in
+  go 0 0
+
+let test_failed_write_reported () =
+  match cli_exe () with
+  | None -> Alcotest.skip ()
+  | Some _ when not (Sys.file_exists "/dev/full") -> Alcotest.skip ()
+  | Some exe ->
+      let err = Filename.temp_file "sinks" ".err" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove err)
+        (fun () ->
+          List.iter
+            (fun (args, notes) ->
+              let code =
+                Sys.command
+                  (Printf.sprintf "%s %s > /dev/null 2> %s" exe args
+                     (Filename.quote err))
+              in
+              check Alcotest.int (args ^ ": exit status") 0 code;
+              let text = In_channel.with_open_bin err In_channel.input_all in
+              List.iter
+                (fun (sink, n) ->
+                  check Alcotest.int
+                    (Printf.sprintf "%s: %s notes" args sink)
+                    n
+                    (count_sub text (sink ^ ": cannot write /dev/full")))
+                notes)
+            [
+              ( "trace --bytes 4096 --trace /dev/full --jsonl /dev/full \
+                 --metrics /dev/full --spans /dev/full",
+                [ ("spans", 1); ("metrics", 1); ("trace", 2) ] );
+              ( "spans --out /dev/full --chrome /dev/full",
+                [ ("spans", 2) ] );
+              ( "stats remap --metrics /dev/full --folded /dev/full",
+                [ ("metrics", 2) ] );
+            ])
+
 let () =
   let tc = Alcotest.test_case in
   Alcotest.run "harness"
@@ -343,5 +394,6 @@ let () =
           tc "testbed registers domains" `Quick test_testbed_domains_registered;
           tc "dropped stack collectable" `Quick test_dropped_stack_collectable;
           tc "window monotone" `Slow test_window_monotone;
+          tc "failed write reported" `Quick test_failed_write_reported;
         ] );
     ]

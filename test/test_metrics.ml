@@ -58,7 +58,7 @@ let test_label_arity_checked () =
   let mx = Mx.create () in
   Alcotest.(check bool)
     "update with wrong label count raises" true
-    (raises_invalid (fun () -> Mx.incr mx d ~labels:[ "only-one" ] ()))
+    (raises_invalid (fun () -> Mx.incr1 mx d "only-one"))
 
 (* ------------------------------------------------------------------ *)
 (* Exposition round-trips                                              *)
@@ -74,9 +74,9 @@ let rt_sketch =
 
 let populated () =
   let mx = Mx.create () in
-  Mx.incr mx rt_counter ~labels:[ "7" ] ();
-  Mx.incr mx rt_counter ~labels:[ "7" ] ();
-  Mx.incr mx rt_counter ~labels:[ "9" ] ();
+  Mx.incr1 mx rt_counter "7";
+  Mx.incr1 mx rt_counter "7";
+  Mx.incr1 mx rt_counter "9";
   Mx.set mx rt_gauge 42.0;
   List.iter (Mx.observe mx rt_sketch) [ 10.0; 20.0; 30.0 ];
   Ledger.charge (Mx.ledger mx) ~machine:"tb" ~comp:Component.Copy
@@ -222,6 +222,310 @@ let test_counters_match_model () =
           (Format.asprintf "%a" Check.Driver.pp_report report))
     [ (1, false); (2, false); (3, true) ]
 
+(* ------------------------------------------------------------------ *)
+(* Flat ledger and registry tables against their former shapes          *)
+
+(* The tuple-keyed ledger the flat rows replaced, kept as the model: one
+   cell per (machine, component index, kind), found through a tuple key,
+   with the same Neumaier update and arrival-order machine totals. *)
+module Model_ledger = struct
+  type cell = { mutable sum : float; mutable err : float; mutable n : int }
+
+  type t = {
+    cells : (string * int * string, cell) Hashtbl.t;
+    charged : (string, float ref) Hashtbl.t;
+    mutable machine_order : string list;
+  }
+
+  let create () =
+    {
+      cells = Hashtbl.create 64;
+      charged = Hashtbl.create 4;
+      machine_order = [];
+    }
+
+  let cell_add c x =
+    let s = c.sum +. x in
+    c.err <-
+      (c.err
+      +.
+      if Float.abs c.sum >= Float.abs x then c.sum -. s +. x
+      else x -. s +. c.sum);
+    c.sum <- s;
+    c.n <- c.n + 1
+
+  let charge t ~machine ~comp ~kind us =
+    let key = (machine, Component.index comp, kind) in
+    (match Hashtbl.find_opt t.cells key with
+    | Some c -> cell_add c us
+    | None ->
+        let c = { sum = 0.0; err = 0.0; n = 0 } in
+        Hashtbl.add t.cells key c;
+        cell_add c us);
+    match Hashtbl.find_opt t.charged machine with
+    | Some r -> r := !r +. us
+    | None ->
+        Hashtbl.add t.charged machine (ref us);
+        t.machine_order <- machine :: t.machine_order
+
+  let charged_us t ~machine =
+    match Hashtbl.find_opt t.charged machine with Some r -> !r | None -> 0.0
+
+  let machines t = List.rev t.machine_order
+
+  let rows t =
+    Hashtbl.fold
+      (fun (machine, ci, kind) c acc ->
+        {
+          Ledger.machine;
+          comp = List.nth Component.all ci;
+          kind;
+          us = c.sum +. c.err;
+          count = c.n;
+        }
+        :: acc)
+      t.cells []
+    |> List.sort (fun (a : Ledger.row) (b : Ledger.row) ->
+           match compare a.machine b.machine with
+           | 0 -> (
+               match
+                 compare (Component.index a.comp) (Component.index b.comp)
+               with
+               | 0 -> compare a.kind b.kind
+               | c -> c)
+           | c -> c)
+
+  let by_component t =
+    let r = rows t in
+    List.map
+      (fun comp ->
+        ( comp,
+          List.fold_left
+            (fun acc (row : Ledger.row) ->
+              if row.comp = comp then acc +. row.us else acc)
+            0.0 r ))
+      Component.all
+
+  let total_us t =
+    List.fold_left (fun acc (_, us) -> acc +. us) 0.0 (by_component t)
+
+  let charge_count t = Hashtbl.fold (fun _ c acc -> acc + c.n) t.cells 0
+
+  let collapsed t =
+    let b = Buffer.create 1024 in
+    List.iter
+      (fun (r : Ledger.row) ->
+        let kind = if r.kind = "" then "untyped" else r.kind in
+        Buffer.add_string b
+          (Printf.sprintf "%s;%s;%s %.0f\n" r.machine
+             (Component.label r.comp) kind (r.us *. 1000.0)))
+      (rows t);
+    Buffer.contents b
+end
+
+let bits = Int64.bits_of_float
+
+let row_key (r : Ledger.row) =
+  (r.machine, Component.index r.comp, r.kind, bits r.us, r.count)
+
+(* Amounts across magnitudes, so the compensation terms do work. *)
+let random_us st =
+  match Rng.int st 6 with
+  | 0 -> 0.0
+  | 1 -> Rng.float st 1e-6
+  | 2 -> Rng.float st 1e6
+  | 3 -> -.Rng.float st 10.0
+  | _ -> Rng.float st 100.0
+
+let test_ledger_matches_model () =
+  (* Three machines, two of them sharing a name (a separate string of
+     the same bytes), and 22 kinds, the untyped one included. *)
+  let machines = [| "alpha"; "beta"; String.concat "" [ "be"; "ta" ] |] in
+  let kinds =
+    Array.init 22 (fun i -> if i = 0 then "" else Printf.sprintf "k%d" i)
+  in
+  let comps = Array.of_list Component.all in
+  for seed = 1 to 25 do
+    let st = Rng.create seed in
+    let real = Ledger.create () and model = Model_ledger.create () in
+    for _ = 1 to 1 + Rng.int st 3000 do
+      let machine = machines.(Rng.int st 3) in
+      let comp = comps.(Rng.int st (Array.length comps)) in
+      let kind = kinds.(Rng.int st (Array.length kinds)) in
+      let us = random_us st in
+      Ledger.charge real ~machine ~comp ~kind us;
+      Model_ledger.charge model ~machine ~comp ~kind us
+    done;
+    let ctx what = Printf.sprintf "seed %d: %s" seed what in
+    Alcotest.(check bool) (ctx "rows") true
+      (List.map row_key (Ledger.rows real)
+      = List.map row_key (Model_ledger.rows model));
+    check Alcotest.string (ctx "collapsed") (Model_ledger.collapsed model)
+      (Ledger.collapsed real);
+    let comp_bits = List.map (fun (c, us) -> (c, bits us)) in
+    Alcotest.(check bool) (ctx "by_component") true
+      (comp_bits (Ledger.by_component real)
+      = comp_bits (Model_ledger.by_component model));
+    check Alcotest.int64 (ctx "total_us") (bits (Model_ledger.total_us model))
+      (bits (Ledger.total_us real));
+    check Alcotest.int (ctx "charge_count") (Model_ledger.charge_count model)
+      (Ledger.charge_count real);
+    check
+      Alcotest.(list string)
+      (ctx "machines") (Model_ledger.machines model) (Ledger.machines real);
+    List.iter
+      (fun machine ->
+        check Alcotest.int64
+          (ctx ("charged_us " ^ machine))
+          (bits (Model_ledger.charged_us model ~machine))
+          (bits (Ledger.charged_us real ~machine)))
+      [ "alpha"; "beta"; "gamma" ]
+  done
+
+(* The list-keyed registry cells the per-definition tables replaced, kept
+   as the model: one cell per (definition id, label values). *)
+module Model_registry = struct
+  type cell = {
+    mutable v : float;
+    mutable n : int;
+    sk : Fbufs_metrics.Sketch.t option;
+  }
+
+  let create () : (int * string list, cell) Hashtbl.t = Hashtbl.create 64
+
+  let cell t (d : Mx.def) labels =
+    match Hashtbl.find_opt t (d.Mx.id, labels) with
+    | Some c -> c
+    | None ->
+        let c =
+          {
+            v = 0.0;
+            n = 0;
+            sk =
+              (match d.Mx.kind with
+              | Mx.Sketch -> Some (Fbufs_metrics.Sketch.create ())
+              | Mx.Counter | Mx.Gauge -> None);
+          }
+        in
+        Hashtbl.add t (d.Mx.id, labels) c;
+        c
+
+  let add t d labels x =
+    let c = cell t d labels in
+    c.v <- c.v +. x;
+    c.n <- c.n + 1
+
+  let set t d labels x =
+    let c = cell t d labels in
+    c.v <- x;
+    c.n <- c.n + 1
+
+  let observe t d labels x =
+    let c = cell t d labels in
+    (match c.sk with
+    | Some sk -> Fbufs_metrics.Sketch.add sk x
+    | None -> c.v <- c.v +. x);
+    c.n <- c.n + 1
+
+  (* (id, labels, value bits, count, sketch) sorted as [Mx.samples]. *)
+  let update t op d labels x =
+    match op with
+    | 0 -> add t d labels 1.0
+    | 1 -> add t d labels x
+    | 2 -> set t d labels x
+    | _ -> observe t d labels x
+
+  let samples t =
+    Hashtbl.fold
+      (fun (id, labels) c acc ->
+        let value =
+          match c.sk with Some sk -> Fbufs_metrics.Sketch.sum sk | None -> c.v
+        in
+        (id, labels, bits value, c.n, c.sk) :: acc)
+      t []
+    |> List.sort (fun (a, la, _, _, _) (b, lb, _, _, _) ->
+           match compare a b with 0 -> compare la lb | c -> c)
+end
+
+(* Update [op] (0 incr, 1 add, 2 set, 3 observe) with label values [l],
+   through the function for that update and label count. *)
+let update mx op d l x =
+  match (op, l) with
+  | 0, [||] -> Mx.incr mx d
+  | 0, [| a |] -> Mx.incr1 mx d a
+  | 0, [| a; b |] -> Mx.incr2 mx d a b
+  | 0, [| a; b; c |] -> Mx.incr3 mx d a b c
+  | 1, [||] -> Mx.add mx d x
+  | 1, [| a |] -> Mx.add1 mx d a x
+  | 1, [| a; b |] -> Mx.add2 mx d a b x
+  | 1, [| a; b; c |] -> Mx.add3 mx d a b c x
+  | 2, [||] -> Mx.set mx d x
+  | 2, [| a |] -> Mx.set1 mx d a x
+  | 2, [| a; b |] -> Mx.set2 mx d a b x
+  | 2, [| a; b; c |] -> Mx.set3 mx d a b c x
+  | _, [||] -> Mx.observe mx d x
+  | _, [| a |] -> Mx.observe1 mx d a x
+  | _, [| a; b |] -> Mx.observe2 mx d a b x
+  | _, [| a; b; c |] -> Mx.observe3 mx d a b c x
+  | _ -> invalid_arg "update: more than 3 labels"
+
+(* One definition per kind and label count, 0 to 3. *)
+let model_defs =
+  List.concat_map
+    (fun arity ->
+      let labels = List.init arity (fun i -> Printf.sprintf "l%d" i) in
+      [
+        Mx.counter ~name:(Printf.sprintf "fbufs_test_model_c%d_total" arity)
+          ~help:"model counter" ~labels ();
+        Mx.gauge ~name:(Printf.sprintf "fbufs_test_model_g%d" arity)
+          ~help:"model gauge" ~labels ();
+        Mx.sketch ~name:(Printf.sprintf "fbufs_test_model_s%d" arity)
+          ~help:"model sketch" ~labels ();
+      ])
+    [ 0; 1; 2; 3 ]
+  |> Array.of_list
+
+let test_registry_matches_model () =
+  let values = [| "a"; "b"; ""; "c d"; "7"; "a" ^ "" |] in
+  for seed = 1 to 25 do
+    let st = Rng.create seed in
+    let mx = Mx.create () and model = Model_registry.create () in
+    for _ = 1 to 1 + Rng.int st 1500 do
+      let d = model_defs.(Rng.int st (Array.length model_defs)) in
+      let l =
+        Array.init (List.length d.Mx.labels) (fun _ ->
+            values.(Rng.int st (Array.length values)))
+      in
+      let x = random_us st in
+      let op = Rng.int st 4 in
+      update mx op d l x;
+      Model_registry.update model op d (Array.to_list l) x
+    done;
+    let want = Model_registry.samples model in
+    let got = Mx.samples mx in
+    check Alcotest.int (Printf.sprintf "seed %d: sample count" seed)
+      (List.length want) (List.length got);
+    List.iter2
+      (fun (id, labels, value, count, sk) (s : Mx.sample) ->
+        let ctx what =
+          Printf.sprintf "seed %d: %s{%s} %s" seed s.Mx.def.Mx.name
+            (String.concat "," s.Mx.labels) what
+        in
+        check Alcotest.int (ctx "def") id s.Mx.def.Mx.id;
+        check Alcotest.(list string) (ctx "labels") labels s.Mx.labels;
+        check Alcotest.int64 (ctx "value") value (bits s.Mx.value);
+        check Alcotest.int (ctx "count") count s.Mx.count;
+        Alcotest.(check bool) (ctx "sketch") true
+          (match (sk, s.Mx.sketch) with
+          | None, None -> true
+          | Some a, Some b -> Fbufs_metrics.Sketch.equal a b
+          | _ -> false);
+        check Alcotest.(option int64) (ctx "value read by labels")
+          (Some value)
+          (Option.map bits (Mx.value mx s.Mx.def ~labels:s.Mx.labels)))
+      want got
+  done
+
 let () =
   let tc = Alcotest.test_case in
   Alcotest.run "metrics"
@@ -251,5 +555,11 @@ let () =
             test_disabled_machine_carries_no_instance;
         ] );
       ( "differential",
-        [ tc "counters match model" `Quick test_counters_match_model ] );
+        [
+          tc "counters match model" `Quick test_counters_match_model;
+          tc "ledger rows match tuple-keyed model" `Quick
+            test_ledger_matches_model;
+          tc "registry samples match list-keyed model" `Quick
+            test_registry_matches_model;
+        ] );
     ]

@@ -170,6 +170,37 @@ let test_trigger_debounce_and_cap () =
       Alcotest.(check int) "four capped dumps plus the forced one" 5
         (Recorder.dumps r))
 
+(* A dump whose files cannot be written raises the write's [Sys_error]
+   (not [Fun.Finally_raised]), for the caller to report. *)
+let test_failed_dump_write_is_sys_error () =
+  if not (Sys.file_exists "/dev/full") then Alcotest.skip ();
+  let dir = tmp_dump_dir "obs-full-dump" in
+  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+  let files =
+    List.map
+      (fun name -> Filename.concat dir ("postmortem-1-" ^ name))
+      [
+        "events.jsonl"; "chrome.json"; "sampled.jsonl"; "spans.jsonl";
+        "meta.json";
+      ]
+  in
+  let remove p = try Sys.remove p with Sys_error _ -> () in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter remove files;
+      try Sys.rmdir dir with Sys_error _ -> ())
+    (fun () ->
+      List.iter
+        (fun p ->
+          remove p;
+          Unix.symlink "/dev/full" p)
+        files;
+      let r = Recorder.create ~dir in
+      armed r (fun _ ->
+          match Recorder.trigger ~force:true r ~reason:"exit" with
+          | _ -> Alcotest.fail "a dump to /dev/full returned"
+          | exception Sys_error _ -> ()))
+
 (* -- planted violation: monitors fire, dump round-trips ------------------ *)
 
 let test_planted_violation_monitors_and_dump () =
@@ -277,6 +308,8 @@ let () =
         [
           Alcotest.test_case "debounce window and dump cap" `Quick
             test_trigger_debounce_and_cap;
+          Alcotest.test_case "failed dump write is a Sys_error" `Quick
+            test_failed_dump_write_is_sys_error;
         ] );
       ( "monitors",
         [

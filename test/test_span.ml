@@ -382,7 +382,7 @@ let test_sketch_metric_kind () =
   in
   let mx = Mx.create () in
   List.iter
-    (fun v -> Mx.observe mx def ~labels:[ "a" ] v)
+    (fun v -> Mx.observe1 mx def "a" v)
     [ 10.0; 20.0; 30.0 ];
   check (Alcotest.float 1e-9) "value is the sum" 60.0
     (Option.get (Mx.value mx def ~labels:[ "a" ]));

@@ -405,6 +405,128 @@ let test_disabled_tracing_is_invisible () =
     (Stats.diff ~before:stats_off ~after:stats_on)
 
 (* ------------------------------------------------------------------ *)
+(* JSON scalar printers                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* The oracle: what the writers printed when every scalar went through
+   [Printf], kept here so the direct printers are checked against it. *)
+let printf_float f =
+  if not (Float.is_finite f) then "null"
+  else if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
+  else
+    let s = Printf.sprintf "%.12g" f in
+    if float_of_string s = f then s
+    else
+      let s = Printf.sprintf "%.15g" f in
+      if float_of_string s = f then s else Printf.sprintf "%.17g" f
+
+let printf_string s =
+  let buf = Buffer.create 16 in
+  Buffer.add_char buf '"';
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | '\r' -> Buffer.add_string buf "\\r"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | '\b' -> Buffer.add_string buf "\\b"
+      | '\012' -> Buffer.add_string buf "\\f"
+      | c when Char.code c < 0x20 ->
+          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char buf c)
+    s;
+  Buffer.add_char buf '"';
+  Buffer.contents buf
+
+let printed add x =
+  let buf = Buffer.create 32 in
+  add buf x;
+  Buffer.contents buf
+
+let special_floats =
+  [
+    0.0; -0.0; Float.nan; Float.infinity; Float.neg_infinity; 1e15;
+    Float.pred 1e15; Float.succ 1e15; -1e15; Float.pred (-1e15);
+    Float.succ (-1e15); 1e16; 999999999999999.5; Float.min_float;
+    Float.min_float /. 2.0; Float.pred Float.min_float; 5e-324; -5e-324;
+    Float.max_float; -.Float.max_float; Float.epsilon; 0.1; 1.0 /. 3.0;
+    -2.5; 123456.789; 1e-7; 4503599627370496.5;
+  ]
+
+(* Specials, arbitrary bit patterns (every class: subnormal, nan
+   payloads, infinities), and the short decimals simulated times are. *)
+let float_arb =
+  QCheck.make ~print:(Printf.sprintf "%h")
+    QCheck.Gen.(
+      oneof
+        [
+          oneofl special_floats;
+          map Int64.float_of_bits ui64;
+          float;
+          map
+            (fun i -> float_of_int i /. 1000.0)
+            (int_range (-10_000_000) 10_000_000);
+          map (fun i -> float_of_int i) int;
+        ])
+
+let prop_float_printer =
+  QCheck.Test.make ~name:"add_float = Printf oracle" ~count:5000 float_arb
+    (fun f -> printed Json.add_float f = printf_float f)
+
+let int_arb =
+  QCheck.make ~print:string_of_int
+    QCheck.Gen.(
+      oneof
+        [
+          oneofl
+            [ 0; 1; -1; 9; 10; -10; max_int; min_int; max_int - 1; min_int + 1 ];
+          int;
+          small_signed_int;
+        ])
+
+let prop_int_printer =
+  QCheck.Test.make ~name:"add_int = Printf oracle" ~count:5000 int_arb
+    (fun i -> printed Json.add_int i = Printf.sprintf "%d" i)
+
+(* Bytes weighted toward the ones with escapes: quotes, backslashes and
+   every control character, then any byte at all. *)
+let string_arb =
+  QCheck.make ~print:String.escaped
+    QCheck.Gen.(
+      string_size
+        ~gen:
+          (frequency
+             [
+               (3, oneofl [ '"'; '\\'; '\n'; '\r'; '\t'; '\b'; '\012' ]);
+               (3, char_range '\000' '\031');
+               (4, printable);
+               (2, char);
+             ])
+        (int_range 0 40))
+
+let prop_string_printer =
+  QCheck.Test.make ~name:"add_string = Printf oracle" ~count:5000 string_arb
+    (fun s -> printed Json.add_string s = printf_string s)
+
+let test_printer_specials () =
+  List.iter
+    (fun f ->
+      check Alcotest.string (Printf.sprintf "%h" f) (printf_float f)
+        (printed Json.add_float f))
+    special_floats;
+  List.iter
+    (fun i ->
+      check Alcotest.string (string_of_int i) (Printf.sprintf "%d" i)
+        (printed Json.add_int i))
+    [ min_int; max_int; 0 ];
+  let every_control = String.init 32 Char.chr ^ "\"\\" in
+  check Alcotest.string "control characters and quotes"
+    (printf_string every_control)
+    (printed Json.add_string every_control)
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "trace"
@@ -444,5 +566,12 @@ let () =
         [
           Alcotest.test_case "disabled tracing is invisible" `Quick
             test_disabled_tracing_is_invisible;
+        ] );
+      ( "json-printers",
+        [
+          Alcotest.test_case "special values" `Quick test_printer_specials;
+          QCheck_alcotest.to_alcotest prop_float_printer;
+          QCheck_alcotest.to_alcotest prop_int_printer;
+          QCheck_alcotest.to_alcotest prop_string_printer;
         ] );
     ]
