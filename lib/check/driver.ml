@@ -505,10 +505,21 @@ let sanction_meta st cn =
           done)
         (Allocator.owned_chunks a)
 
+(* The domain holding [asid], searched in the order kernel, [doms],
+   ephemeral domains. The audit asks once per live TLB entry at every
+   step, so the walk builds no list and captures nothing. *)
+let rec eph_of_asid asid = function
+  | [] -> None
+  | (d : Pd.t) :: rest ->
+      if Pd.asid d = asid then Some d else eph_of_asid asid rest
+
+let rec dom_of_asid st asid i =
+  if i = Array.length st.doms then eph_of_asid asid st.ephs
+  else if Pd.asid st.doms.(i) = asid then Some st.doms.(i)
+  else dom_of_asid st asid (i + 1)
+
 let domain_of_asid st asid =
-  List.find_opt
-    (fun (d : Pd.t) -> Pd.asid d = asid)
-    ((st.kernel :: Array.to_list st.doms) @ st.ephs)
+  if Pd.asid st.kernel = asid then Some st.kernel else dom_of_asid st asid 0
 
 (* Runs after every step. Two invariants of the deferred-shootdown
    discipline, checked against the real TLB's introspection surface:

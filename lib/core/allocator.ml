@@ -3,6 +3,12 @@ open Fbufs_vm
 module Mx = Fbufs_metrics.Metrics
 module Comp = Fbufs_metrics.Component
 
+let fbuf_alloc_cached_hit = Stats.counter "fbuf.alloc_cached_hit"
+let fbuf_alloc_fresh = Stats.counter "fbuf.alloc_fresh"
+let fbuf_page_zeroed = Stats.counter "fbuf.page_zeroed"
+let k_page_alloc = Machine.kind "page.alloc"
+let k_page_zero = Machine.kind "page.zero"
+
 type policy = Lifo | Fifo
 
 (* Buffer-sharing hooks (see Fbufs_policy). The allocator stays ignorant
@@ -307,13 +313,13 @@ let fresh_fbuf t ~npages =
   let base_vpn = take_address_range t ~npages in
   let zero = (Region.config t.region).Region.zero_on_alloc in
   for i = 0 to npages - 1 do
-    Machine.charge ~kind:"page.alloc" ~comp:Comp.Alloc m
+    Machine.charge ~kind:k_page_alloc ~comp:Comp.Alloc m
       m.Machine.cost.Cost_model.page_alloc;
     let f = Phys_mem.alloc m.Machine.pmem in
     if zero then begin
-      Machine.charge ~kind:"page.zero" ~comp:Comp.Zero m
+      Machine.charge ~kind:k_page_zero ~comp:Comp.Zero m
         m.Machine.cost.Cost_model.page_zero;
-      Stats.incr m.Machine.stats "fbuf.page_zeroed";
+      Stats.incr m.Machine.stats fbuf_page_zeroed;
       Phys_mem.zero m.Machine.pmem f
     end;
     Vm_map.map_frame t.owner.Pd.map ~vpn:(base_vpn + i) ~frame:f
@@ -327,7 +333,7 @@ let fresh_fbuf t ~npages =
      its later lives keep the hook. *)
   fb.Fbuf.on_all_freed <- t.on_freed;
   Region.register_fbuf t.region fb;
-  Stats.incr m.Machine.stats "fbuf.alloc_fresh";
+  Stats.incr m.Machine.stats fbuf_alloc_fresh;
   fb
 
 (* The rest of every allocation, cache hit or fresh: [fb] is Active and
@@ -396,7 +402,7 @@ let alloc t ~npages =
         if not fb.Fbuf.accounted then grow_hook t npages;
         fb.Fbuf.accounted <- true;
         fb.Fbuf.state <- Fbuf.Active;
-        Stats.incr m.Machine.stats "fbuf.alloc_cached_hit";
+        Stats.incr m.Machine.stats fbuf_alloc_cached_hit;
         activate t m fb ~npages ~cache_hit:true
     | exception Not_found -> alloc_fresh t m ~npages
   else alloc_fresh t m ~npages

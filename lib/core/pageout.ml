@@ -1,6 +1,9 @@
 open Fbufs_sim
 module Mx = Fbufs_metrics.Metrics
 
+let pageout_reclaimed = Stats.counter "pageout.reclaimed"
+let k_pageout_scan = Machine.kind "pageout.scan"
+
 type victim = Allocator.t * Fbuf.t
 
 type t = {
@@ -64,7 +67,7 @@ let balance t =
      deferred-shootdown queue must be empty before the sweep starts. *)
   Fbufs_vm.Tlb_sync.drain m;
   (* One daemon scan costs a range operation's worth of work. *)
-  Machine.charge ~kind:"pageout.scan" ~comp:Fbufs_metrics.Component.Alloc m
+  Machine.charge ~kind:k_pageout_scan ~comp:Fbufs_metrics.Component.Alloc m
     m.Machine.cost.Cost_model.vm_range_op;
   (* The candidate list and its order are fixed at sweep start; the walk
      then reclaims victims in that order until pressure clears, so the
@@ -77,7 +80,7 @@ let balance t =
         incr reclaimed
       end)
     ordered;
-  Stats.add m.Machine.stats "pageout.reclaimed" !reclaimed;
+  Stats.add m.Machine.stats pageout_reclaimed !reclaimed;
   (match Machine.metrics m with
   | None -> ()
   | Some mx ->

@@ -2,6 +2,11 @@ open Fbufs_sim
 open Fbufs_vm
 module Comp = Fbufs_metrics.Component
 
+let fbuf_lazy_map = Stats.counter "fbuf.lazy_map"
+let region_chunk_rpc = Stats.counter "region.chunk_rpc"
+let region_chunks_granted = Stats.counter "region.chunks_granted"
+let region_dead_page_read = Stats.counter "region.dead_page_read"
+
 type config = {
   base_vpn : int;
   region_pages : int;
@@ -64,14 +69,16 @@ let fbuf_at t ~vpn =
     | exception Not_found -> None
 
 let lazy_map_frame t (dom : Pd.t) ~vpn frame =
-  Machine.charge ~comp:Comp.Map t.m t.m.cost.Cost_model.fault_trap;
-  Stats.incr t.m.stats "fbuf.lazy_map";
+  Machine.charge ~kind:Machine.untyped ~comp:Comp.Map t.m
+    t.m.cost.Cost_model.fault_trap;
+  Stats.incr t.m.stats fbuf_lazy_map;
   Phys_mem.incref t.m.pmem frame;
   Vm_map.map_frame dom.Pd.map ~vpn ~frame ~prot:Prot.Read_only ~eager:true
 
 let map_dead t (dom : Pd.t) ~vpn =
-  Machine.charge ~comp:Comp.Map t.m t.m.cost.Cost_model.fault_trap;
-  Stats.incr t.m.stats "region.dead_page_read";
+  Machine.charge ~kind:Machine.untyped ~comp:Comp.Map t.m
+    t.m.cost.Cost_model.fault_trap;
+  Stats.incr t.m.stats region_dead_page_read;
   t.dead_reads <- t.dead_reads + 1;
   Phys_mem.incref t.m.pmem t.dead_frame;
   Vm_map.map_frame dom.Pd.map ~vpn ~frame:t.dead_frame ~prot:Prot.Read_only
@@ -131,7 +138,8 @@ let create m ~kernel ?(config = default_config) () =
 let register_domain t (dom : Pd.t) =
   (* Reserving the range costs one map-level range operation; individual
      pages are mapped only as fbufs are transferred in. *)
-  Machine.charge ~comp:Comp.Map t.m t.m.cost.Cost_model.vm_range_op;
+  Machine.charge ~kind:Machine.untyped ~comp:Comp.Map t.m
+    t.m.cost.Cost_model.vm_range_op;
   dom.Pd.fault_hook <- Some (dead_page_hook t)
 
 let owned t (dom : Pd.t) =
@@ -150,11 +158,14 @@ let alloc_chunks t (dom : Pd.t) ~nchunks =
   (* Chunk requests from user domains travel to the kernel over IPC; this
      is the slow path the two-level allocator amortizes away. *)
   if not (Pd.equal dom t.kernel) then begin
-    Machine.charge ~comp:Comp.Ipc t.m t.m.cost.Cost_model.ipc_call;
-    Machine.charge ~comp:Comp.Ipc t.m t.m.cost.Cost_model.ipc_reply;
-    Stats.incr t.m.stats "region.chunk_rpc"
+    Machine.charge ~kind:Machine.untyped ~comp:Comp.Ipc t.m
+      t.m.cost.Cost_model.ipc_call;
+    Machine.charge ~kind:Machine.untyped ~comp:Comp.Ipc t.m
+      t.m.cost.Cost_model.ipc_reply;
+    Stats.incr t.m.stats region_chunk_rpc
   end;
-  Machine.charge ~comp:Comp.Alloc t.m t.m.cost.Cost_model.vm_range_op;
+  Machine.charge ~kind:Machine.untyped ~comp:Comp.Alloc t.m
+    t.m.cost.Cost_model.vm_range_op;
   (* Next-fit search for a contiguous free run: resume from the rolling
      cursor and wrap around once, skipping past the blocking chunk on
      every failed probe. In the common append-mostly regime this is O(run
@@ -188,7 +199,7 @@ let alloc_chunks t (dom : Pd.t) ~nchunks =
   t.cursor <- (if start + nchunks >= t.nchunks then 0 else start + nchunks);
   t.free_count <- t.free_count - nchunks;
   Hashtbl.replace t.owned_count dom.Pd.id (owned t dom + nchunks);
-  Stats.add t.m.stats "region.chunks_granted" nchunks;
+  Stats.add t.m.stats region_chunks_granted nchunks;
   t.config.base_vpn + (start * t.config.chunk_pages)
 
 let free_chunks t (dom : Pd.t) ~vpn ~nchunks =
@@ -203,7 +214,8 @@ let free_chunks t (dom : Pd.t) ~vpn ~nchunks =
     t.chunk_owner.(i) <- None
   done;
   t.free_count <- t.free_count + nchunks;
-  Machine.charge ~comp:Comp.Alloc t.m t.m.cost.Cost_model.vm_range_op;
+  Machine.charge ~kind:Machine.untyped ~comp:Comp.Alloc t.m
+    t.m.cost.Cost_model.vm_range_op;
   Hashtbl.replace t.owned_count dom.Pd.id (owned t dom - nchunks)
 
 let last_chunk t (fb : Fbuf.t) =

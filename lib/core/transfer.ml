@@ -2,6 +2,12 @@ open Fbufs_sim
 open Fbufs_vm
 module Mx = Fbufs_metrics.Metrics
 
+let fbuf_last_free = Stats.counter "fbuf.last_free"
+let fbuf_reclaimed = Stats.counter "fbuf.reclaimed"
+let fbuf_secure_noop = Stats.counter "fbuf.secure_noop"
+let fbuf_secured = Stats.counter "fbuf.secured"
+let fbuf_send = Stats.counter "fbuf.send"
+
 exception Dead_fbuf of string
 
 let sends_total =
@@ -37,17 +43,17 @@ let protect_originator (fb : Fbuf.t) =
   trace_fbuf_event fb ~domain:orig.Pd.name "fbuf.secure";
   if orig.Pd.kernel then
     (* Trusted originator: enforcement is a no-op. *)
-    Stats.incr (stats fb) "fbuf.secure_noop"
+    Stats.incr (stats fb) fbuf_secure_noop
   else if !chaos_skip_protect then
     (* Fault injection: claim the buffer is secured without actually
        revoking write permission — the bug class Fbufs_check exists to
        catch. Bookkeeping below proceeds so the divergence is purely
        between recorded and enforced protection state. *)
-    Stats.incr (stats fb) "fbuf.secured"
+    Stats.incr (stats fb) fbuf_secured
   else begin
     Vm_map.protect orig.Pd.map ~vpn:fb.base_vpn ~npages:fb.npages
       ~prot:Prot.Read_only;
-    Stats.incr (stats fb) "fbuf.secured"
+    Stats.incr (stats fb) fbuf_secured
   end;
   (match Machine.metrics fb.Fbuf.m with
   | None -> ()
@@ -97,7 +103,7 @@ let send (fb : Fbuf.t) ~src ~dst =
     protect_originator fb;
   if not (Fbuf.is_mapped_in fb dst) then grant fb dst;
   Fbuf.add_ref fb dst;
-  Stats.incr (stats fb) "fbuf.send";
+  Stats.incr (stats fb) fbuf_send;
   (match Machine.metrics fb.Fbuf.m with
   | None -> ()
   | Some mx ->
@@ -171,7 +177,7 @@ let free (fb : Fbuf.t) ~dom =
       fb.Fbuf.state <- Fbuf.Cached_free
     end
     else teardown fb;
-    Stats.incr (stats fb) "fbuf.last_free";
+    Stats.incr (stats fb) fbuf_last_free;
     (* Guarded although [async_end] checks too: its optional arguments
        would be wrapped in fresh [Some]s before the check. *)
     if Machine.tracing fb.Fbuf.m then
@@ -198,5 +204,5 @@ let reclaim_memory (fb : Fbuf.t) =
   unmap_all fb fb.Fbuf.mapped_in;
   fb.Fbuf.mapped_in <- [];
   Vm_map.convert_zero_fill orig.Pd.map ~vpn:fb.base_vpn ~npages:fb.npages;
-  Stats.incr (stats fb) "fbuf.reclaimed";
+  Stats.incr (stats fb) fbuf_reclaimed;
   trace_fbuf_event fb ~domain:orig.Pd.name "fbuf.reclaimed"

@@ -52,11 +52,13 @@ let mach_series () =
         in
         let entries = m.Machine.cost.Cost_model.ipc_tlb_footprint in
         let roundtrip () =
-          Machine.charge ~comp:Fbufs_metrics.Component.Ipc m
+          Machine.charge ~kind:Machine.untyped
+            ~comp:Fbufs_metrics.Component.Ipc m
             m.Machine.cost.Cost_model.ipc_call;
           Machine.domain_crossing_tlb_pressure ~entries m;
           Fbufs_baseline.Mach_native.transfer mach ~bytes;
-          Machine.charge ~comp:Fbufs_metrics.Component.Ipc m
+          Machine.charge ~kind:Machine.untyped
+            ~comp:Fbufs_metrics.Component.Ipc m
             m.Machine.cost.Cost_model.ipc_reply;
           Machine.domain_crossing_tlb_pressure ~entries m
         in

@@ -151,9 +151,9 @@ let run_one ~uncached ~config ~bytes ?(pdu_size = 16384) ?(window = 8)
   let ack_alloc = Testbed.allocator tb2 ~domains:[ k2 ] Fbuf.cached_volatile in
   let send_ack () =
     if not (Pd.equal sink_dom k2) then begin
-      Machine.charge ~comp:Fbufs_metrics.Component.Ipc m2
+      Machine.charge ~kind:Machine.untyped ~comp:Fbufs_metrics.Component.Ipc m2
         m2.Machine.cost.Cost_model.ipc_call;
-      Machine.charge ~comp:Fbufs_metrics.Component.Ipc m2
+      Machine.charge ~kind:Machine.untyped ~comp:Fbufs_metrics.Component.Ipc m2
         m2.Machine.cost.Cost_model.ipc_reply;
       Machine.domain_crossing_tlb_pressure
         ~entries:m2.Machine.cost.Cost_model.ipc_tlb_footprint m2

@@ -4,6 +4,16 @@ open Fbufs
 module Mx = Fbufs_metrics.Metrics
 module Comp = Fbufs_metrics.Component
 
+let ipc_call = Stats.counter "ipc.call"
+let ipc_dealloc_deferred = Stats.counter "ipc.dealloc_deferred"
+let ipc_dealloc_piggybacked = Stats.counter "ipc.dealloc_piggybacked"
+let ipc_dealloc_processed = Stats.counter "ipc.dealloc_processed"
+let ipc_explicit_dealloc_msg = Stats.counter "ipc.explicit_dealloc_msg"
+let k_ipc_call = Machine.kind "ipc.call"
+let k_ipc_crossing = Machine.kind "ipc.crossing"
+let k_ipc_marshal = Machine.kind "ipc.marshal"
+let k_ipc_reply = Machine.kind "ipc.reply"
+
 type mode = Rebuild | Integrated
 
 type facility = Mach | Urpc
@@ -99,7 +109,7 @@ let pending_deallocs c = c.npending
 (* Oldest notice first. *)
 let process_pending c =
   for i = 0 to c.npending - 1 do
-    Stats.incr c.m.Machine.stats "ipc.dealloc_processed";
+    Stats.incr c.m.Machine.stats ipc_dealloc_processed;
     Transfer.free c.pending.(i) ~dom:c.dst
   done;
   c.npending <- 0
@@ -110,11 +120,11 @@ let explicit_flush c =
       Machine.trace_instant c.m ~domain:c.dst.Pd.name
         ~args:[ ("pending", Fbufs_trace.Trace.Int c.npending) ]
         "ipc.dealloc_flush";
-    Machine.charge ~kind:"ipc.call" ~comp:Comp.Ipc c.m
+    Machine.charge ~kind:k_ipc_call ~comp:Comp.Ipc c.m
       c.m.cost.Cost_model.ipc_call;
-    Machine.charge ~kind:"ipc.reply" ~comp:Comp.Ipc c.m
+    Machine.charge ~kind:k_ipc_reply ~comp:Comp.Ipc c.m
       c.m.cost.Cost_model.ipc_reply;
-    Stats.incr c.m.Machine.stats "ipc.explicit_dealloc_msg";
+    Stats.incr c.m.Machine.stats ipc_explicit_dealloc_msg;
     note_deallocs c "explicit" c.npending;
     process_pending c
   end
@@ -135,7 +145,7 @@ let push_pending c fb =
    message allocates nothing: the connection rides as the accumulator. *)
 let defer_or_free (fb : Fbuf.t) c =
   if Pd.equal (Fbuf.originator fb) c.src then begin
-    Stats.incr c.m.Machine.stats "ipc.dealloc_deferred";
+    Stats.incr c.m.Machine.stats ipc_dealloc_deferred;
     note_deallocs c "deferred" 1;
     push_pending c fb
   end
@@ -192,8 +202,8 @@ let call c msg ~handler =
       Machine.span_adopt c.m ~transfer:tid ~follows:0 ~domain:c.src.Pd.name
         "ipc.call"
   in
-  Machine.charge ~kind:"ipc.crossing" ~comp:Comp.Ipc c.m c.call_us;
-  Stats.incr c.m.Machine.stats "ipc.call";
+  Machine.charge ~kind:k_ipc_crossing ~comp:Comp.Ipc c.m c.call_us;
+  Stats.incr c.m.Machine.stats ipc_call;
   (match Machine.metrics c.m with
   | None -> ()
   | Some mx ->
@@ -203,7 +213,7 @@ let call c msg ~handler =
   | Rebuild ->
       (* Flatten to an fbuf list, marshal one descriptor per buffer, and
          let the receiving side reconstruct the aggregate. *)
-      Machine.charge_n ~kind:"ipc.marshal" ~comp:Comp.Ipc c.m
+      Machine.charge_n ~kind:k_ipc_marshal ~comp:Comp.Ipc c.m
         (Fbufs_msg.Msg.fold_fbufs count msg 0)
         cost.Cost_model.ipc_per_fbuf;
       ignore (Fbufs_msg.Msg.fold_fbufs send msg c);
@@ -225,7 +235,7 @@ let call c msg ~handler =
       in
       (* Only the root reference is marshalled; the kernel inspects the
          aggregate to find the buffers to transfer. *)
-      Machine.charge ~kind:"ipc.marshal" ~comp:Comp.Ipc c.m
+      Machine.charge ~kind:k_ipc_marshal ~comp:Comp.Ipc c.m
         cost.Cost_model.ipc_per_fbuf;
       let reachable =
         Machine.with_comp c.m Comp.Dag (fun () ->
@@ -245,7 +255,7 @@ let call c msg ~handler =
       Transfer.free meta ~dom:c.src);
   (* Reply path: control transfer back, carrying deferred deallocation
      notices for free. *)
-  Machine.charge ~kind:"ipc.crossing" ~comp:Comp.Ipc c.m c.reply_us;
+  Machine.charge ~kind:k_ipc_crossing ~comp:Comp.Ipc c.m c.reply_us;
   Machine.domain_crossing_tlb_pressure ~entries:c.footprint c.m;
   (* The return crossing is the call's synchronization barrier: whatever
      deferred shootdowns survived the roundtrip — and were not cancelled
@@ -256,7 +266,7 @@ let call c msg ~handler =
      re-fault during the call.) *)
   Tlb_sync.drain c.m;
   if c.npending > 0 then begin
-    Stats.add c.m.Machine.stats "ipc.dealloc_piggybacked" c.npending;
+    Stats.add c.m.Machine.stats ipc_dealloc_piggybacked c.npending;
     note_deallocs c "piggybacked" c.npending;
     if Machine.tracing c.m then
       Machine.trace_instant c.m ~domain:c.dst.Pd.name

@@ -60,5 +60,10 @@ let index = function
   | Other -> 12
   | Policy -> 13
 
+let names =
+  Array.of_list (List.map (fun c -> Fbufs_trace.Name.intern (label c)) all)
+
+let name c = names.(index c)
+
 let table1 = [ Alloc; Map; Unmap; Tlb_flush; Zero; Secure; Copy; Dag ]
 let in_table1 c = List.mem c table1

@@ -35,6 +35,9 @@ val label : t -> string
 val index : t -> int
 (** Dense index in [0, List.length all); follows the order of {!all}. *)
 
+val name : t -> Fbufs_trace.Name.t
+(** {!label}, interned: what a charge's trace slice stores. *)
+
 val table1 : t list
 (** The paper's own eight components. *)
 

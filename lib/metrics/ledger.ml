@@ -16,66 +16,75 @@
      equal to [Machine.busy_us] and proves no charge escaped
      attribution.
 
-   A row keeps its cells in flat arrays indexed by [Component.index]:
-   sums and compensation terms in float arrays, counts in an int array.
-   A charge finds its row with two string-keyed lookups that allocate
-   nothing, and writes floats into float arrays, so it builds no key and
-   boxes no float. A cell exists once its count is non-zero. *)
+   A machine keeps its cells in flat arrays indexed by
+   [kind * ncomp + Component.index comp], where [kind] is the charge
+   kind's interned id: sums and compensation terms in float arrays,
+   counts in an int array. The charging machine finds its rows once
+   ({!machine}) and keeps them, so a charge hashes nothing, builds no
+   key and boxes no float. A cell exists once its count is non-zero. *)
+
+module Name = Fbufs_trace.Name
 
 let ncomp = List.length Component.all
 let comps = Array.of_list Component.all
 
-type row_cells = { sum : float array; err : float array; n : int array }
-
 type machine = {
+  owner : t;
   name : string;
   charged : float array;  (* one slot: the arrival-ordered total *)
-  kinds : (string, row_cells) Hashtbl.t;
+  mutable sum : float array;
+  mutable err : float array;
+  mutable n : int array;
 }
 
-type t = {
+and t = {
   by_name : (string, machine) Hashtbl.t;
-  mutable order : machine list;  (* reverse first-charge order *)
+  mutable order : machine list;  (* reverse first-lookup order *)
 }
 
 let create () = { by_name = Hashtbl.create 4; order = [] }
 
-let machine_of t name =
+let cells kinds =
+  let n = kinds * ncomp in
+  (Array.make n 0.0, Array.make n 0.0, Array.make n 0)
+
+let machine t name =
   match Hashtbl.find t.by_name name with
   | m -> m
   | exception Not_found ->
-      let m = { name; charged = [| 0.0 |]; kinds = Hashtbl.create 32 } in
+      let sum, err, n = cells (Name.count ()) in
+      let m = { owner = t; name; charged = [| 0.0 |]; sum; err; n } in
       Hashtbl.add t.by_name name m;
       t.order <- m :: t.order;
       m
 
-let row_of m kind =
-  match Hashtbl.find m.kinds kind with
-  | r -> r
-  | exception Not_found ->
-      let r =
-        {
-          sum = Array.make ncomp 0.0;
-          err = Array.make ncomp 0.0;
-          n = Array.make ncomp 0;
-        }
-      in
-      Hashtbl.add m.kinds kind r;
-      r
+let owner m = m.owner
 
-(* Neumaier variant of Kahan summation, on cell [i] of row [r]. *)
-let charge t ~machine ~comp ~kind us =
-  let m = machine_of t machine in
-  let r = row_of m kind in
-  let i = Component.index comp in
-  let sum = r.sum.(i) in
+(* A kind declared after the machine's rows were made: widen them to
+   every name interned so far. *)
+let grow m kind =
+  let sum, err, n = cells (max (Name.count ()) (kind + 1)) in
+  let len = Array.length m.n in
+  Array.blit m.sum 0 sum 0 len;
+  Array.blit m.err 0 err 0 len;
+  Array.blit m.n 0 n 0 len;
+  m.sum <- sum;
+  m.err <- err;
+  m.n <- n
+
+(* Neumaier variant of Kahan summation, on cell [i] of machine [m]. *)
+let charge m ~comp ~(kind : Name.t) us =
+  let kind = (kind :> int) in
+  if (kind + 1) * ncomp > Array.length m.n then grow m kind;
+  let i = (kind * ncomp) + Component.index comp in
+  let sum = m.sum.(i) in
   let s = sum +. us in
-  r.err.(i) <-
-    (r.err.(i)
+  m.err.(i) <-
+    (m.err.(i)
     +. if Float.abs sum >= Float.abs us then sum -. s +. us else us -. s +. sum
     );
-  r.sum.(i) <- s;
-  r.n.(i) <- r.n.(i) + 1;
+  m.sum.(i) <- s;
+  m.n.(i) <- m.n.(i) + 1;
   m.charged.(0) <- m.charged.(0) +. us
 
 let charged_us t ~machine =
@@ -96,23 +105,20 @@ type row = {
 let rows t =
   List.fold_left
     (fun acc m ->
-      Hashtbl.fold
-        (fun kind r acc ->
-          let acc = ref acc in
-          for i = ncomp - 1 downto 0 do
-            if r.n.(i) > 0 then
-              acc :=
-                {
-                  machine = m.name;
-                  comp = comps.(i);
-                  kind;
-                  us = r.sum.(i) +. r.err.(i);
-                  count = r.n.(i);
-                }
-                :: !acc
-          done;
-          !acc)
-        m.kinds acc)
+      let acc = ref acc in
+      for i = Array.length m.n - 1 downto 0 do
+        if m.n.(i) > 0 then
+          acc :=
+            {
+              machine = m.name;
+              comp = comps.(i mod ncomp);
+              kind = Name.name (i / ncomp);
+              us = m.sum.(i) +. m.err.(i);
+              count = m.n.(i);
+            }
+            :: !acc
+      done;
+      !acc)
     [] t.order
   |> List.sort (fun a b ->
          match compare a.machine b.machine with
@@ -139,10 +145,7 @@ let total_us t =
   List.fold_left (fun acc (_, us) -> acc +. us) 0.0 (by_component t)
 
 let charge_count t =
-  List.fold_left
-    (fun acc m ->
-      Hashtbl.fold (fun _ r acc -> Array.fold_left ( + ) acc r.n) m.kinds acc)
-    0 t.order
+  List.fold_left (fun acc m -> Array.fold_left ( + ) acc m.n) 0 t.order
 
 (* Collapsed-stack (flamegraph) export: one "frame1;frame2;frame3 value"
    line per cell, value in integer nanoseconds of simulated time so

@@ -3,9 +3,11 @@
     Every simulated-microsecond charge is recorded in the row of its
     (machine, charge kind), in that row's cell for its component; the
     per-component breakdown and the collapsed-stack export are read out
-    of these cells. A charge allocates nothing once its row exists. The
-    ledger never reads wall-clock time and never advances simulated time:
-    it only observes the charges the machines make.
+    of these cells. A charging machine looks its rows up once
+    ({!machine}); a charge then indexes a flat array by kind id and
+    component, and allocates nothing. The ledger never reads wall-clock
+    time and never advances simulated time: it only observes the charges
+    the machines make.
 
     Exactness contract: {!total_us} is defined as the plain left fold of
     the {!by_component} values in [Component.all] order, so a caller that
@@ -19,17 +21,28 @@ type t
 
 val create : unit -> t
 
+type machine
+(** One machine name's rows in one ledger. *)
+
+val machine : t -> string -> machine
+(** The rows of a machine name, created on first lookup. Machines with
+    equal names share them. *)
+
+val owner : machine -> t
+(** The ledger the rows belong to: a machine that keeps its rows checks
+    it against the ledger it is charging now. *)
+
 val charge :
-  t -> machine:string -> comp:Component.t -> kind:string -> float -> unit
+  machine -> comp:Component.t -> kind:Fbufs_trace.Name.t -> float -> unit
 (** Record [us] simulated microseconds. [kind] is the charge's trace kind
-    (["pmap.enter"], ...); pass [""] for untyped charges. *)
+    (["pmap.enter"], ...) as an interned id; the untyped kind is [""]. *)
 
 val charged_us : t -> machine:string -> float
 (** Arrival-ordered total for one machine name; 0 if never charged.
     Machines created with equal names share one accumulator. *)
 
 val machines : t -> string list
-(** Machine names in first-charge order. *)
+(** Machine names in first-lookup order ({!machine}). *)
 
 type row = {
   machine : string;

@@ -19,9 +19,17 @@ type def = {
   kind : kind;
 }
 
-(* Global definition table: name -> def, insertion-ordered by id. *)
-let defs : (string, def) Hashtbl.t = Hashtbl.create 64
-let next_id = ref 0
+(* Global definition table: def [i] at index [i], exactly as long as
+   the definitions registered. Names are found by a scan: lookups by
+   name are cold, and the table then costs a word per definition. *)
+let defs : def array ref = ref [||]
+
+let rec find_from name i =
+  if i = Array.length !defs then None
+  else if String.equal !defs.(i).name name then Some !defs.(i)
+  else find_from name (i + 1)
+
+let find_def name = find_from name 0
 
 let name_ok name =
   String.length name > 6
@@ -35,22 +43,17 @@ let register kind ~name ~help ?(labels = []) () =
     invalid_arg
       (Printf.sprintf "Metrics.register: name %S must match fbufs_[a-z0-9_]+"
          name);
-  if Hashtbl.mem defs name then
+  if find_def name <> None then
     invalid_arg (Printf.sprintf "Metrics.register: duplicate metric %S" name);
-  let d = { id = !next_id; name; help; labels; kind } in
-  incr next_id;
-  Hashtbl.add defs name d;
+  let d = { id = Array.length !defs; name; help; labels; kind } in
+  defs := Array.append !defs [| d |];
   d
 
 let counter ~name ~help ?labels () = register Counter ~name ~help ?labels ()
 let gauge ~name ~help ?labels () = register Gauge ~name ~help ?labels ()
 let sketch ~name ~help ?labels () = register Sketch ~name ~help ?labels ()
 
-let definitions () =
-  Hashtbl.fold (fun _ d acc -> d :: acc) defs []
-  |> List.sort (fun a b -> compare a.id b.id)
-
-let find_def name = Hashtbl.find_opt defs name
+let definitions () = Array.to_list !defs
 
 (* Values live in one trie per definition, with one string-keyed level
    per label: the node a tuple of label values leads to is that tuple's
@@ -77,7 +80,7 @@ type t = {
 
 let create () =
   {
-    tables = Array.make (max 64 !next_id) None;
+    tables = Array.make (max 64 (Array.length !defs)) None;
     int_labels = Hashtbl.create 16;
     ledger = Ledger.create ();
   }
@@ -216,24 +219,30 @@ type sample = {
   sketch : Sketch.t option;
 }
 
+let table_samples tb acc =
+  fold_cells
+    (fun c acc ->
+      {
+        def = tb.tdef;
+        labels = c.labels;
+        value = cell_value c;
+        count = c.n;
+        sketch = c.sk;
+      }
+      :: acc)
+    tb.root acc
+
 let samples t =
   Array.fold_left
-    (fun acc -> function
-      | None -> acc
-      | Some tb ->
-          fold_cells
-            (fun c acc ->
-              {
-                def = tb.tdef;
-                labels = c.labels;
-                value = cell_value c;
-                count = c.n;
-                sketch = c.sk;
-              }
-              :: acc)
-            tb.root acc)
+    (fun acc -> function None -> acc | Some tb -> table_samples tb acc)
     [] t.tables
   |> List.sort (fun a b ->
          match compare a.def.id b.def.id with
          | 0 -> compare a.labels b.labels
          | c -> c)
+
+let samples_of t d =
+  match find_table t d with
+  | None -> []
+  | Some tb ->
+      List.sort (fun a b -> compare a.labels b.labels) (table_samples tb [])

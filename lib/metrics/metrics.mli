@@ -107,3 +107,7 @@ type sample = {
 
 val samples : t -> sample list
 (** Every touched cell, sorted by definition id then labels. *)
+
+val samples_of : t -> def -> sample list
+(** The touched cells of one definition, sorted by labels: its slice of
+    {!samples}, without visiting any other definition. *)

@@ -4,6 +4,12 @@ open Fbufs
 
 let node_size = 16
 
+(* The four reasons a deserialization refuses a node, one counter each. *)
+let bad_data_ref = Stats.counter "integrated.bad_data_ref"
+let bad_node = Stats.counter "integrated.bad_node"
+let budget_exhausted = Stats.counter "integrated.budget_exhausted"
+let cycle = Stats.counter "integrated.cycle"
+
 let tag_leaf = 1
 let tag_cat = 2
 
@@ -88,13 +94,13 @@ let deserialize region ~as_ ~root_vaddr =
   let visited = Hashtbl.create 64 in
   let budget = ref max_nodes in
   let bad reason =
-    Stats.incr stats ("integrated." ^ reason);
+    Stats.incr stats reason;
     Msg.empty
   in
   let rec node vaddr =
-    if !budget <= 0 then bad "budget_exhausted"
-    else if not (node_in_region region ~vaddr ~m:machine) then bad "bad_node"
-    else if Hashtbl.mem visited vaddr then bad "cycle"
+    if !budget <= 0 then bad budget_exhausted
+    else if not (node_in_region region ~vaddr ~m:machine) then bad bad_node
+    else if Hashtbl.mem visited vaddr then bad cycle
     else begin
       decr budget;
       Hashtbl.add visited vaddr ();
@@ -109,18 +115,18 @@ let deserialize region ~as_ ~root_vaddr =
         if tag = tag_leaf then begin
           if w2 = 0 then Msg.empty
           else if not (in_region_vaddr region ~vaddr:w1 ~m:machine) then
-            bad "bad_data_ref"
+            bad bad_data_ref
           else
             match Region.fbuf_at region ~vpn:(w1 / ps) with
-            | None -> bad "bad_data_ref"
+            | None -> bad bad_data_ref
             | Some fb ->
                 let off = w1 - Fbuf.vaddr fb in
                 if off < 0 || w2 < 0 || off + w2 > Fbuf.size fb then
-                  bad "bad_data_ref"
+                  bad bad_data_ref
                 else Msg.of_fbuf fb ~off ~len:w2
         end
         else if tag = tag_cat then Msg.join (node w1) (node w2)
-        else bad "bad_node"
+        else bad bad_node
       in
       (* A DAG may legitimately share subtrees; only in-progress nodes are
          cycles. Allow re-visits of completed nodes. *)

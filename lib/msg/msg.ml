@@ -2,6 +2,8 @@ open Fbufs_sim
 open Fbufs_vm
 open Fbufs
 
+let msg_unit_gather = Stats.counter "msg.unit_gather"
+
 type leaf = { fbuf : Fbuf.t; off : int; len : int }
 
 type t = Empty | Leaf of leaf | Cat of { left : t; right : t; len : int }
@@ -176,7 +178,7 @@ let iter_units m ~as_ ~unit_size f =
       | [ l ] -> f (Access.read_bytes as_ ~vaddr:(leaf_vaddr l) ~len:l.len)
       | _ ->
           (* Unit crosses a fragment boundary: gather copy. *)
-          Stats.incr machine.Machine.stats "msg.unit_gather";
+          Stats.incr machine.Machine.stats msg_unit_gather;
           f (to_bytes unit ~as_));
       go rest
     end

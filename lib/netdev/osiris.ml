@@ -5,6 +5,18 @@ module Msg = Fbufs_msg.Msg
 module Mx = Fbufs_metrics.Metrics
 module Comp = Fbufs_metrics.Component
 
+let osiris_path_evicted = Stats.counter "osiris.path_evicted"
+let osiris_pdu_dropped = Stats.counter "osiris.pdu_dropped"
+let osiris_rx_pdu = Stats.counter "osiris.rx_pdu"
+let osiris_rx_uncached = Stats.counter "osiris.rx_uncached"
+let osiris_slack_zeroed = Stats.counter "osiris.slack_zeroed"
+let osiris_sw_demux_copy = Stats.counter "osiris.sw_demux_copy"
+let osiris_tx_pdu = Stats.counter "osiris.tx_pdu"
+let k_driver_op = Machine.kind "driver.op"
+let k_interrupt = Machine.kind "interrupt"
+let k_osiris_slack_zero = Machine.kind "osiris.slack_zero"
+let k_osiris_sw_demux_copy = Machine.kind "osiris.sw_demux_copy"
+
 let net_pdus =
   Mx.counter ~name:"fbufs_net_pdus_total"
     ~help:"PDUs handled by the Osiris adapter, by direction"
@@ -132,7 +144,7 @@ let evict_path t vci =
   | None -> ()
   | Some p ->
       t.evictions <- t.evictions + 1;
-      Stats.incr t.m.stats "osiris.path_evicted";
+      Stats.incr t.m.stats osiris_path_evicted;
       Hashtbl.remove t.paths vci;
       Allocator.teardown p.alloc
 
@@ -239,7 +251,7 @@ let dma_scatter t fb data = scatter_at t fb ~off:0 data
 
 let deliver t ~flight ~xfer ~follows ~vci data =
   let now = Des.now t.des in
-  Machine.elapse_to t.m now;
+  Machine.elapse_to ~kind:Machine.untyped t.m now;
   (* Continue the sender's transfer on this machine: the rx span follows
      the wire-flight span, and everything charged while the handler runs
      (interrupt, driver, demux, protocol processing, the ack) lands in
@@ -248,11 +260,11 @@ let deliver t ~flight ~xfer ~follows ~vci data =
   let csp =
     Machine.span_adopt t.m ~transfer:xfer ~follows ~domain:"" "osiris.rx"
   in
-  Machine.charge ~kind:"interrupt" ~comp:Comp.Net t.m
+  Machine.charge ~kind:k_interrupt ~comp:Comp.Net t.m
     t.m.cost.Cost_model.interrupt;
-  Machine.charge ~kind:"driver.op" ~comp:Comp.Net t.m
+  Machine.charge ~kind:k_driver_op ~comp:Comp.Net t.m
     t.m.cost.Cost_model.driver_op;
-  Stats.incr t.m.stats "osiris.rx_pdu";
+  Stats.incr t.m.stats osiris_rx_pdu;
   t.pdus_received <- t.pdus_received + 1;
   let len = Bytes.length data in
   (match Machine.metrics t.m with
@@ -284,7 +296,7 @@ let deliver t ~flight ~xfer ~follows ~vci data =
         p.alloc
     | exception Not_found ->
         t.uncached_rx <- t.uncached_rx + 1;
-        Stats.incr t.m.stats "osiris.rx_uncached";
+        Stats.incr t.m.stats osiris_rx_uncached;
         t.uncached
   in
   let fb = Allocator.alloc alloc ~npages in
@@ -293,8 +305,8 @@ let deliver t ~flight ~xfer ~follows ~vci data =
      after the fact, at the cost of one full copy of the PDU. *)
   if not t.hw_demux then begin
     t.sw_demux_copies <- t.sw_demux_copies + 1;
-    Stats.incr t.m.stats "osiris.sw_demux_copy";
-    Machine.charge ~kind:"osiris.sw_demux_copy" ~comp:Comp.Copy t.m
+    Stats.incr t.m.stats osiris_sw_demux_copy;
+    Machine.charge ~kind:k_osiris_sw_demux_copy ~comp:Comp.Copy t.m
       (float_of_int len *. t.m.cost.Cost_model.copy_per_byte)
   end;
   dma_scatter t fb data;
@@ -304,10 +316,10 @@ let deliver t ~flight ~xfer ~follows ~vci data =
      within one I/O data path and never pay this. *)
   let slack = (npages * ps) - len in
   if (not cached_path) && slack > 0 then begin
-    Machine.charge ~kind:"osiris.slack_zero" ~comp:Comp.Zero t.m
+    Machine.charge ~kind:k_osiris_slack_zero ~comp:Comp.Zero t.m
       (float_of_int slack /. float_of_int ps
       *. t.m.cost.Cost_model.page_zero);
-    Stats.incr t.m.stats "osiris.slack_zeroed";
+    Stats.incr t.m.stats osiris_slack_zeroed;
     (* The clearing loop itself is charged above at the bzero rate; write
        the zeros through the frames directly. *)
     scatter_at t fb ~off:len (Bytes.make slack '\000')
@@ -378,9 +390,9 @@ let send_pdu t ~vci msg =
       Machine.span_adopt t.m ~transfer:tid ~follows:0 ~domain:"" "osiris.tx"
   in
   let ctid = Machine.current_transfer t.m in
-  Machine.charge ~kind:"driver.op" ~comp:Comp.Net t.m
+  Machine.charge ~kind:k_driver_op ~comp:Comp.Net t.m
     t.m.cost.Cost_model.driver_op;
-  Stats.incr t.m.stats "osiris.tx_pdu";
+  Stats.incr t.m.stats osiris_tx_pdu;
   let data = dma_gather t msg in
   let cells =
     (Bytes.length data + pdu_overhead + t.m.cost.Cost_model.cell_payload - 1)
@@ -423,7 +435,7 @@ let send_pdu t ~vci msg =
     (* The cells occupy the wire but the frame is lost (CRC failure at the
        receiving adapter); nothing is delivered. *)
     t.pdus_dropped <- t.pdus_dropped + 1;
-    Stats.incr t.m.stats "osiris.pdu_dropped";
+    Stats.incr t.m.stats osiris_pdu_dropped;
     (match Machine.metrics t.m with
     | None -> ()
     | Some mx -> Mx.incr1 mx net_dropped t.m.Machine.name);

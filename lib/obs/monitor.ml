@@ -52,13 +52,14 @@ let violate t mx msg =
       ignore (Recorder.trigger r ~reason:("monitor:" ^ rule))
   | None -> ()
 
-(* Held pages per path stay within [grace] of the path's threshold. *)
+(* Held pages per path stay within [grace] of the path's threshold.
+   Only the held-pages family is read, at every sequence point. *)
 let check_gauges t mx =
   Mx.incr1 mx checks_total rule;
   let held =
-    List.filter
-      (fun (s : Mx.sample) -> s.Mx.def.Mx.name = "fbufs_policy_held_pages")
-      (Mx.samples mx)
+    match Mx.find_def "fbufs_policy_held_pages" with
+    | Some d -> Mx.samples_of mx d
+    | None -> []
   in
   List.iteri
     (fun i (s : Mx.sample) ->

@@ -186,16 +186,23 @@ let metric_label reason =
   | Some i -> String.sub reason 0 i
   | None -> reason
 
+(* A file that cannot be written is reported and skipped, as every
+   other sink does: a dump, the monitors' included, never ends the run. *)
+let reporting path f =
+  try f () with Sys_error msg ->
+    Printf.eprintf "record: cannot write %s: %s\n%!" path msg
+
 let write_dump t ~reason =
-  if not (Sys.file_exists t.dir) then Sys.mkdir t.dir 0o755;
+  reporting t.dir (fun () ->
+      if not (Sys.file_exists t.dir) then Sys.mkdir t.dir 0o755);
   t.dumps <- t.dumps + 1;
   t.last_dump_ts <- last_ts t;
   let prefix = Printf.sprintf "postmortem-%d-" t.dumps in
   List.iter
     (fun (name, content) ->
-      Json.write_file
-        (Filename.concat t.dir (prefix ^ name))
-        (fun oc -> output_string oc content))
+      let path = Filename.concat t.dir (prefix ^ name) in
+      reporting path (fun () ->
+          Json.write_file path (fun oc -> output_string oc content)))
     (render_dump t ~reason);
   match t.metrics with
   | Some mx -> Mx.incr1 mx dumps_total (metric_label reason)

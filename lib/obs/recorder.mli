@@ -49,8 +49,10 @@ val trigger : ?force:bool -> t -> reason:string -> bool
     previous dump or past 4 dumps; [~force:true] (the [--dump-on-exit]
     path) bypasses both. Counted in [fbufs_obs_dumps_total{reason}] /
     [fbufs_obs_dump_suppressed_total{reason}] when the armed record
-    carries a registry. A dump file that cannot be written raises
-    [Sys_error]. *)
+    carries a registry. A dump file that cannot be written is reported
+    on stderr ([record: cannot write PATH: MSG]) and skipped; the dump
+    still counts, and nothing is raised, so a dump that a monitor
+    triggers mid-run never ends the run. *)
 
 val render_dump : t -> reason:string -> (string * string) list
 (** The dump a {!trigger} would write, as [(filename, content)] pairs,

@@ -3,6 +3,9 @@ open Fbufs
 module Mx = Fbufs_metrics.Metrics
 module Comp = Fbufs_metrics.Component
 
+let k_policy_check = Machine.kind "policy.check"
+let k_policy_victim_scan = Machine.kind "policy.victim_scan"
+
 type klass = Control | Latency | Bulk
 type kind = Static | Fb_dynamic of { alpha : float }
 
@@ -169,7 +172,7 @@ let next_victim t requester ~free =
 
 let admit t e ~npages ~growth =
   let m = machine t in
-  Machine.charge ~kind:"policy.check" ~comp:Comp.Policy m
+  Machine.charge ~kind:k_policy_check ~comp:Comp.Policy m
     m.Machine.cost.Cost_model.policy_check;
   let path = Allocator.path e.e_alloc in
   let path_id = path.Path.id in
@@ -194,7 +197,7 @@ let admit t e ~npages ~growth =
     else
       match next_victim t e ~free with
       | Some (ve, fb) ->
-          Machine.charge ~kind:"policy.victim_scan" ~comp:Comp.Policy m
+          Machine.charge ~kind:k_policy_victim_scan ~comp:Comp.Policy m
             m.Machine.cost.Cost_model.policy_victim_scan;
           record t
             (Evict
@@ -269,7 +272,7 @@ let pageout_order t (vs : Pageout.victim list) =
   | Static -> Pageout.lru_order vs
   | Fb_dynamic _ ->
       let m = machine t in
-      Machine.charge ~kind:"policy.victim_scan" ~comp:Comp.Policy m
+      Machine.charge ~kind:k_policy_victim_scan ~comp:Comp.Policy m
         m.Machine.cost.Cost_model.policy_victim_scan;
       let free = free_frames t in
       let key ((alloc, fb) : Pageout.victim) =

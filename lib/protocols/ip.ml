@@ -1,6 +1,9 @@
 open Fbufs_sim
 module Msg = Fbufs_msg.Msg
 
+let ip_bad_header = Stats.counter "ip.bad_header"
+let ip_frag_op = Stats.counter "ip.frag_op"
+
 let header_size = 20
 let magic = 0x4950
 
@@ -47,9 +50,9 @@ let make_header ~total ~id ~off ~len ~more =
 
 let charge_frag t =
   let m = Fbufs_xkernel.Protocol.machine t.proto in
-  Machine.charge ~comp:Fbufs_metrics.Component.Proto m
+  Machine.charge ~kind:Machine.untyped ~comp:Fbufs_metrics.Component.Proto m
     m.Machine.cost.Cost_model.frag_op;
-  Stats.incr m.Machine.stats "ip.frag_op"
+  Stats.incr m.Machine.stats ip_frag_op
 
 let rec send_from t ~total ~id off rest =
   let len = min t.pdu_size (Msg.length rest) in
@@ -160,7 +163,7 @@ let pop t pdu =
   Fbufs_xkernel.Protocol.charge_op t.proto;
   let hdr = Header.peek pdu ~as_:t.dom ~len:header_size in
   (if Header.get_u16 hdr 0 <> magic then
-    Stats.incr m.Machine.stats "ip.bad_header"
+    Stats.incr m.Machine.stats ip_bad_header
   else begin
     let total = Header.get_u32 hdr 2 in
     let id = Header.get_u32 hdr 6 in

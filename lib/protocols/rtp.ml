@@ -2,6 +2,8 @@ open Fbufs_sim
 module Msg = Fbufs_msg.Msg
 module Protocol = Fbufs_xkernel.Protocol
 
+let rtp_retransmit = Stats.counter "rtp.retransmit"
+
 let header_size = 12
 let magic = 0x5254
 let kind_data = 1
@@ -57,7 +59,8 @@ let rec arm_timer s ~seq =
       match Hashtbl.find_opt s.inflight seq with
       | None -> () (* acknowledged in the meantime *)
       | Some (msg, retries) ->
-          Machine.elapse_to s.dom.Fbufs_vm.Pd.m (Des.now s.des);
+          Machine.elapse_to ~kind:Machine.untyped s.dom.Fbufs_vm.Pd.m
+            (Des.now s.des);
           if !retries >= s.max_retries then begin
             (* Give up: release the retained references. *)
             Hashtbl.remove s.inflight seq;
@@ -67,7 +70,7 @@ let rec arm_timer s ~seq =
           else begin
             incr retries;
             s.retransmissions <- s.retransmissions + 1;
-            Stats.incr s.dom.Fbufs_vm.Pd.m.Machine.stats "rtp.retransmit";
+            Stats.incr s.dom.Fbufs_vm.Pd.m.Machine.stats rtp_retransmit;
             (* The data buffers were retained across the first push, so a
                retransmission needs only a fresh header. *)
             transmit s ~seq msg;

@@ -1,6 +1,11 @@
 open Fbufs_sim
 module Msg = Fbufs_msg.Msg
 
+let udp_bad_header = Stats.counter "udp.bad_header"
+let udp_checksum_failure = Stats.counter "udp.checksum_failure"
+let udp_no_port = Stats.counter "udp.no_port"
+let udp_short_pdu = Stats.counter "udp.short_pdu"
+
 let header_size = 12
 let magic = 0x5544
 
@@ -45,10 +50,10 @@ let pop t pdu =
   let csp = Machine.span_enter m ~domain:t.dom.Fbufs_vm.Pd.name "udp.pop" in
   Fbufs_xkernel.Protocol.charge_op t.proto;
   let stats = (Fbufs_xkernel.Protocol.machine t.proto).Machine.stats in
-  (if Msg.length pdu < header_size then Stats.incr stats "udp.short_pdu"
+  (if Msg.length pdu < header_size then Stats.incr stats udp_short_pdu
   else begin
     let hdr = Header.peek pdu ~as_:t.dom ~len:header_size in
-    if Header.get_u16 hdr 0 <> magic then Stats.incr stats "udp.bad_header"
+    if Header.get_u16 hdr 0 <> magic then Stats.incr stats udp_bad_header
     else begin
       let dst = Header.get_u16 hdr 4 in
       let len = Header.get_u32 hdr 6 in
@@ -61,7 +66,7 @@ let pop t pdu =
       in
       if not ok then begin
         t.checksum_failures <- t.checksum_failures + 1;
-        Stats.incr stats "udp.checksum_failure"
+        Stats.incr stats udp_checksum_failure
       end
       else
         match Hashtbl.find t.ports dst with
@@ -70,7 +75,7 @@ let pop t pdu =
             up.Fbufs_xkernel.Protocol.pop payload
         | exception Not_found ->
             t.no_port_drops <- t.no_port_drops + 1;
-            Stats.incr stats "udp.no_port"
+            Stats.incr stats udp_no_port
     end
   end);
   Machine.span_exit m csp

@@ -1,5 +1,12 @@
 module Trace = Fbufs_trace.Trace
 module Component = Fbufs_metrics.Component
+module Ledger = Fbufs_metrics.Ledger
+module Name = Fbufs_trace.Name
+
+type kind = Name.t
+
+let kind = Name.intern
+let untyped = kind ""
 
 (* All-float record: mutated in place on every charge, no boxing. *)
 type busy = { mutable busy_us : float }
@@ -21,11 +28,13 @@ and t = {
   stats : Stats.t;
   rng : Rng.t;
   busy : busy;
+  stamp : float array;
   word_us : float;
   mutable next_asid : int;
   mutable next_id : int;
   mutable obs : obs option;
   mutable comp_ctx : Component.t option;
+  mutable lrows : Ledger.machine option;
 }
 
 let no_obs =
@@ -52,11 +61,13 @@ let create ?(name = "host") ?(cost = Cost_model.decstation_5000_200)
     stats = Stats.create ();
     rng;
     busy = { busy_us = 0.0 };
+    stamp = [| 0.0 |];
     word_us = cost.Cost_model.word_touch +. cost.Cost_model.cache_miss;
     next_asid = 1;
     next_id = 1;
     obs = !ambient;
     comp_ctx = None;
+    lrows = None;
   }
 
 let set_obs m o = m.obs <- o
@@ -93,7 +104,17 @@ let[@inline] advance m us =
   Clock.advance m.clock us;
   m.busy.busy_us <- m.busy.busy_us +. us
 
-let charge ?kind ?comp m us =
+(* The machine's rows in the ledger it charges, looked up on the first
+   charge into that ledger and kept. *)
+let rows m ledger =
+  match m.lrows with
+  | Some r when Ledger.owner r == ledger -> r
+  | Some _ | None ->
+      let r = Ledger.machine ledger m.name in
+      m.lrows <- Some r;
+      r
+
+let charge ~kind ?comp m us =
   match m.obs with
   | None -> advance m us
   | Some o -> (
@@ -102,22 +123,22 @@ let charge ?kind ?comp m us =
          is DAG-support cost, not allocator cost. *)
       let eff = match m.comp_ctx with Some _ as c -> c | None -> comp in
       let c = match eff with Some c -> c | None -> Component.Other in
-      (match (o.trace, kind) with
-      | Some tr, Some k ->
-          (* [Component.label] returns a literal, so the fast path stores
-             no young pointer into the ring. *)
-          let comp = match eff with Some c -> Component.label c | None -> "" in
-          Trace.complete_comp tr ~ts_us:(Clock.now m.clock) ~dur_us:us
-            ~machine:m.name ~comp k
+      (match o.trace with
+      | Some tr when kind != untyped ->
+          (* The name [""] stands for no component tag. *)
+          let comp =
+            match eff with Some c -> Component.name c | None -> untyped
+          in
+          m.stamp.(0) <- m.clock.Clock.now;
+          Trace.complete_comp tr ~at:m.stamp ~dur_us:us ~machine:m.name ~comp
+            kind
       | _ -> ());
       (match o.metrics with
       | None -> ()
       | Some mx ->
-          Fbufs_metrics.Ledger.charge
-            (Fbufs_metrics.Metrics.ledger mx)
-            ~machine:m.name ~comp:c
-            ~kind:(Option.value kind ~default:"")
-            us);
+          Ledger.charge
+            (rows m (Fbufs_metrics.Metrics.ledger mx))
+            ~comp:c ~kind us);
       (match o.spans with
       | None -> ()
       | Some s -> Fbufs_span.Span.on_charge s ~machine:m.name ~comp:c us);
@@ -127,12 +148,12 @@ let charge ?kind ?comp m us =
 (* Unobserved, the product is never boxed: the clock forms it itself
    ([Clock.advance_n]) and the busy accumulator is a flat float field.
    Observed runs pass it to [charge], whose sinks need the value. *)
-let charge_n ?kind ?comp m n us =
+let charge_n ~kind ?comp m n us =
   match m.obs with
   | None ->
       Clock.advance_n m.clock n us;
       m.busy.busy_us <- m.busy.busy_us +. (float_of_int n *. us)
-  | Some _ -> charge ?kind ?comp m (float_of_int n *. us)
+  | Some _ -> charge ~kind ?comp m (float_of_int n *. us)
 
 let trace_instant m ?domain ?path_id ?args kind =
   match trace m with
@@ -193,18 +214,21 @@ let with_transfer m ?domain ?path_id label f =
       let tid = transfer_begin m ?domain ?path_id label in
       Fun.protect ~finally:(fun () -> transfer_end m tid) f
 
+(* Outside a transfer context no span opens, so the arguments that
+   would be boxed for the sink (the time, [Some domain]) are not formed;
+   nor for closing span 0. *)
 let span_enter m ~domain ?path_id kind =
   match spans m with
-  | None -> 0
-  | Some s ->
+  | Some s when Fbufs_span.Span.current s ~machine:m.name <> 0 ->
       Fbufs_span.Span.enter s ~machine:m.name ~ts_us:(Clock.now m.clock)
         ~domain ?path_id kind
+  | Some _ | None -> 0
 
 let span_exit m id =
   match spans m with
-  | None -> ()
-  | Some s ->
+  | Some s when id <> 0 ->
       Fbufs_span.Span.finish s ~machine:m.name ~ts_us:(Clock.now m.clock) id
+  | Some _ | None -> ()
 
 let span_adopt m ~transfer ~follows ~domain ?path_id kind =
   match spans m with
@@ -225,15 +249,16 @@ let current_transfer m =
   | None -> 0
   | Some s -> Fbufs_span.Span.current s ~machine:m.name
 
-let elapse_to ?kind m t =
+let elapse_to ~kind m t =
   match m.obs with
   | None -> Clock.advance_to m.clock t
   | Some o -> (
-      (match (o.trace, kind) with
-      | Some tr, Some k ->
+      (match o.trace with
+      | Some tr when kind != untyped ->
           let now = Clock.now m.clock in
           if t > now then
-            Trace.complete tr ~ts_us:now ~dur_us:(t -. now) ~machine:m.name k
+            Trace.complete tr ~ts_us:now ~dur_us:(t -. now) ~machine:m.name
+              (Name.name (kind :> int))
       | _ -> ());
       Clock.advance_to m.clock t;
       match o.on_tick with Some f -> f (Clock.now m.clock) | None -> ())

@@ -5,6 +5,19 @@
     {!elapse} (idle waiting, e.g. for the network), which keeps CPU-load
     accounting honest for the paper's section-4 load measurements. *)
 
+type kind
+(** A declared charge kind: the name a charge carries into the trace
+    and the cost ledger (["pmap.enter"], ...). *)
+
+val kind : string -> kind
+(** Declare a charge kind, once, at module initialization; declaring a
+    name twice yields the same kind. Kinds and {!Stats.counter} names
+    share one interning table ({!Fbufs_trace.Name}). *)
+
+val untyped : kind
+(** The kind of a charge that names none ([""]): it emits no trace
+    slice and lands in the ledger's untyped row. *)
+
 type busy = { mutable busy_us : float }
 (** Single-field all-float record: the busy accumulator lives in flat
     (unboxed) storage so {!charge} does not allocate. *)
@@ -31,6 +44,9 @@ and t = private {
   stats : Stats.t;
   rng : Rng.t;
   busy : busy;
+  stamp : float array;
+      (** one slot: a traced charge's start time, handed to the trace in
+          place so that it is not boxed *)
   word_us : float;
       (** one word access, [word_touch +. cache_miss], summed once here:
           passing a freshly computed float to {!charge} boxes it *)
@@ -40,6 +56,9 @@ and t = private {
       (** [None] (the default) means unobserved: every instrumentation
           site, {!charge} included, costs one pointer comparison. *)
   mutable comp_ctx : Fbufs_metrics.Component.t option;
+  mutable lrows : Fbufs_metrics.Ledger.machine option;
+      (** this machine's rows in the ledger it last charged, so a
+          charge finds its cells without a lookup *)
 }
 
 val no_obs : obs
@@ -98,25 +117,28 @@ val with_comp : t -> Fbufs_metrics.Component.t -> (unit -> 'a) -> 'a
     previous context on exit, exceptions included. On an unobserved
     machine the context is never read, and this is just [f ()]. *)
 
-val charge : ?kind:string -> ?comp:Fbufs_metrics.Component.t -> t -> float -> unit
+val charge : kind:kind -> ?comp:Fbufs_metrics.Component.t -> t -> float -> unit
 (** Consume [us] microseconds of CPU time: advances the clock and the busy
-    accumulator. With [?kind] and a trace attached, additionally emits a
-    [Complete] slice of that duration — this is how every individual cost
-    in the model becomes visible on the timeline. With a metrics instance
-    attached, the charge also lands in the cost ledger under [?comp]
-    (or the surrounding {!with_comp} context; [Other] if neither).
-    Tracing and metering never alter the charge itself; an unobserved
-    charge makes one comparison before it advances the clock. *)
+    accumulator. With a typed [kind] and a trace attached, additionally
+    emits a [Complete] slice of that duration — this is how every
+    individual cost in the model becomes visible on the timeline. With a
+    metrics instance attached, the charge also lands in the cost ledger
+    under [kind] and [?comp] (or the surrounding {!with_comp} context;
+    [Other] if neither). Tracing and metering never alter the charge
+    itself; an unobserved charge makes one comparison before it advances
+    the clock. [kind] is a required argument so that passing a declared
+    kind builds no [Some]. *)
 
 val charge_n :
-  ?kind:string -> ?comp:Fbufs_metrics.Component.t -> t -> int -> float -> unit
+  kind:kind -> ?comp:Fbufs_metrics.Component.t -> t -> int -> float -> unit
 (** [charge_n m n us] charges [n] repetitions of a per-item cost: the same
     as [charge m (float_of_int n *. us)], but on an unobserved machine it
     allocates nothing (the product is not boxed). *)
 
-val elapse_to : ?kind:string -> t -> float -> unit
+val elapse_to : kind:kind -> t -> float -> unit
 (** Wait (idle) until an absolute simulated time; no busy time accrues.
-    With [?kind], the idle interval is emitted as a [Complete] slice. *)
+    With a typed [kind], the idle interval is emitted as a [Complete]
+    slice. *)
 
 (** {1 Causal spans}
 

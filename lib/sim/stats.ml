@@ -1,40 +1,52 @@
-(* Single-field mutable float record: an all-float record is stored flat,
-   so bumping a counter mutates in place instead of allocating a fresh
-   boxed float the way a [float ref] assignment would. Counters are hit on
-   every simulated event, so this is visibly hot. *)
-type cell = { mutable v : float }
+(* One int slot per interned name, read by id on every bump. A slot
+   holds [untouched] until its counter is first bumped, so [to_list]
+   lists exactly the counters touched since [create]/[reset] (an
+   [add _ 0] included) without a second array. *)
 
-type t = (string, cell) Hashtbl.t
+module Name = Fbufs_trace.Name
 
-let create () : t = Hashtbl.create 64
+type counter = Name.t
+type t = { mutable v : int array }
 
-let reset t = Hashtbl.reset t
+let counter = Name.intern
+let untouched = min_int
+let create () = { v = Array.make (Name.count ()) untouched }
+let reset t = Array.fill t.v 0 (Array.length t.v) untouched
 
-(* [Hashtbl.find] instead of [find_opt]: the hit path allocates nothing
-   (find_opt wraps every hit in a fresh [Some]), and counters are bumped on
-   every simulated event. *)
-let cell t name =
-  match Hashtbl.find t name with
-  | r -> r
-  | exception Not_found ->
-      let r = { v = 0.0 } in
-      Hashtbl.add t name r;
-      r
+(* A counter declared after the table was made: widen to every name
+   interned so far. *)
+let grow t i =
+  let a = Array.make (max (Name.count ()) (i + 1)) untouched in
+  Array.blit t.v 0 a 0 (Array.length t.v);
+  t.v <- a
 
-let add t name n =
-  let r = cell t name in
-  r.v <- r.v +. float_of_int n
+let add t (c : counter) n =
+  let i = (c :> int) in
+  if i >= Array.length t.v then grow t i;
+  let x = Array.unsafe_get t.v i in
+  Array.unsafe_set t.v i (if x = untouched then n else x + n)
 
-let incr t name = add t name 1
+let incr t c = add t c 1
 
-let get_float t name =
-  match Hashtbl.find t name with r -> r.v | exception Not_found -> 0.0
+let slot t i =
+  if i < Array.length t.v then
+    let x = t.v.(i) in
+    if x = untouched then 0 else x
+  else 0
 
-let get t name = int_of_float (get_float t name)
+let get t name =
+  match Name.find name with Some c -> slot t (c :> int) | None -> 0
+
+let get_float t name = float_of_int (get t name)
 
 let to_list t =
-  Hashtbl.fold (fun k r acc -> (k, r.v) :: acc) t []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  let acc = ref [] in
+  Array.iteri
+    (fun i x ->
+      if x <> untouched then
+        acc := (Name.name i, float_of_int x) :: !acc)
+    t.v;
+  List.sort (fun (a, _) (b, _) -> String.compare a b) !acc
 
 let snapshot = to_list
 

@@ -2,17 +2,30 @@
 
     Subsystems record what happened (TLB misses, pmap updates, pages zeroed,
     faults, IPC calls, ...) so experiments and tests can assert on mechanism
-    behaviour rather than only on elapsed time. *)
+    behaviour rather than only on elapsed time.
+
+    A counter is declared once, at module initialization
+    ([let tlb_miss = Stats.counter "tlb.miss"]), and bumped by its id: a
+    bump writes one int slot of the machine's table and hashes nothing.
+    Reads stay by name. *)
+
+type counter
+(** A declared counter name. *)
+
+val counter : string -> counter
+(** Declare a counter; declaring a name twice yields the same counter. *)
 
 type t
 
 val create : unit -> t
 val reset : t -> unit
 
-val incr : t -> string -> unit
+val incr : t -> counter -> unit
 (** Add one to a counter, creating it at zero if needed. *)
 
-val add : t -> string -> int -> unit
+val add : t -> counter -> int -> unit
+(** Add [n] to a counter; [add t c 0] still marks it touched, so it
+    appears in {!to_list}. *)
 
 val get : t -> string -> int
 (** Current value of a counter; 0 when never touched. *)
@@ -20,7 +33,8 @@ val get : t -> string -> int
 val get_float : t -> string -> float
 
 val to_list : t -> (string * float) list
-(** All accumulators, sorted by name. Integer counters appear as floats. *)
+(** Every counter touched since {!create} or {!reset}, sorted by name.
+    Values appear as floats. *)
 
 val snapshot : t -> (string * float) list
 (** Alias of {!to_list}: a point-in-time copy for later {!diff}/{!since},

@@ -72,10 +72,23 @@ type t = {
   forgotten : (int, unit) Hashtbl.t;  (* tids evicted by {!forget} *)
   (* one-entry context cache: charges arrive machine-by-machine in long
      runs, and [Machine.t] passes the same name string every time, so a
-     physical-equality hit skips the hashtable on the per-charge path *)
+     physical-equality hit skips the hashtable on the per-charge path.
+     A miss stores the context itself, so switching machines allocates
+     nothing; [no_name] matches no caller's string. *)
   mutable cached_name : string;
-  mutable cached_mc : mctx option;
+  mutable cached_mc : mctx;
 }
+
+let new_mctx () =
+  {
+    stack = [];
+    ctx = 0;
+    untracked_ns = Array.make ncomp 0;
+    charged_ns = 0;
+    ncharges = 0;
+  }
+
+let no_name = Bytes.to_string (Bytes.create 0)
 
 let create () =
   {
@@ -88,8 +101,8 @@ let create () =
     violations = [];
     tap = None;
     forgotten = Hashtbl.create 64;
-    cached_name = "";
-    cached_mc = None;
+    cached_name = no_name;
+    cached_mc = new_mctx ();
   }
 
 let set_tap t f = t.tap <- f
@@ -100,31 +113,21 @@ let fresh t =
   i
 
 let mctx_slow t machine =
-  match Hashtbl.find_opt t.machines machine with
-  | Some mc ->
-      t.cached_name <- machine;
-      t.cached_mc <- Some mc;
-      mc
-  | None ->
-      let mc =
-        {
-          stack = [];
-          ctx = 0;
-          untracked_ns = Array.make ncomp 0;
-          charged_ns = 0;
-          ncharges = 0;
-        }
-      in
-      Hashtbl.add t.machines machine mc;
-      t.morder <- machine :: t.morder;
-      t.cached_name <- machine;
-      t.cached_mc <- Some mc;
-      mc
+  let mc =
+    match Hashtbl.find t.machines machine with
+    | mc -> mc
+    | exception Not_found ->
+        let mc = new_mctx () in
+        Hashtbl.add t.machines machine mc;
+        t.morder <- machine :: t.morder;
+        mc
+  in
+  t.cached_name <- machine;
+  t.cached_mc <- mc;
+  mc
 
 let mctx t machine =
-  if t.cached_name == machine then
-    match t.cached_mc with Some mc -> mc | None -> mctx_slow t machine
-  else mctx_slow t machine
+  if t.cached_name == machine then t.cached_mc else mctx_slow t machine
 
 let violate t fmt = Printf.ksprintf (fun s -> t.violations <- s :: t.violations) fmt
 
@@ -346,13 +349,14 @@ let forget t tid =
       t.torder <- List.filter (fun i -> i <> tid) t.torder;
       Hashtbl.replace t.forgotten tid ()
 
-let context t ~machine =
-  match Hashtbl.find_opt t.machines machine with
-  | None -> (0, 0)
-  | Some mc ->
-      (mc.ctx, match mc.stack with (sp, _) :: _ -> sp.id | [] -> 0)
-
-let current t ~machine = fst (context t ~machine)
+(* Read per allocation and before every span is opened: allocates
+   nothing, and registers no machine. *)
+let current t ~machine =
+  if t.cached_name == machine then t.cached_mc.ctx
+  else
+    match Hashtbl.find t.machines machine with
+    | mc -> mc.ctx
+    | exception Not_found -> 0
 
 (* -- queries ----------------------------------------------------------- *)
 

@@ -129,9 +129,6 @@ val on_charge : t -> machine:string -> comp:Fbufs_metrics.Component.t -> float -
     [machine] — or to the machine's untracked cells when no span is
     open. *)
 
-val context : t -> machine:string -> int * int
-(** [(transfer id, innermost open span id)], 0 when absent. *)
-
 val current : t -> machine:string -> int
 (** The machine's current transfer id (0 when none). *)
 

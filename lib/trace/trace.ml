@@ -75,18 +75,23 @@ type t = {
   hist : (string * int, Histogram.t) Hashtbl.t;
 }
 
-(* Column codes of [phase]; a Complete's duration lives in [c_dur]. *)
+(* Column codes of [phase]; a Complete's duration lives in [c_dur]. A
+   charge slice ({!complete_comp}) is a Complete stored by ids: its kind
+   and component names go in the [c_span] and [c_path] slots, which such
+   a slice leaves at 0 and -1, and its string columns are not written,
+   so the hottest emission site stores no pointer (no write barrier). *)
 let ph_instant = 0
 let ph_complete = 1
 let ph_span_begin = 2
 let ph_span_end = 3
 let ph_async_begin = 4
 let ph_async_end = 5
+let ph_charge = 6
 
 let phase_of_code code dur =
   match code with
   | 0 -> Instant
-  | 1 -> Complete dur
+  | 1 | 6 -> Complete dur
   | 2 -> Span_begin
   | 3 -> Span_end
   | 4 -> Async_begin
@@ -109,10 +114,18 @@ let make_event ~ts ~dur ~machine ~domain ~path ~kind ~phase ~span ~comp ~extra
   }
 
 let event_of_cols c i =
-  make_event ~ts:c.c_ts.(i) ~dur:c.c_dur.(i) ~machine:c.c_machine.(i)
-    ~domain:c.c_domain.(i) ~path:c.c_path.(i) ~kind:c.c_kind.(i)
-    ~phase:c.c_phase.(i) ~span:c.c_span.(i) ~comp:c.c_comp.(i)
-    ~extra:c.c_extra.(i)
+  if c.c_phase.(i) = ph_charge then
+    make_event ~ts:c.c_ts.(i) ~dur:c.c_dur.(i) ~machine:c.c_machine.(i)
+      ~domain:"" ~path:(-1)
+      ~kind:(Name.name c.c_span.(i))
+      ~phase:ph_complete ~span:0
+      ~comp:(Name.name c.c_path.(i))
+      ~extra:[]
+  else
+    make_event ~ts:c.c_ts.(i) ~dur:c.c_dur.(i) ~machine:c.c_machine.(i)
+      ~domain:c.c_domain.(i) ~path:c.c_path.(i) ~kind:c.c_kind.(i)
+      ~phase:c.c_phase.(i) ~span:c.c_span.(i) ~comp:c.c_comp.(i)
+      ~extra:c.c_extra.(i)
 
 let make_cols n =
   {
@@ -291,13 +304,45 @@ let complete t ~ts_us ~dur_us ~machine ?(domain = "") ?(path_id = -1)
   record_latency t ~kind ~path_id dur_us
 
 (* The per-charge slice is by far the hottest emission site (tens of
-   thousands per run), so it skips the optional arguments and the args
-   list: the component tag goes straight into its column. [comp = ""]
-   means no component tag. *)
-let complete_comp t ~ts_us ~dur_us ~machine ~comp kind =
-  write t ~ts:ts_us ~dur:dur_us ~machine ~domain:"" ~path:(-1) ~kind
-    ~phase:ph_complete ~span:0 ~comp ~extra:[];
-  record_latency t ~kind ~path_id:(-1) dur_us
+   thousands per run), so it has its own write: no optional arguments,
+   no args list, the kind and component stored as ids ([ph_charge]), and
+   the start time read from the caller's cell [at] in place, since a
+   float argument would be boxed per charge. [comp] is the id of [""]
+   for no component tag. *)
+let complete_comp t ~at ~dur_us ~machine ~(comp : Name.t) (kind : Name.t) =
+  let ts = at.(0) in
+  if ts > t.last.(0) then t.last.(0) <- ts;
+  let i = slot t in
+  if i >= 0 then begin
+    let c = t.cols in
+    c.c_ts.(i) <- ts;
+    c.c_dur.(i) <- dur_us;
+    if c.c_machine.(i) != machine then c.c_machine.(i) <- machine;
+    c.c_phase.(i) <- ph_charge;
+    c.c_span.(i) <- (kind :> int);
+    c.c_path.(i) <- (comp :> int)
+  end;
+  (match t.sampler with
+  | None -> ()
+  | Some s ->
+      (* [Float.max dur_us 1e-9] without its sign and NaN tests: a charge
+         is never NaN. *)
+      let w = if dur_us > 1e-9 then dur_us else 1e-9 in
+      let sk = s.skip.(0) -. w in
+      if sk > 0.0 then s.skip.(0) <- sk
+      else
+        let ev =
+          if i >= 0 then event_of_cols t.cols i
+          else
+            make_event ~ts ~dur:dur_us ~machine ~domain:"" ~path:(-1)
+              ~kind:(Name.name (kind :> int))
+              ~phase:ph_complete ~span:0
+              ~comp:(Name.name (comp :> int))
+              ~extra:[]
+        in
+        s.skip.(0) <- s.accept ev w);
+  if t.latency then
+    record_latency t ~kind:(Name.name (kind :> int)) ~path_id:(-1) dur_us
 
 let begin_span t ~ts_us ~machine ?(domain = "") ?(path_id = -1) ?(args = [])
     kind =

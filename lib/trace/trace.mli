@@ -74,16 +74,19 @@ val set_sampler : t -> sampler option -> unit
 
 val complete_comp :
   t ->
-  ts_us:float ->
+  at:float array ->
   dur_us:float ->
   machine:string ->
-  comp:string ->
-  string ->
+  comp:Name.t ->
+  Name.t ->
   unit
-(** [complete] specialized to the per-charge slice: at most one
-    [("comp", Str comp)] argument ([comp = ""] for none), no domain, no
-    path. Writes the columns without allocating an event record or an
-    argument list; the stored event equals what [complete] would store. *)
+(** [complete] specialized to the per-charge slice, its kind and
+    component given as interned names: at most one [("comp", Str comp)]
+    argument (the name [""] for none), no domain, no path, and the start
+    time read from [at.(0)], a cell the caller keeps (a float argument
+    would be boxed on every charge). Stores the ids and no pointer, and
+    allocates nothing; the event read back equals what [complete] would
+    store. *)
 
 val last_ts : t -> float
 (** Largest timestamp pushed so far (0.0 when none). *)

@@ -2,6 +2,13 @@ open Fbufs_sim
 module Mx = Fbufs_metrics.Metrics
 module Comp = Fbufs_metrics.Component
 
+let mem_bytes_read = Stats.counter "mem.bytes_read"
+let mem_bytes_written = Stats.counter "mem.bytes_written"
+let tlb_miss = Stats.counter "tlb.miss"
+let tlb_mod_fault = Stats.counter "tlb.mod_fault"
+let k_tlb_mod_fault = Machine.kind "tlb.mod_fault"
+let k_tlb_refill = Machine.kind "tlb.refill"
+
 let tlb_events =
   Mx.counter ~name:"fbufs_tlb_events_total"
     ~help:"TLB misses and write-protection (mod) faults taken on access"
@@ -58,9 +65,9 @@ let rec attempt (dom : Pd.t) pmap ~asid ~vpn ~write ~vaddr depth =
               failwith "Access.translate: TLB/pmap inconsistency"
         | w -> Pmap.frame w)
     | Tlb.Miss ->
-        Machine.charge ~kind:"tlb.refill" ~comp:Comp.Tlb_flush m
+        Machine.charge ~kind:k_tlb_refill ~comp:Comp.Tlb_flush m
           m.cost.Cost_model.tlb_refill;
-        Stats.incr m.stats "tlb.miss";
+        Stats.incr m.stats tlb_miss;
         note_tlb m "miss";
         let w = Pmap.word pmap ~vpn in
         if w <> -1 && ((not write) || Pmap.writable w) then begin
@@ -72,9 +79,9 @@ let rec attempt (dom : Pd.t) pmap ~asid ~vpn ~write ~vaddr depth =
           attempt dom pmap ~asid ~vpn ~write ~vaddr (depth + 1)
         end
     | Tlb.Hit_readonly ->
-        Machine.charge ~kind:"tlb.mod_fault" ~comp:Comp.Tlb_flush m
+        Machine.charge ~kind:k_tlb_mod_fault ~comp:Comp.Tlb_flush m
           m.cost.Cost_model.tlb_mod_fault;
-        Stats.incr m.stats "tlb.mod_fault";
+        Stats.incr m.stats tlb_mod_fault;
         note_tlb m "mod_fault";
         let w = Pmap.word pmap ~vpn in
         if w <> -1 && Pmap.writable w then begin
@@ -95,7 +102,7 @@ let translate (dom : Pd.t) ~vaddr ~write =
    passes a float that is already boxed. *)
 let charge_word (dom : Pd.t) =
   let m = dom.m in
-  Machine.charge ~comp:Comp.Touch m m.Machine.word_us
+  Machine.charge ~kind:Machine.untyped ~comp:Comp.Touch m m.Machine.word_us
 
 (* The word accessors assemble the 32-bit value a byte at a time rather
    than via [Bytes.get_int32_le]/[set_int32_le]: the [Int32] round trip
@@ -139,7 +146,8 @@ let rec read_segs (dom : Pd.t) va out pos remaining =
     let off = va mod ps in
     let seg = min remaining (ps - off) in
     let frame = translate dom ~vaddr:va ~write:false in
-    Machine.charge_n ~comp:Comp.Copy m seg m.cost.Cost_model.copy_per_byte;
+    Machine.charge_n ~kind:Machine.untyped ~comp:Comp.Copy m seg
+      m.cost.Cost_model.copy_per_byte;
     Bytes.blit (Phys_mem.data m.pmem frame) off out pos seg;
     read_segs dom (va + seg) out (pos + seg) (remaining - seg)
   end
@@ -150,7 +158,7 @@ let read_into (dom : Pd.t) ~vaddr ~len out ~pos =
       (Printf.sprintf "Access.read_into: %d bytes at %d of a %d-byte buffer"
          len pos (Bytes.length out));
   read_segs dom vaddr out pos len;
-  Stats.add dom.m.stats "mem.bytes_read" len
+  Stats.add dom.m.stats mem_bytes_read len
 
 let read_bytes dom ~vaddr ~len =
   let out = Bytes.create len in
@@ -167,7 +175,8 @@ let rec write_segs ~charged (dom : Pd.t) va src pos remaining =
     let seg = min remaining (ps - off) in
     let frame = translate dom ~vaddr:va ~write:true in
     if charged then
-      Machine.charge_n ~comp:Comp.Copy m seg m.cost.Cost_model.copy_per_byte;
+      Machine.charge_n ~kind:Machine.untyped ~comp:Comp.Copy m seg
+        m.cost.Cost_model.copy_per_byte;
     Bytes.blit src pos (Phys_mem.data m.pmem frame) off seg;
     write_segs ~charged dom (va + seg) src (pos + seg) (remaining - seg)
   end
@@ -175,7 +184,7 @@ let rec write_segs ~charged (dom : Pd.t) va src pos remaining =
 let write_bytes (dom : Pd.t) ~vaddr src =
   let len = Bytes.length src in
   write_segs ~charged:true dom vaddr src 0 len;
-  Stats.add dom.m.stats "mem.bytes_written" len
+  Stats.add dom.m.stats mem_bytes_written len
 
 let write_string dom ~vaddr s = write_bytes dom ~vaddr (Bytes.of_string s)
 
@@ -199,7 +208,8 @@ let rec checksum_segs (dom : Pd.t) va remaining sum odd =
     let off = va mod ps in
     let len = min remaining (ps - off) in
     let frame = translate dom ~vaddr:va ~write:false in
-    Machine.charge_n ~comp:Comp.Copy m len m.cost.Cost_model.checksum_per_byte;
+    Machine.charge_n ~kind:Machine.untyped ~comp:Comp.Copy m len
+      m.cost.Cost_model.checksum_per_byte;
     let b = Phys_mem.data m.pmem frame in
     let sum = ref sum in
     let i = ref 0 in

@@ -2,6 +2,15 @@ open Fbufs_sim
 module Mx = Fbufs_metrics.Metrics
 module Comp = Fbufs_metrics.Component
 
+let pmap_enter = Stats.counter "pmap.enter"
+let pmap_protect = Stats.counter "pmap.protect"
+let pmap_remove = Stats.counter "pmap.remove"
+let tlb_shootdown = Stats.counter "tlb.shootdown"
+let k_pmap_enter = Machine.kind "pmap.enter"
+let k_pmap_protect = Machine.kind "pmap.protect"
+let k_pmap_remove = Machine.kind "pmap.remove"
+let k_tlb_shootdown = Machine.kind "tlb.shootdown"
+
 (* A translation is one word, [frame lsl 1 lor writable], as a hardware
    PTE is: entering, protecting and removing one rewrite a word in the
    table, and the deferred-shootdown queue records the same word. *)
@@ -73,18 +82,18 @@ let cached t ~vpn =
 (* One immediate per-page shootdown: the PR6-era cost, still paid for
    every non-deferrable invalidation. *)
 let shoot_now t ~vpn ~reason =
-  Machine.charge ~kind:"tlb.shootdown" ~comp:Comp.Tlb_flush t.m
+  Machine.charge ~kind:k_tlb_shootdown ~comp:Comp.Tlb_flush t.m
     t.m.cost.Cost_model.tlb_shootdown;
-  Stats.incr t.m.stats "tlb.shootdown";
+  Stats.incr t.m.stats tlb_shootdown;
   note_shootdown t.m ~reason;
   Tlb.invalidate t.m.tlb ~asid:t.asid ~vpn
 
 (* Each mutation is visible on the trace timeline as the Complete slice
    its [charge ~kind] emits; no separate instant is needed. *)
 let enter t ~vpn ~frame ~writable =
-  Machine.charge ~kind:"pmap.enter" ~comp:Comp.Map t.m
+  Machine.charge ~kind:k_pmap_enter ~comp:Comp.Map t.m
     t.m.cost.Cost_model.pmap_enter;
-  Stats.incr t.m.stats "pmap.enter";
+  Stats.incr t.m.stats pmap_enter;
   note_op t "enter";
   let w = encode ~frame ~writable in
   (match Tlb.find_pending t.m.tlb ~asid:t.asid ~vpn with
@@ -112,9 +121,9 @@ let protect t ~vpn ~writable:wr =
   match Ptable.find t.table vpn with
   | -1 -> invalid_arg "Pmap.protect: no entry"
   | w ->
-      Machine.charge ~kind:"pmap.protect" ~comp:Comp.Secure t.m
+      Machine.charge ~kind:k_pmap_protect ~comp:Comp.Secure t.m
         t.m.cost.Cost_model.pmap_protect;
-      Stats.incr t.m.stats "pmap.protect";
+      Stats.incr t.m.stats pmap_protect;
       note_op t
         (if (not (writable w)) && wr then "protect-upgrade" else "protect");
       if writable w && not wr then begin
@@ -138,9 +147,9 @@ let remove t ~vpn =
   match Ptable.find t.table vpn with
   | -1 -> ()
   | w ->
-      Machine.charge ~kind:"pmap.remove" ~comp:Comp.Unmap t.m
+      Machine.charge ~kind:k_pmap_remove ~comp:Comp.Unmap t.m
         t.m.cost.Cost_model.pmap_remove;
-      Stats.incr t.m.stats "pmap.remove";
+      Stats.incr t.m.stats pmap_remove;
       note_op t "remove";
       if not !elision_enabled then shoot_now t ~vpn ~reason:"remove"
       else if cached t ~vpn then

@@ -4,7 +4,7 @@ module Comp = Fbufs_metrics.Component
 (* Generic-facility surcharge: operating on arbitrary map entries (clip,
    validate, lock) per page, which the fbuf region's fixed layout avoids. *)
 let charge_generic (dom : Pd.t) n =
-  Machine.charge_n ~comp:Comp.Map dom.Pd.m n
+  Machine.charge_n ~kind:Machine.untyped ~comp:Comp.Map dom.Pd.m n
     dom.Pd.m.Machine.cost.Cost_model.remap_page_overhead
 
 let move ~src ~dst ~src_vpn ~npages ?dst_vpn () =
@@ -36,10 +36,11 @@ let alloc_pages (dom : Pd.t) ~npages ~clear_fraction =
   let base = Vm_map.reserve_private dom.map ~npages in
   charge_generic dom npages;
   for i = 0 to npages - 1 do
-    Machine.charge ~comp:Comp.Alloc m m.cost.Cost_model.page_alloc;
+    Machine.charge ~kind:Machine.untyped ~comp:Comp.Alloc m
+      m.cost.Cost_model.page_alloc;
     let f = Phys_mem.alloc m.pmem in
     if clear_fraction > 0.0 then begin
-      Machine.charge ~comp:Comp.Zero m
+      Machine.charge ~kind:Machine.untyped ~comp:Comp.Zero m
         (m.cost.Cost_model.page_zero *. clear_fraction);
       Phys_mem.zero m.pmem f
     end;

@@ -1,6 +1,9 @@
 open Fbufs_sim
 module Comp = Fbufs_metrics.Component
 
+let tlb_shootdown_batch = Stats.counter "tlb.shootdown_batch"
+let k_tlb_shootdown_batch = Machine.kind "tlb.shootdown_batch"
+
 (* Drain the machine's deferred-shootdown queue at a synchronization
    barrier. One batched charge covers the whole queue — base (the
    trap/synchronization cost, paid once) plus a small per-entry
@@ -10,10 +13,10 @@ module Comp = Fbufs_metrics.Component
 let drain m =
   let n = Tlb.invalidate_pending m.Machine.tlb in
   if n > 0 then begin
-    Machine.charge ~kind:"tlb.shootdown_batch" ~comp:Comp.Tlb_flush m
+    Machine.charge ~kind:k_tlb_shootdown_batch ~comp:Comp.Tlb_flush m
       (m.cost.Cost_model.tlb_shootdown_batch_base
       +. (float_of_int n *. m.cost.Cost_model.tlb_shootdown_batch_entry));
-    Stats.incr m.stats "tlb.shootdown_batch";
+    Stats.incr m.stats tlb_shootdown_batch;
     for _ = 1 to n do
       Pmap.note_shootdown m ~reason:"batch"
     done

@@ -2,6 +2,20 @@ open Fbufs_sim
 module Mx = Fbufs_metrics.Metrics
 module Comp = Fbufs_metrics.Component
 
+let vm_cow_claim = Stats.counter "vm.cow_claim"
+let vm_cow_copy = Stats.counter "vm.cow_copy"
+let vm_fault = Stats.counter "vm.fault"
+let vm_page_free = Stats.counter "vm.page_free"
+let vm_page_op = Stats.counter "vm.page_op"
+let vm_range_op = Stats.counter "vm.range_op"
+let vm_zero_fill = Stats.counter "vm.zero_fill"
+let k_page_alloc = Machine.kind "page.alloc"
+let k_page_zero = Machine.kind "page.zero"
+let k_vm_cow_copy = Machine.kind "vm.cow_copy"
+let k_vm_fault_trap = Machine.kind "vm.fault_trap"
+let k_vm_page_op = Machine.kind "vm.page_op"
+let k_vm_range_op = Machine.kind "vm.range_op"
+
 (* A map entry is one immediate int, stored in place in the page table:
    bits 0-1 the protection (0 none, 1 read-only, 2 read-write), bit 2
    zero-fill, bit 3 copy-on-write, and the bits above them the backing
@@ -82,13 +96,13 @@ let note_batch t npages =
         Mx.add1 mx batched_saved t.m.Machine.name (float_of_int (npages - 1))
 
 let charge_range_op ?comp t =
-  Machine.charge ~kind:"vm.range_op" ?comp t.m t.m.cost.Cost_model.vm_range_op;
-  Stats.incr t.m.stats "vm.range_op";
+  Machine.charge ~kind:k_vm_range_op ?comp t.m t.m.cost.Cost_model.vm_range_op;
+  Stats.incr t.m.stats vm_range_op;
   note_vm_op t "range"
 
 let charge_page_op ?comp t =
-  Machine.charge ~kind:"vm.page_op" ?comp t.m t.m.cost.Cost_model.vm_page_op;
-  Stats.incr t.m.stats "vm.page_op";
+  Machine.charge ~kind:k_vm_page_op ?comp t.m t.m.cost.Cost_model.vm_page_op;
+  Stats.incr t.m.stats vm_page_op;
   note_vm_op t "page"
 
 let reserve_private t ~npages =
@@ -132,8 +146,9 @@ let protect t ~vpn ~npages ~prot =
 let free_frame t f =
   (* The free-pool charge applies only when this reference is the last. *)
   if Phys_mem.refcount t.m.pmem f = 1 then begin
-    Machine.charge ~comp:Comp.Alloc t.m t.m.cost.Cost_model.page_free;
-    Stats.incr t.m.stats "vm.page_free"
+    Machine.charge ~kind:Machine.untyped ~comp:Comp.Alloc t.m
+      t.m.cost.Cost_model.page_free;
+    Stats.incr t.m.stats vm_page_free
   end;
   Phys_mem.decref t.m.pmem f
 
@@ -227,9 +242,9 @@ let trace_fault t ~vpn ~write outcome =
       "vm.fault"
 
 let fault t ~vpn ~write =
-  Machine.charge ~kind:"vm.fault_trap" ~comp:Comp.Map t.m
+  Machine.charge ~kind:k_vm_fault_trap ~comp:Comp.Map t.m
     t.m.cost.Cost_model.fault_trap;
-  Stats.incr t.m.stats "vm.fault";
+  Stats.incr t.m.stats vm_fault;
   match Ptable.find t.table vpn with
   | -1 ->
       trace_fault t ~vpn ~write "violation";
@@ -247,11 +262,11 @@ let fault t ~vpn ~write =
         | -1 ->
             (* Zero-fill materialization: allocate and clear a frame. *)
             assert (zero_fill w);
-            Machine.charge ~kind:"page.alloc" ~comp:Comp.Alloc t.m
+            Machine.charge ~kind:k_page_alloc ~comp:Comp.Alloc t.m
               t.m.cost.Cost_model.page_alloc;
-            Machine.charge ~kind:"page.zero" ~comp:Comp.Zero t.m
+            Machine.charge ~kind:k_page_zero ~comp:Comp.Zero t.m
               t.m.cost.Cost_model.page_zero;
-            Stats.incr t.m.stats "vm.zero_fill";
+            Stats.incr t.m.stats vm_zero_fill;
             trace_fault t ~vpn ~write "zero_fill";
             let f = Phys_mem.alloc t.m.pmem in
             Phys_mem.zero t.m.pmem f;
@@ -261,7 +276,7 @@ let fault t ~vpn ~write =
         | f when write && cow w ->
             if Phys_mem.refcount t.m.pmem f = 1 then begin
               (* Sharing already collapsed: claim the frame in place. *)
-              Stats.incr t.m.stats "vm.cow_claim";
+              Stats.incr t.m.stats vm_cow_claim;
               trace_fault t ~vpn ~write "cow_claim";
               Ptable.set t.table vpn
                 (encode ~frame:f ~prot:p ~cow:false
@@ -270,12 +285,12 @@ let fault t ~vpn ~write =
             end
             else begin
               (* Physical copy: the cost COW was supposed to avoid. *)
-              Machine.charge ~kind:"page.alloc" ~comp:Comp.Alloc t.m
+              Machine.charge ~kind:k_page_alloc ~comp:Comp.Alloc t.m
                 t.m.cost.Cost_model.page_alloc;
-              Machine.charge ~kind:"vm.cow_copy" ~comp:Comp.Copy t.m
+              Machine.charge ~kind:k_vm_cow_copy ~comp:Comp.Copy t.m
                 (float_of_int t.m.cost.Cost_model.page_size
                 *. t.m.cost.Cost_model.copy_per_byte);
-              Stats.incr t.m.stats "vm.cow_copy";
+              Stats.incr t.m.stats vm_cow_copy;
               trace_fault t ~vpn ~write "cow_copy";
               let nf = Phys_mem.alloc t.m.pmem in
               Phys_mem.copy_frame t.m.pmem ~src:f ~dst:nf;

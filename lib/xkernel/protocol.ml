@@ -6,7 +6,7 @@ type t = {
   dom : Pd.t;
   mutable push : Fbufs_msg.Msg.t -> unit;
   mutable pop : Fbufs_msg.Msg.t -> unit;
-  stat : string;
+  stat : Stats.counter;
 }
 
 let not_wired name dir _ =
@@ -18,13 +18,13 @@ let create ~name ~dom ?push ?pop () =
     dom;
     push = (match push with Some f -> f | None -> not_wired name "push");
     pop = (match pop with Some f -> f | None -> not_wired name "pop");
-    stat = "proto." ^ name;
+    stat = Stats.counter ("proto." ^ name);
   }
 
 let machine t = t.dom.Pd.m
 
 let charge_op t =
   let m = machine t in
-  Machine.charge ~comp:Fbufs_metrics.Component.Proto m
+  Machine.charge ~kind:Machine.untyped ~comp:Fbufs_metrics.Component.Proto m
     m.Machine.cost.Cost_model.proto_op;
   Stats.incr m.Machine.stats t.stat

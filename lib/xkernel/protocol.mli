@@ -16,9 +16,9 @@ type t = {
   dom : Fbufs_vm.Pd.t;
   mutable push : Fbufs_msg.Msg.t -> unit;
   mutable pop : Fbufs_msg.Msg.t -> unit;
-  stat : string;
-      (** the Stats counter {!charge_op} bumps, ["proto." ^ name], built
-          once *)
+  stat : Fbufs_sim.Stats.counter;
+      (** the Stats counter {!charge_op} bumps, ["proto." ^ name],
+          declared once by {!create} *)
 }
 
 val create :

@@ -295,6 +295,9 @@ let observed_rows =
     ( "run.table1.metrics",
       observed ~metrics:true ~spans:false (fun () ->
           ignore (H.Exp_table1.run ())) );
+    ( "run.fig4.spans",
+      observed ~metrics:false ~spans:true (fun () ->
+          ignore (H.Exp_fig4.run ())) );
     ( "run.fig5.spans",
       observed ~metrics:false ~spans:true (fun () ->
           ignore (H.Exp_fig5.run ~uncached:false ())) );

@@ -68,7 +68,7 @@ let test_fbuf_pp_states () =
 
 let test_machine_charge_n () =
   let m = Machine.create ~nframes:16 () in
-  Machine.charge_n m 7 2.0;
+  Machine.charge_n ~kind:Machine.untyped m 7 2.0;
   check (Alcotest.float 1e-9) "7 x 2us" 14.0 (Machine.now m)
 
 let test_cost_model_pp_mentions_effective_rate () =

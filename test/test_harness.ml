@@ -320,11 +320,26 @@ let test_failed_write_reported () =
   | Some _ when not (Sys.file_exists "/dev/full") -> Alcotest.skip ()
   | Some exe ->
       let err = Filename.temp_file "sinks" ".err" in
+      (* The recorder's first dump, every file a link to /dev/full. remap
+         records no transfer, so its span file is empty, and an empty
+         write succeeds: four notes. *)
+      let dir = Filename.temp_dir "record" "" in
+      let dump =
+        List.map
+          (fun name -> Filename.concat dir ("postmortem-1-" ^ name))
+          [
+            "events.jsonl"; "chrome.json"; "sampled.jsonl"; "spans.jsonl";
+            "meta.json";
+          ]
+      in
+      List.iter (Unix.symlink "/dev/full") dump;
       Fun.protect
-        ~finally:(fun () -> Sys.remove err)
+        ~finally:(fun () ->
+          List.iter Sys.remove (err :: dump);
+          Sys.rmdir dir)
         (fun () ->
           List.iter
-            (fun (args, notes) ->
+            (fun (args, target, notes) ->
               let code =
                 Sys.command
                   (Printf.sprintf "%s %s > /dev/null 2> %s" exe args
@@ -337,16 +352,22 @@ let test_failed_write_reported () =
                   check Alcotest.int
                     (Printf.sprintf "%s: %s notes" args sink)
                     n
-                    (count_sub text (sink ^ ": cannot write /dev/full")))
+                    (count_sub text (sink ^ ": cannot write " ^ target)))
                 notes)
             [
               ( "trace --bytes 4096 --trace /dev/full --jsonl /dev/full \
                  --metrics /dev/full --spans /dev/full",
+                "/dev/full",
                 [ ("spans", 1); ("metrics", 1); ("trace", 2) ] );
               ( "spans --out /dev/full --chrome /dev/full",
+                "/dev/full",
                 [ ("spans", 2) ] );
               ( "stats remap --metrics /dev/full --folded /dev/full",
+                "/dev/full",
                 [ ("metrics", 2) ] );
+              ( "remap --dump-on-exit --record " ^ Filename.quote dir,
+                Filename.concat dir "postmortem-1-",
+                [ ("record", 4) ] );
             ])
 
 let () =

@@ -66,7 +66,7 @@ let test_pageout_spares_warm_buffers () =
   Pageout.register daemon alloc;
   let cold = List.init 30 (fun _ -> Allocator.alloc alloc ~npages:4) in
   List.iter (fun fb -> Transfer.free fb ~dom:app) cold;
-  Machine.charge tb.Testbed.m 10_000.0;
+  Machine.charge ~kind:Machine.untyped tb.Testbed.m 10_000.0;
   (* One recently used buffer. *)
   let warm = Allocator.alloc alloc ~npages:4 in
   Transfer.free warm ~dom:app;

@@ -79,8 +79,11 @@ let populated () =
   Mx.incr1 mx rt_counter "9";
   Mx.set mx rt_gauge 42.0;
   List.iter (Mx.observe mx rt_sketch) [ 10.0; 20.0; 30.0 ];
-  Ledger.charge (Mx.ledger mx) ~machine:"tb" ~comp:Component.Copy
-    ~kind:"bcopy" 2.5;
+  Ledger.charge
+    (Ledger.machine (Mx.ledger mx) "tb")
+    ~comp:Component.Copy
+    ~kind:(Fbufs_trace.Name.intern "bcopy")
+    2.5;
   mx
 
 let flat_value flats name labels =
@@ -339,21 +342,47 @@ let random_us st =
 
 let test_ledger_matches_model () =
   (* Three machines, two of them sharing a name (a separate string of
-     the same bytes), and 22 kinds, the untyped one included. *)
+     the same bytes), and 22 kinds, the untyped one included. Each
+     machine keeps its rows the way [Machine] does: looked up on its
+     first charge into this ledger, then reused. Two kinds per seed are
+     declared only when first charged, after the rows exist. *)
   let machines = [| "alpha"; "beta"; String.concat "" [ "be"; "ta" ] |] in
-  let kinds =
-    Array.init 22 (fun i -> if i = 0 then "" else Printf.sprintf "k%d" i)
-  in
   let comps = Array.of_list Component.all in
   for seed = 1 to 25 do
+    let kinds =
+      Array.init 22 (fun i ->
+          if i = 0 then ""
+          else if i >= 20 then Printf.sprintf "late%d.k%d" seed i
+          else Printf.sprintf "k%d" i)
+    in
+    let ids = Array.make 22 None in
+    let kind_id i =
+      match ids.(i) with
+      | Some k -> k
+      | None ->
+          let k = Fbufs_trace.Name.intern kinds.(i) in
+          ids.(i) <- Some k;
+          k
+    in
     let st = Rng.create seed in
     let real = Ledger.create () and model = Model_ledger.create () in
+    let rows = Array.make 3 None in
     for _ = 1 to 1 + Rng.int st 3000 do
-      let machine = machines.(Rng.int st 3) in
+      let mi = Rng.int st 3 in
+      let machine = machines.(mi) in
       let comp = comps.(Rng.int st (Array.length comps)) in
-      let kind = kinds.(Rng.int st (Array.length kinds)) in
+      let ki = Rng.int st (Array.length kinds) in
+      let kind = kinds.(ki) in
       let us = random_us st in
-      Ledger.charge real ~machine ~comp ~kind us;
+      let r =
+        match rows.(mi) with
+        | Some r -> r
+        | None ->
+            let r = Ledger.machine real machine in
+            rows.(mi) <- Some r;
+            r
+      in
+      Ledger.charge r ~comp ~kind:(kind_id ki) us;
       Model_ledger.charge model ~machine ~comp ~kind us
     done;
     let ctx what = Printf.sprintf "seed %d: %s" seed what in

@@ -143,7 +143,7 @@ let test_path_limit_evicts_lru () =
       Msg.free_held msg ~dom:p.tb2.Testbed.kernel);
   for vci = 1 to Osiris.max_cached_paths do
     (* Distinct registration times make the LRU order deterministic. *)
-    Machine.charge p.tb2.Testbed.m 1.0;
+    Machine.charge ~kind:Machine.untyped p.tb2.Testbed.m 1.0;
     Osiris.register_path p.ad2 ~vci ~domains:[ p.tb2.Testbed.kernel ]
   done;
   (* Touch path 1 so it is the most recently used; path 2 becomes LRU. *)

@@ -118,27 +118,155 @@ let prop_rng_float_bounds =
 
 let test_stats_counters () =
   let s = Stats.create () in
+  let x = Stats.counter "x" in
   check Alcotest.int "absent is zero" 0 (Stats.get s "x");
-  Stats.incr s "x";
-  Stats.incr s "x";
-  Stats.add s "x" 3;
+  Stats.incr s x;
+  Stats.incr s x;
+  Stats.add s x 3;
   check Alcotest.int "accumulated" 5 (Stats.get s "x")
 
 let test_stats_reset () =
   let s = Stats.create () in
-  Stats.incr s "x";
+  Stats.incr s (Stats.counter "x");
   Stats.reset s;
   check Alcotest.int "cleared" 0 (Stats.get s "x")
 
 let test_stats_to_list_sorted () =
   let s = Stats.create () in
-  Stats.incr s "b";
-  Stats.incr s "a";
-  Stats.incr s "c";
+  Stats.incr s (Stats.counter "b");
+  Stats.incr s (Stats.counter "a");
+  Stats.incr s (Stats.counter "c");
   check
     Alcotest.(list string)
     "sorted names" [ "a"; "b"; "c" ]
     (List.map fst (Stats.to_list s))
+
+(* The string-keyed table [Stats] was before its counters got ids, kept
+   as the model: one float cell per name, created on first bump. *)
+module Model_stats = struct
+  type t = (string, float ref) Hashtbl.t
+
+  let create () : t = Hashtbl.create 8
+  let reset t = Hashtbl.reset t
+
+  let add t name n =
+    match Hashtbl.find_opt t name with
+    | Some r -> r := !r +. float_of_int n
+    | None -> Hashtbl.add t name (ref (float_of_int n))
+
+  let get_float t name =
+    match Hashtbl.find_opt t name with Some r -> !r | None -> 0.0
+
+  let get t name = int_of_float (get_float t name)
+
+  let to_list t =
+    Hashtbl.fold (fun k r acc -> (k, !r) :: acc) t []
+    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+end
+
+(* Differential test of [Stats] against [Model_stats] over three tables.
+   Names 0-3 are declared before the tables exist; names 4 and 5 are
+   fresh in every case and declared at their first use, after the tables
+   were made, so a bump must widen a table without listing the other
+   late name. [add _ 0] must still list its counter. Every read is
+   compared; a snapshot taken at a [Snap] is compared through [since] at
+   every later [Since]. *)
+type stats_op =
+  | Incr of int * int (* table, name *)
+  | Add of int * int * int (* table, name, amount *)
+  | Reset of int
+  | Get of int * int
+  | Snap of int
+  | Since of int
+
+let show_stats_op = function
+  | Incr (t, n) -> Printf.sprintf "incr(%d,%d)" t n
+  | Add (t, n, k) -> Printf.sprintf "add(%d,%d,%d)" t n k
+  | Reset t -> Printf.sprintf "reset(%d)" t
+  | Get (t, n) -> Printf.sprintf "get(%d,%d)" t n
+  | Snap t -> Printf.sprintf "snap(%d)" t
+  | Since t -> Printf.sprintf "since(%d)" t
+
+let gen_stats_ops =
+  let open QCheck.Gen in
+  let table = int_bound 2 and name = int_bound 5 in
+  list_size (int_range 0 120)
+    (frequency
+       [
+         (8, map (fun (t, n) -> Incr (t, n)) (pair table name));
+         ( 4,
+           map
+             (fun ((t, n), k) -> Add (t, n, k))
+             (pair (pair table name) (int_range (-3) 5)) );
+         (1, map (fun t -> Reset t) table);
+         (4, map (fun (t, n) -> Get (t, n)) (pair table name));
+         (1, map (fun t -> Snap t) table);
+         (2, map (fun t -> Since t) table);
+       ])
+
+let arb_stats_ops =
+  QCheck.make gen_stats_ops
+    ~print:(fun ops -> String.concat " " (List.map show_stats_op ops))
+
+let stats_cases = ref 0
+
+let prop_stats_model ops =
+  incr stats_cases;
+  let names =
+    Array.append
+      (Array.init 4 (Printf.sprintf "qstats.n%d"))
+      (Array.init 2 (Printf.sprintf "qstats.late%d.%d" !stats_cases))
+  in
+  let early = Array.init 4 (fun i -> Stats.counter names.(i)) in
+  let real = Array.init 3 (fun _ -> Stats.create ()) in
+  let model = Array.init 3 (fun _ -> Model_stats.create ()) in
+  let snaps = Array.make 3 None in
+  let counter n = if n < 4 then early.(n) else Stats.counter names.(n) in
+  let agree t =
+    let l = Stats.to_list real.(t) and ml = Model_stats.to_list model.(t) in
+    if l <> ml then QCheck.Test.fail_reportf "table %d: to_list differs" t;
+    if Stats.snapshot real.(t) <> ml then
+      QCheck.Test.fail_reportf "table %d: snapshot differs" t
+  in
+  let step = function
+    | Incr (t, n) ->
+        Stats.incr real.(t) (counter n);
+        Model_stats.add model.(t) names.(n) 1
+    | Add (t, n, k) ->
+        Stats.add real.(t) (counter n) k;
+        Model_stats.add model.(t) names.(n) k
+    | Reset t ->
+        Stats.reset real.(t);
+        Model_stats.reset model.(t)
+    | Get (t, n) ->
+        if Stats.get real.(t) names.(n) <> Model_stats.get model.(t) names.(n)
+        then QCheck.Test.fail_reportf "table %d: get %s" t names.(n);
+        if
+          Stats.get_float real.(t) names.(n)
+          <> Model_stats.get_float model.(t) names.(n)
+        then QCheck.Test.fail_reportf "table %d: get_float %s" t names.(n)
+    | Snap t -> snaps.(t) <- Some (Stats.snapshot real.(t))
+    | Since t -> (
+        match snaps.(t) with
+        | None -> ()
+        | Some before ->
+            if
+              Stats.since real.(t) before
+              <> Stats.diff ~before ~after:(Model_stats.to_list model.(t))
+            then QCheck.Test.fail_reportf "table %d: since differs" t)
+  in
+  List.iter
+    (fun op ->
+      step op;
+      for t = 0 to 2 do
+        agree t
+      done)
+    ops;
+  true
+
+let test_stats_model =
+  QCheck.Test.make ~name:"stats match the string-keyed model" ~count:200
+    arb_stats_ops prop_stats_model
 
 (* ------------------------------------------------------------------ *)
 (* Phys_mem                                                            *)
@@ -424,13 +552,13 @@ let test_pending_queue_model =
 
 let test_machine_charge_advances_clock_and_busy () =
   let m = Machine.create ~nframes:16 () in
-  Machine.charge m 5.0;
+  Machine.charge ~kind:Machine.untyped m 5.0;
   check fl "clock" 5.0 (Machine.now m);
   check fl "busy" 5.0 (Machine.busy_us m);
   let twin = Machine.create ~nframes:16 () in
-  Machine.charge twin 5.0;
-  Machine.charge twin (float_of_int 3 *. 0.1);
-  Machine.charge_n m 3 0.1;
+  Machine.charge ~kind:Machine.untyped twin 5.0;
+  Machine.charge ~kind:Machine.untyped twin (float_of_int 3 *. 0.1);
+  Machine.charge_n ~kind:Machine.untyped m 3 0.1;
   let exact = Alcotest.float 0.0 in
   check exact "charge_n: clock as charging the product" (Machine.now twin)
     (Machine.now m);
@@ -440,8 +568,8 @@ let test_machine_charge_advances_clock_and_busy () =
 let test_machine_load_accounting () =
   let m = Machine.create ~nframes:16 () in
   let cp = Machine.checkpoint m in
-  Machine.charge m 30.0;
-  Machine.elapse_to m 100.0;
+  Machine.charge ~kind:Machine.untyped m 30.0;
+  Machine.elapse_to ~kind:Machine.untyped m 100.0;
   let load = Machine.load_since m cp in
   check fl "30% busy" 0.3 load
 
@@ -457,8 +585,8 @@ let test_machine_unobserved_allocates_nothing () =
   let thunk () = () in
   let loop () =
     for _ = 1 to 10_000 do
-      Machine.charge m 1.0;
-      Machine.charge_n m 3 0.25;
+      Machine.charge ~kind:Machine.untyped m 1.0;
+      Machine.charge_n ~kind:Machine.untyped m 3 0.25;
       Machine.with_comp m Fbufs_metrics.Component.Copy thunk
     done
   in
@@ -475,11 +603,11 @@ let test_machine_with_comp_restores_on_raise () =
   Machine.set_obs m (Some { Machine.no_obs with metrics = Some mx });
   (try
      Machine.with_comp m C.Copy (fun () ->
-         Machine.charge ~comp:C.Alloc m 1.0;
+         Machine.charge ~kind:Machine.untyped ~comp:C.Alloc m 1.0;
          raise Exit)
    with Exit -> ());
   Alcotest.(check bool) "context cleared" true (m.Machine.comp_ctx = None);
-  Machine.charge ~comp:C.Alloc m 2.0;
+  Machine.charge ~kind:Machine.untyped ~comp:C.Alloc m 2.0;
   let by = Fbufs_metrics.Ledger.by_component (Fbufs_metrics.Metrics.ledger mx) in
   check fl "inside: the context's component" 1.0 (List.assoc C.Copy by);
   check fl "after: the call site's own tag" 2.0 (List.assoc C.Alloc by)
@@ -604,6 +732,7 @@ let () =
           tc "counters" `Quick test_stats_counters;
           tc "reset" `Quick test_stats_reset;
           tc "sorted listing" `Quick test_stats_to_list_sorted;
+          QCheck_alcotest.to_alcotest test_stats_model;
         ] );
       ( "phys-mem",
         [

@@ -145,7 +145,7 @@ let test_machine_span_helpers () =
   Machine.set_obs m (Some { Machine.no_obs with trace = Some tr });
   let sp = Machine.span_begin m "work" in
   Alcotest.(check bool) "span id when enabled" true (sp > 0);
-  Machine.charge ~kind:"step" m 5.0;
+  Machine.charge ~kind:(Machine.kind "step") m 5.0;
   Machine.span_end m sp;
   check Alcotest.int "no leaked spans" 0 (open_spans tr);
   (match
@@ -179,9 +179,9 @@ let feed tr ~rounds =
       ~machine:"tx"
       ~args:[ ("comp", Trace.Str "copy") ]
       "charge";
-    Trace.complete_comp tr ~ts_us:(ts +. 1.0) ~dur_us:0.5 ~machine:"tx"
-      ~comp:(if k mod 2 = 0 then "map" else "")
-      "charge";
+    Trace.complete_comp tr ~at:[| ts +. 1.0 |] ~dur_us:0.5 ~machine:"tx"
+      ~comp:(Fbufs_trace.Name.intern (if k mod 2 = 0 then "map" else ""))
+      (Fbufs_trace.Name.intern "charge");
     let sp =
       Trace.begin_span tr ~ts_us:(ts +. 2.0) ~machine:"tx" ~domain:"app" "call"
     in
