@@ -82,20 +82,15 @@ let run t =
   List.iteri
     (fun ai alloc ->
       let owner = Allocator.owner alloc in
-      let exts = Allocator.free_extents alloc in
-      let rec ext_scan = function
-        | (b1, n1) :: ((b2, _) :: _ as rest) ->
-            if b1 + n1 >= b2 then
-              violation
-                "allocator %d: extents (%d,%d) and (%d,_) unsorted or \
-                 uncoalesced"
-                ai b1 n1 b2;
-            ext_scan rest
-        | _ -> ()
-      in
-      ext_scan exts;
-      List.iter
-        (fun (base, n) ->
+      let prev_base = ref 0 and prev_len = ref (-1) in
+      Allocator.iter_extents alloc (fun ~base ~npages:n ->
+          if !prev_len >= 0 && !prev_base + !prev_len >= base then
+            violation
+              "allocator %d: extents (%d,%d) and (%d,_) unsorted or \
+               uncoalesced"
+              ai !prev_base !prev_len base;
+          prev_base := base;
+          prev_len := n;
           if n <= 0 then violation "allocator %d: empty extent at %d" ai base;
           if
             not
@@ -118,8 +113,7 @@ let run t =
               then
                 violation "allocator %d: extent (%d,%d) overlaps fbuf#%d" ai
                   base n fb.Fbuf.id)
-            registered)
-        exts;
+            registered);
       (* Owned chunk grants really belong to the owner. *)
       List.iter
         (fun (base, nchunks) ->

@@ -46,7 +46,10 @@ type t = {
   policy : policy;
   free_classes : (int, cls) Hashtbl.t; (* npages -> parked fbufs *)
   mutable free_len : int; (* total parked, across classes *)
-  mutable extents : (int * int) list; (* free (base_vpn, npages), sorted *)
+  mutable exts : int array;
+  mutable nexts : int;
+      (* the free address extents, sorted by base and coalesced: the i-th,
+         for i < nexts, is exts.(2i+1) pages from base_vpn exts.(2i) *)
   mutable chunks : (int * int) list; (* owned (base_vpn, nchunks) *)
   mutable live : int;
   mutable torn_down : bool;
@@ -173,20 +176,57 @@ let clear_parked t =
   Hashtbl.reset t.free_classes;
   t.free_len <- 0
 
-(* Insert a free extent keeping the list sorted by base and coalescing
-   extents that touch, so fragmented returns re-form allocatable runs
-   (without this, a torn-down set of small fbufs could never satisfy a
-   larger request without growing the chunk footprint). *)
-let rec insert_extent base n = function
-  | [] -> [ (base, n) ]
-  | ((b, m) as e) :: rest ->
-      if b + m = base then insert_extent b (m + n) rest
-      else if base + n = b then insert_extent base (n + m) rest
-      else if b + m < base then e :: insert_extent base n rest
-      else (base, n) :: e :: rest
+(* The free extents are kept sorted by base and coalesced: a returned
+   range merges with the extents it touches, so fragmented returns
+   re-form allocatable runs (without this, a torn-down set of small fbufs
+   could never satisfy a larger request without growing the chunk
+   footprint). Splitting and merging rewrite ints in place; a list of
+   pairs would build a cell and a pair per change. *)
+
+let ext_base t i = t.exts.(2 * i)
+let ext_len t i = t.exts.((2 * i) + 1)
+
+let set_ext t i ~base ~npages =
+  t.exts.(2 * i) <- base;
+  t.exts.((2 * i) + 1) <- npages
+
+(* Move extents [i ..] up one place, growing the array when full. *)
+let open_extent t i =
+  if 2 * t.nexts = Array.length t.exts then begin
+    let a = Array.make (max 2 (4 * t.nexts)) 0 in
+    Array.blit t.exts 0 a 0 (2 * t.nexts);
+    t.exts <- a
+  end;
+  Array.blit t.exts (2 * i) t.exts ((2 * i) + 2) (2 * (t.nexts - i));
+  t.nexts <- t.nexts + 1
+
+let close_extent t i =
+  Array.blit t.exts ((2 * i) + 2) t.exts (2 * i) (2 * (t.nexts - i - 1));
+  t.nexts <- t.nexts - 1
+
+(* The first extent whose base is above [base], or [nexts]. *)
+let rec extent_after t base i =
+  if i = t.nexts || ext_base t i > base then i
+  else extent_after t base (i + 1)
 
 let add_extent t ~base ~npages =
-  t.extents <- insert_extent base npages t.extents
+  let i = extent_after t base 0 in
+  let joins_left = i > 0 && ext_base t (i - 1) + ext_len t (i - 1) = base in
+  let joins_right = i < t.nexts && base + npages = ext_base t i in
+  if joins_left && joins_right then begin
+    set_ext t (i - 1) ~base:(ext_base t (i - 1))
+      ~npages:(ext_len t (i - 1) + npages + ext_len t i);
+    close_extent t i
+  end
+  else if joins_left then
+    set_ext t (i - 1) ~base:(ext_base t (i - 1))
+      ~npages:(ext_len t (i - 1) + npages)
+  else if joins_right then
+    set_ext t i ~base ~npages:(npages + ext_len t i)
+  else begin
+    open_extent t i;
+    set_ext t i ~base ~npages
+  end
 
 let release_chunks t =
   List.iter
@@ -239,7 +279,8 @@ let create region ~path ~variant ?(policy = Lifo) () =
       policy;
       free_classes = Hashtbl.create 8;
       free_len = 0;
-      extents = [];
+      exts = [||];
+      nexts = 0;
       chunks = [];
       live = 0;
       torn_down = false;
@@ -252,23 +293,15 @@ let create region ~path ~variant ?(policy = Lifo) () =
 let default region ~owner =
   create region ~path:(Path.create [ owner ]) ~variant:Fbuf.volatile_only ()
 
-(* First-fit over the sorted, coalesced free extents: the base of the
+(* First-fit over the sorted, coalesced free extents: the index of the
    first extent of at least [npages] pages, or [-1]. *)
-let rec first_fit ~npages = function
-  | [] -> -1
-  | (base, n) :: rest -> if n >= npages then base else first_fit ~npages rest
-
-(* The extents with that first fit taken out, its remainder (when the fit
-   is loose) left in its place. *)
-let rec carve ~npages = function
-  | [] -> []
-  | ((base, n) as e) :: rest ->
-      if n > npages then (base + npages, n - npages) :: rest
-      else if n = npages then rest
-      else e :: carve ~npages rest
+let rec first_fit t ~npages i =
+  if i = t.nexts then -1
+  else if ext_len t i >= npages then i
+  else first_fit t ~npages (i + 1)
 
 let take_address_range t ~npages =
-  match first_fit ~npages t.extents with
+  match first_fit t ~npages 0 with
   | -1 ->
       let chunk_pages = (Region.config t.region).Region.chunk_pages in
       let nchunks = (npages + chunk_pages - 1) / chunk_pages in
@@ -277,8 +310,11 @@ let take_address_range t ~npages =
       let slack = (nchunks * chunk_pages) - npages in
       if slack > 0 then add_extent t ~base:(base + npages) ~npages:slack;
       base
-  | base ->
-      t.extents <- carve ~npages t.extents;
+  | i ->
+      (* Carve the fit's head; a loose fit leaves its remainder in place. *)
+      let base = ext_base t i and n = ext_len t i in
+      if n = npages then close_extent t i
+      else set_ext t i ~base:(base + npages) ~npages:(n - npages);
       base
 
 (* The buffer a cached allocation of [npages] reuses: the most (Lifo) or
@@ -491,7 +527,13 @@ let needs_frames t ~npages =
 
 (* Read-only introspection for the Fbufs_check invariant auditor. *)
 let parked = parked_fbufs
-let free_extents t = t.extents
+let rec iter_extents_from t f i =
+  if i < t.nexts then begin
+    f ~base:(ext_base t i) ~npages:(ext_len t i);
+    iter_extents_from t f (i + 1)
+  end
+
+let iter_extents t f = iter_extents_from t f 0
 let owned_chunks t = t.chunks
 
 let teardown t =

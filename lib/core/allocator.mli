@@ -82,9 +82,8 @@ val live_fbufs : t -> int
 val parked : t -> Fbuf.t list
 (** Every fbuf currently parked on the free lists, in unspecified order. *)
 
-val free_extents : t -> (int * int) list
-(** The free [(base_vpn, npages)] address extents, base-sorted and
-    coalesced. *)
+val iter_extents : t -> (base:int -> npages:int -> unit) -> unit
+(** The free address extents, in base order; they should be coalesced. *)
 
 val owned_chunks : t -> (int * int) list
 (** The [(base_vpn, nchunks)] chunk grants this allocator holds from the

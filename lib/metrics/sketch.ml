@@ -11,7 +11,21 @@ module Json = Fbufs_trace.Json
    lets per-path sketches roll up across machines without error
    accumulation. The running [sum] is float (kept for reporting and for
    the registry's scalar view) and is deliberately excluded from
-   {!equal}. *)
+   {!equal}.
+
+   [add] runs once per observed PDU and allocates nothing once its
+   bucket exists: the count is read with [Hashtbl.find] (no option) and
+   rewritten in place by [replace], the bucket index is computed inline
+   (a float passed to a helper would be boxed), and the float state
+   lives in an all-float record, stored flat, where a float field of [t]
+   would box on every write. *)
+
+(* The running sum and extremes. *)
+type floats = {
+  mutable sum : float;
+  mutable minv : float;
+  mutable maxv : float;
+}
 
 type t = {
   alpha : float;
@@ -21,9 +35,7 @@ type t = {
   neg : (int, int) Hashtbl.t;
   mutable zero : int;
   mutable n : int;
-  mutable sum : float;
-  mutable minv : float;
-  mutable maxv : float;
+  f : floats;
 }
 
 let create ?(alpha = 0.01) () =
@@ -38,31 +50,32 @@ let create ?(alpha = 0.01) () =
     neg = Hashtbl.create 8;
     zero = 0;
     n = 0;
-    sum = 0.0;
-    minv = Float.infinity;
-    maxv = Float.neg_infinity;
+    f = { sum = 0.0; minv = Float.infinity; maxv = Float.neg_infinity };
   }
 
 let alpha t = t.alpha
 let count t = t.n
-let sum t = t.sum
-let min_value t = if t.n = 0 then Float.nan else t.minv
-let max_value t = if t.n = 0 then Float.nan else t.maxv
-
-let bucket t x = int_of_float (Float.ceil (log x /. t.log_gamma))
+let sum t = t.f.sum
+let min_value t = if t.n = 0 then Float.nan else t.f.minv
+let max_value t = if t.n = 0 then Float.nan else t.f.maxv
 
 let bump tbl i =
-  Hashtbl.replace tbl i (1 + Option.value ~default:0 (Hashtbl.find_opt tbl i))
+  match Hashtbl.find tbl i with
+  | c -> Hashtbl.replace tbl i (c + 1)
+  | exception Not_found -> Hashtbl.replace tbl i 1
 
 let add t x =
   if Float.is_nan x then invalid_arg "Sketch.add: nan";
   if x = 0.0 then t.zero <- t.zero + 1
-  else if x > 0.0 then bump t.pos (bucket t x)
-  else bump t.neg (bucket t (-.x));
+  else
+    bump
+      (if x > 0.0 then t.pos else t.neg)
+      (int_of_float (Float.ceil (log (Float.abs x) /. t.log_gamma)));
   t.n <- t.n + 1;
-  t.sum <- t.sum +. x;
-  if x < t.minv then t.minv <- x;
-  if x > t.maxv then t.maxv <- x
+  let f = t.f in
+  f.sum <- f.sum +. x;
+  if x < f.minv then f.minv <- x;
+  if x > f.maxv then f.maxv <- x
 
 let midpoint t i = 2.0 *. (t.gamma ** float_of_int i) /. (t.gamma +. 1.0)
 
@@ -94,7 +107,7 @@ let quantile t p =
     List.iter (fun (i, c) -> take (midpoint t i) c) (sorted t.pos);
     (* Clamp into the observed range: the extreme buckets over-shoot
        their midpoints while min/max are exact. *)
-    Float.max t.minv (Float.min t.maxv !result)
+    Float.max t.f.minv (Float.min t.f.maxv !result)
   end
 
 let merge_into dst src =
@@ -104,9 +117,9 @@ let merge_into dst src =
     (c + Option.value ~default:0 (Hashtbl.find_opt dst.neg i))) src.neg;
   dst.zero <- dst.zero + src.zero;
   dst.n <- dst.n + src.n;
-  dst.sum <- dst.sum +. src.sum;
-  if src.minv < dst.minv then dst.minv <- src.minv;
-  if src.maxv > dst.maxv then dst.maxv <- src.maxv
+  dst.f.sum <- dst.f.sum +. src.f.sum;
+  if src.f.minv < dst.f.minv then dst.f.minv <- src.f.minv;
+  if src.f.maxv > dst.f.maxv then dst.f.maxv <- src.f.maxv
 
 let merge a b =
   if a.alpha <> b.alpha then
@@ -120,7 +133,7 @@ let equal a b =
   a.alpha = b.alpha && a.zero = b.zero && a.n = b.n
   && sorted a.pos = sorted b.pos
   && sorted a.neg = sorted b.neg
-  && (a.n = 0 || (a.minv = b.minv && a.maxv = b.maxv))
+  && (a.n = 0 || (a.f.minv = b.f.minv && a.f.maxv = b.f.maxv))
 
 (* -- serialization ------------------------------------------------------ *)
 
@@ -134,9 +147,9 @@ let to_json t =
       ("alpha", Json.Float t.alpha);
       ("zero", Json.Int t.zero);
       ("n", Json.Int t.n);
-      ("sum", Json.Float t.sum);
-      ("min", (if t.n = 0 then Json.Null else Json.Float t.minv));
-      ("max", (if t.n = 0 then Json.Null else Json.Float t.maxv));
+      ("sum", Json.Float t.f.sum);
+      ("min", (if t.n = 0 then Json.Null else Json.Float t.f.minv));
+      ("max", (if t.n = 0 then Json.Null else Json.Float t.f.maxv));
       ("pos", buckets_json t.pos);
       ("neg", buckets_json t.neg);
     ]
@@ -174,13 +187,13 @@ let of_json j =
   let t = create ~alpha:(jnum "alpha" (field "alpha" j)) () in
   t.zero <- jint "zero" (field "zero" j);
   t.n <- jint "n" (field "n" j);
-  t.sum <- jnum "sum" (field "sum" j);
+  t.f.sum <- jnum "sum" (field "sum" j);
   (match field "min" j with
   | Json.Null -> ()
-  | v -> t.minv <- jnum "min" v);
+  | v -> t.f.minv <- jnum "min" v);
   (match field "max" j with
   | Json.Null -> ()
-  | v -> t.maxv <- jnum "max" v);
+  | v -> t.f.maxv <- jnum "max" v);
   read_buckets "pos" t.pos j;
   read_buckets "neg" t.neg j;
   t

@@ -17,7 +17,8 @@ val create : ?alpha:float -> unit -> t
 
 val alpha : t -> float
 val add : t -> float -> unit
-(** O(1). Raises [Invalid_argument] on nan. *)
+(** O(1), and allocation-free once the sample's bucket exists. Raises
+    [Invalid_argument] on nan. *)
 
 val count : t -> int
 val sum : t -> float

@@ -48,14 +48,16 @@ type stamp = { mutable at : float }
 type path = { alloc : Allocator.t; last_use : stamp }
 
 (* The PDUs in flight from an adapter to its peer, oldest first, in a
-   power-of-two ring of reused slots: the wire copy, the vci, the trace
-   flight id, and the causal transfer and flight span the delivery
-   continues. On one link each PDU arrives strictly after the one sent
-   before it (transmission starts no earlier than the link is free and
-   takes a positive time), and the scheduler breaks ties by scheduling
-   order, so the arrival that fires is always the oldest slot's. *)
+   power-of-two ring of reused slots: the wire copy and the PDU's length
+   (the copy may be longer), the vci, the trace flight id, and the causal
+   transfer and flight span the delivery continues. On one link each PDU
+   arrives strictly after the one sent before it (transmission starts no
+   earlier than the link is free and takes a positive time), and the
+   scheduler breaks ties by scheduling order, so the arrival that fires
+   is always the oldest slot's. *)
 type wire = {
   mutable data : Bytes.t array;
+  mutable lens : int array;
   mutable vcis : int array;
   mutable flights : int array;
   mutable xfers : int array;
@@ -80,6 +82,8 @@ type t = {
       (* the arrival event of every PDU on the wire, bound at [connect] *)
   mutable gather_out : Bytes.t; (* the DMA gather's cursor *)
   mutable gather_pos : int;
+  spares : Bytes.t array; (* delivered wire copies kept for reuse *)
+  mutable nspares : int;
   mutable cells_sent : int;
   mutable pdus_received : int;
   mutable uncached_rx : int;
@@ -91,6 +95,12 @@ type t = {
 }
 
 let wire_slots = 8
+
+(* Wire copies an adapter keeps for its next sends. Each is as long as
+   the largest PDU it has carried, and they stay live between runs of
+   the scheduler, so the cap bounds what they retain: 16 buffers of a
+   16 KB PDU are 256 KB. *)
+let max_spares = 16
 
 let create ~m ~des ~region ~kernel ?(hw_demux = true) () =
   {
@@ -107,6 +117,7 @@ let create ~m ~des ~region ~kernel ?(hw_demux = true) () =
     wire =
       {
         data = Array.make wire_slots Bytes.empty;
+        lens = Array.make wire_slots 0;
         vcis = Array.make wire_slots 0;
         flights = Array.make wire_slots 0;
         xfers = Array.make wire_slots 0;
@@ -117,6 +128,8 @@ let create ~m ~des ~region ~kernel ?(hw_demux = true) () =
     arrive = ignore;
     gather_out = Bytes.empty;
     gather_pos = 0;
+    spares = Array.make max_spares Bytes.empty;
+    nspares = 0;
     cells_sent = 0;
     pdus_received = 0;
     uncached_rx = 0;
@@ -214,42 +227,59 @@ let gather_leaf (l : Msg.leaf) t =
   gather_segs t orig.Pd.map (Fbuf.vaddr l.Msg.fbuf + l.Msg.off) l.Msg.len;
   t
 
-let dma_gather t msg =
-  let out = Bytes.create (Msg.length msg) in
+(* A wire buffer of at least [len] bytes: the top spare when it is long
+   enough, else a fresh one, and a spare too short is dropped. *)
+let take_buffer t len =
+  if t.nspares = 0 then Bytes.create len
+  else begin
+    let n = t.nspares - 1 in
+    let b = t.spares.(n) in
+    t.spares.(n) <- Bytes.empty;
+    t.nspares <- n;
+    if Bytes.length b >= len then b else Bytes.create len
+  end
+
+let give_back t b =
+  if t.nspares < max_spares then begin
+    t.spares.(t.nspares) <- b;
+    t.nspares <- t.nspares + 1
+  end
+
+let dma_gather t msg out =
   t.gather_out <- out;
   t.gather_pos <- 0;
   ignore (Msg.fold_leaves gather_leaf msg t);
-  t.gather_out <- Bytes.empty;
-  out
+  t.gather_out <- Bytes.empty
 
-let scatter_at t (fb : Fbuf.t) ~off data =
-  let ps = t.m.Machine.cost.Cost_model.page_size in
-  let len = Bytes.length data in
-  let pos = ref 0 in
-  let vaddr = ref (Fbuf.vaddr fb + off) in
-  while !pos < len do
-    let off = !vaddr mod ps in
-    let seg = min (len - !pos) (ps - off) in
-    let vpn = !vaddr / ps in
-    let frame =
-      match Vm_map.frame_of t.kernel.Pd.map ~vpn with
-      | -1 ->
-          (* Reclaimed cached buffer: the driver re-pins a frame when it
-             hands the buffer to the adapter. *)
-          let f = Phys_mem.alloc t.m.pmem in
-          Vm_map.map_frame t.kernel.Pd.map ~vpn ~frame:f
-            ~prot:Prot.Read_write ~eager:true;
-          f
-      | f -> f
-    in
-    Bytes.blit data !pos (Phys_mem.data t.m.pmem frame) off seg;
-    pos := !pos + seg;
-    vaddr := !vaddr + seg
-  done
+(* The frame behind a receive buffer's page. A reclaimed cached buffer
+   has none: the driver re-pins a frame when it hands the buffer to the
+   adapter. *)
+let rx_frame t ~vpn =
+  match Vm_map.frame_of t.kernel.Pd.map ~vpn with
+  | -1 ->
+      let f = Phys_mem.alloc t.m.pmem in
+      Vm_map.map_frame t.kernel.Pd.map ~vpn ~frame:f ~prot:Prot.Read_write
+        ~eager:true;
+      f
+  | f -> f
 
-let dma_scatter t fb data = scatter_at t fb ~off:0 data
+(* Write [remaining] bytes at [vaddr], page segment by page segment:
+   [src] from [pos] on, or zeros when [zero] is set. *)
+let rec scatter_segs t ~zero src pos vaddr remaining =
+  if remaining > 0 then begin
+    let ps = t.m.Machine.cost.Cost_model.page_size in
+    let off = vaddr mod ps in
+    let seg = min remaining (ps - off) in
+    let dst = Phys_mem.data t.m.pmem (rx_frame t ~vpn:(vaddr / ps)) in
+    if zero then Bytes.fill dst off seg '\000'
+    else Bytes.blit src pos dst off seg;
+    scatter_segs t ~zero src (pos + seg) (vaddr + seg) (remaining - seg)
+  end
 
-let deliver t ~flight ~xfer ~follows ~vci data =
+let dma_scatter t (fb : Fbuf.t) data len =
+  scatter_segs t ~zero:false data 0 (Fbuf.vaddr fb) len
+
+let deliver t ~flight ~xfer ~follows ~vci data len =
   let now = Des.now t.des in
   Machine.elapse_to ~kind:Machine.untyped t.m now;
   (* Continue the sender's transfer on this machine: the rx span follows
@@ -266,7 +296,6 @@ let deliver t ~flight ~xfer ~follows ~vci data =
     t.m.cost.Cost_model.driver_op;
   Stats.incr t.m.stats osiris_rx_pdu;
   t.pdus_received <- t.pdus_received + 1;
-  let len = Bytes.length data in
   (match Machine.metrics t.m with
   | None -> ()
   | Some mx ->
@@ -309,7 +338,7 @@ let deliver t ~flight ~xfer ~follows ~vci data =
     Machine.charge ~kind:k_osiris_sw_demux_copy ~comp:Comp.Copy t.m
       (float_of_int len *. t.m.cost.Cost_model.copy_per_byte)
   end;
-  dma_scatter t fb data;
+  dma_scatter t fb data len;
   (* Security: an uncached buffer is built from frames recycled from
      arbitrary domains, so the slack beyond the PDU must be cleared before
      the buffer is exposed to the receiving path. Cached buffers recycle
@@ -321,8 +350,8 @@ let deliver t ~flight ~xfer ~follows ~vci data =
       *. t.m.cost.Cost_model.page_zero);
     Stats.incr t.m.stats osiris_slack_zeroed;
     (* The clearing loop itself is charged above at the bzero rate; write
-       the zeros through the frames directly. *)
-    scatter_at t fb ~off:len (Bytes.make slack '\000')
+       the zeros into the frames in place. *)
+    scatter_segs t ~zero:true Bytes.empty 0 (Fbuf.vaddr fb + len) slack
   end;
   let msg = Msg.of_fbuf fb ~off:0 ~len in
   (match t.rx_handler with
@@ -340,16 +369,18 @@ let grow_wire w =
     b
   in
   w.data <- take w.data Bytes.empty;
+  w.lens <- take w.lens 0;
   w.vcis <- take w.vcis 0;
   w.flights <- take w.flights 0;
   w.xfers <- take w.xfers 0;
   w.spans <- take w.spans 0;
   w.head <- 0
 
-let enqueue w ~vci ~flight ~xfer ~span data =
+let enqueue w ~vci ~flight ~xfer ~span data len =
   if w.count = Array.length w.data then grow_wire w;
   let i = (w.head + w.count) land (Array.length w.data - 1) in
   w.data.(i) <- data;
+  w.lens.(i) <- len;
   w.vcis.(i) <- vci;
   w.flights.(i) <- flight;
   w.xfers.(i) <- xfer;
@@ -357,7 +388,9 @@ let enqueue w ~vci ~flight ~xfer ~span data =
   w.count <- w.count + 1
 
 (* The oldest PDU on [src]'s wire reaches [dst]. The slot is released
-   before the delivery runs, which may transmit again. *)
+   before the delivery runs, which may transmit again. The wire copy goes
+   back on [src]'s spares only once the delivery has returned: it is
+   read by the scatter, before the handler that may send. *)
 let arrive src dst =
   let w = src.wire in
   let i = w.head in
@@ -366,7 +399,8 @@ let arrive src dst =
   w.head <- (i + 1) land (Array.length w.data - 1);
   w.count <- w.count - 1;
   deliver dst ~flight:w.flights.(i) ~xfer:w.xfers.(i) ~follows:w.spans.(i)
-    ~vci:w.vcis.(i) data
+    ~vci:w.vcis.(i) data w.lens.(i);
+  give_back src data
 
 let connect a b =
   a.peer <- Some b;
@@ -393,9 +427,11 @@ let send_pdu t ~vci msg =
   Machine.charge ~kind:k_driver_op ~comp:Comp.Net t.m
     t.m.cost.Cost_model.driver_op;
   Stats.incr t.m.stats osiris_tx_pdu;
-  let data = dma_gather t msg in
+  let len = Msg.length msg in
+  let data = take_buffer t len in
+  dma_gather t msg data;
   let cells =
-    (Bytes.length data + pdu_overhead + t.m.cost.Cost_model.cell_payload - 1)
+    (len + pdu_overhead + t.m.cost.Cost_model.cell_payload - 1)
     / t.m.cost.Cost_model.cell_payload
   in
   t.cells_sent <- t.cells_sent + cells;
@@ -404,7 +440,7 @@ let send_pdu t ~vci msg =
   | Some mx ->
       let name = t.m.Machine.name in
       Mx.incr2 mx net_pdus name "tx";
-      Mx.observe2 mx net_pdu_bytes name "tx" (float_of_int (Bytes.length data));
+      Mx.observe2 mx net_pdu_bytes name "tx" (float_of_int len);
       Mx.add1 mx net_cells name (float_of_int cells));
   let tx_time = float_of_int cells *. t.cell_us in
   let now = t.m.Machine.clock.Clock.now in
@@ -422,7 +458,7 @@ let send_pdu t ~vci msg =
         ~args:
           [
             ("vci", Int vci);
-            ("bytes", Int (Bytes.length data));
+            ("bytes", Int len);
             ("cells", Int cells);
           ]
         "osiris.tx";
@@ -435,6 +471,7 @@ let send_pdu t ~vci msg =
     (* The cells occupy the wire but the frame is lost (CRC failure at the
        receiving adapter); nothing is delivered. *)
     t.pdus_dropped <- t.pdus_dropped + 1;
+    give_back t data;
     Stats.incr t.m.stats osiris_pdu_dropped;
     (match Machine.metrics t.m with
     | None -> ()
@@ -458,6 +495,6 @@ let send_pdu t ~vci msg =
       else 0
     in
     Des.schedule t.des (finish +. propagation) t.arrive;
-    enqueue t.wire ~vci ~flight ~xfer:ctid ~span:fsp data
+    enqueue t.wire ~vci ~flight ~xfer:ctid ~span:fsp data len
   end;
   Machine.span_exit t.m csp

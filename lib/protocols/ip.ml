@@ -3,14 +3,33 @@ module Msg = Fbufs_msg.Msg
 
 let ip_bad_header = Stats.counter "ip.bad_header"
 let ip_frag_op = Stats.counter "ip.frag_op"
+let ip_reasm_expired = Stats.counter "ip.reasm_expired"
 
 let header_size = 20
 let magic = 0x4950
 
-(* One datagram in reassembly: its fragments' payloads in offset order
-   (a newer duplicate offset before the older one, as a stable sort of
-   the newest-first arrivals put it). In-order arrival appends. *)
+(* An open datagram is dropped, with the fragments it holds, once it has
+   waited [reasm_timeout_us] of simulated time since its first fragment
+   (RFC 791's reassembly timer), or when opening another would leave
+   more than [max_open] open. On one link the fragments of a datagram
+   arrive back to back and in send order, so without loss each datagram
+   completes before the next opens and neither rule fires: only a
+   datagram that lost a fragment expires, and once a later datagram has
+   begun to arrive it can no longer complete. The timeout is far above
+   the largest datagram's flight (a 1 MB message takes about 30 ms). The
+   bound holds a lossy link to the datagram being assembled and one
+   that lost a fragment: with 1 MB messages, four open datagrams already
+   hold more receive buffers than one domain's 64 region chunks. *)
+let reasm_timeout_us = 1_000_000.0
+let max_open = 2
+
+(* One datagram in reassembly: its id, when it opened, and its fragments'
+   payloads in offset order (a newer duplicate offset before the older
+   one, as a stable sort of the newest-first arrivals put it). In-order
+   arrival appends. *)
 type reasm = {
+  mutable id : int;
+  opened : Fbufs.Fbuf.time;
   mutable offs : int array;
   mutable parts : Msg.t array;
   mutable n : int;
@@ -26,16 +45,19 @@ type t = {
   proto : Fbufs_xkernel.Protocol.t;
   mutable up : Fbufs_xkernel.Protocol.t option;
   mutable next_id : int;
-  table : (int, reasm) Hashtbl.t;
-  mutable spare : reasm; (* a cleared record, or [no_spare] *)
+  slots : reasm array;
+      (* the open datagrams, oldest first, in [slots.(0 .. nopen - 1)] *)
+  mutable nopen : int;
   mutable fragments_sent : int;
   mutable reassemblies : int;
+  mutable expired : int;
 }
 
 let proto t = t.proto
 let set_up t p = t.up <- Some p
 let fragments_sent t = t.fragments_sent
 let reassemblies_completed t = t.reassemblies
+let reassemblies_expired t = t.expired
 
 let make_header ~total ~id ~off ~len ~more =
   let b = Bytes.create header_size in
@@ -84,6 +106,8 @@ let deliver_up t msg =
 
 let new_reasm () =
   {
+    id = 0;
+    opened = { Fbufs.Fbuf.us = 0.0 };
     offs = Array.make 4 0;
     parts = Array.make 4 Msg.empty;
     n = 0;
@@ -91,26 +115,53 @@ let new_reasm () =
     total = -1;
   }
 
-(* The record of the last completed datagram is kept, cleared, for the
-   next one: on one path datagrams complete one at a time, so the steady
-   state allocates no record. [no_spare] stands for none; it is never
-   filled. *)
-let no_spare = new_reasm ()
+(* A slot past the open datagrams keeps the cleared record of one that
+   closed, for the next to open, so the steady state allocates no record.
+   [no_reasm] marks a slot that has held none yet; it is never filled. *)
+let no_reasm = new_reasm ()
 
-let take_reasm t =
-  let r = t.spare in
-  if r == no_spare then new_reasm ()
-  else begin
-    t.spare <- no_spare;
-    r
-  end
+let rec find_open t id i =
+  if i = t.nopen then -1
+  else if t.slots.(i).id = id then i
+  else find_open t id (i + 1)
 
-let give_back t r =
+(* Close open slot [i]: the younger datagrams move down a slot and its
+   record, cleared, goes to the first one past them. *)
+let close t i =
+  let r = t.slots.(i) in
+  Array.blit t.slots (i + 1) t.slots i (t.nopen - i - 1);
+  t.nopen <- t.nopen - 1;
   Array.fill r.parts 0 r.n Msg.empty;
   r.n <- 0;
   r.bytes <- 0;
   r.total <- -1;
-  t.spare <- r
+  t.slots.(t.nopen) <- r
+
+(* Drop the oldest open datagram. Its fragments are freed the way a
+   stripped header is: each buffer the domain still holds, once. *)
+let expire_oldest t m =
+  let r = t.slots.(0) in
+  for k = 0 to r.n - 1 do
+    Header.free_stripped ~dom:t.dom ~pdu:r.parts.(k) ~payload:Msg.empty
+  done;
+  t.expired <- t.expired + 1;
+  Stats.incr m.Machine.stats ip_reasm_expired;
+  close t 0
+
+(* The slot of datagram [id], opened now if it is not open. The time is
+   read here, not passed in: a float argument would be boxed. *)
+let open_slot t m id =
+  match find_open t id 0 with
+  | -1 ->
+      if t.nopen = max_open then expire_oldest t m;
+      let i = t.nopen in
+      if t.slots.(i) == no_reasm then t.slots.(i) <- new_reasm ();
+      let r = t.slots.(i) in
+      r.id <- id;
+      r.opened.Fbufs.Fbuf.us <- m.Machine.clock.Clock.now;
+      t.nopen <- i + 1;
+      i
+  | i -> i
 
 (* Insert before every fragment at [off] or beyond: an append when
    fragments arrive in order. *)
@@ -138,21 +189,21 @@ let rec join_parts r i acc =
 
 let reassemble t ~id ~total ~off ~len ~more payload =
   charge_frag t;
-  let r =
-    match Hashtbl.find t.table id with
-    | r -> r
-    | exception Not_found ->
-        let r = take_reasm t in
-        Hashtbl.add t.table id r;
-        r
-  in
+  let m = Fbufs_xkernel.Protocol.machine t.proto in
+  let now = m.Machine.clock.Clock.now in
+  while
+    t.nopen > 0 && now -. t.slots.(0).opened.Fbufs.Fbuf.us >= reasm_timeout_us
+  do
+    expire_oldest t m
+  done;
+  let i = open_slot t m id in
+  let r = t.slots.(i) in
   insert r off payload;
   r.bytes <- r.bytes + len;
   if not more then r.total <- total;
   if r.total >= 0 && r.bytes >= r.total then begin
-    Hashtbl.remove t.table id;
     let whole = join_parts r 0 Msg.empty in
-    give_back t r;
+    close t i;
     t.reassemblies <- t.reassemblies + 1;
     deliver_up t whole
   end
@@ -189,10 +240,11 @@ let create ~dom ~below ~header_alloc ?(pdu_size = 4096) () =
       proto;
       up = None;
       next_id = 1;
-      table = Hashtbl.create 16;
-      spare = no_spare;
+      slots = Array.make max_open no_reasm;
+      nopen = 0;
       fragments_sent = 0;
       reassemblies = 0;
+      expired = 0;
     }
   in
   proto.Fbufs_xkernel.Protocol.push <- push t;

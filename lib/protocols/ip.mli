@@ -6,6 +6,12 @@
     back into the original byte stream. Both directions support messages
     far larger than 64 KB (the paper modified UDP/IP the same way).
 
+    A datagram that cannot complete, because a fragment was lost, does not
+    hold its fragments forever: it expires 1 s of simulated time after its
+    first fragment arrived, or sooner when more than 2 datagrams would be
+    open, and the buffers it holds are freed. Expiry is checked as
+    fragments arrive and counted by the [ip.reasm_expired] counter.
+
     Header layout (big-endian):
     {v
     0  u16 magic 0x4950 ("IP")
@@ -41,3 +47,6 @@ val set_up : t -> Fbufs_xkernel.Protocol.t -> unit
 
 val fragments_sent : t -> int
 val reassemblies_completed : t -> int
+
+val reassemblies_expired : t -> int
+(** Datagrams dropped incomplete, by the timeout or the bound above. *)

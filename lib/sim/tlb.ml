@@ -41,12 +41,13 @@ module Table = struct
     let i = slot t k in
     if Array.unsafe_get t.keys i = -1 then -1 else Array.unsafe_get t.words i
 
-  let mem t k = Array.unsafe_get t.keys (slot t k) <> -1
-
   let rec replace t k w =
     let i = slot t k in
-    if t.keys.(i) = k then t.words.(i) <- w
-    else if 2 * (t.count + 1) > t.mask + 1 then begin
+    if t.keys.(i) = k then t.words.(i) <- w else insert_at t i k w
+
+  (* Add [k], absent, at [i], the empty slot that ends its probe run. *)
+  and insert_at t i k w =
+    if 2 * (t.count + 1) > t.mask + 1 then begin
       grow t;
       replace t k w
     end
@@ -107,6 +108,10 @@ type t = {
   index : Table.t;
   mutable valid_count : int;
   pending : Table.t; (* deferred shootdowns: tag key -> pmap word *)
+  mutable queued : int array;
+  mutable nqueued : int;
+      (* the keys in [pending], once each, in [queued.(0 .. nqueued - 1)] *)
+  mutable npending : int; (* keys in [pending] whose word is not [-1] *)
 }
 
 type probe_result = Hit | Hit_readonly | Miss
@@ -114,19 +119,25 @@ type probe_result = Hit | Hit_readonly | Miss
 let key ~asid ~vpn = (asid lsl 40) + vpn
 let vpn_mask = (1 lsl 40) - 1
 
+(* Top level: a local recursion over [entries] would be a closure per
+   TLB. *)
+let rec pow2_at_least n c = if c >= n then c else pow2_at_least n (c * 2)
+
 let create ?(entries = 64) rng =
   if entries <= 0 then invalid_arg "Tlb.create: entries must be positive";
   (* The index never holds more tags than there are slots, so at 8x the
      slot count it stays under 1/8 full and never grows. *)
-  let rec pow2 c = if c >= 8 * entries then c else pow2 (c * 2) in
   {
     slots =
       Array.init entries (fun _ ->
           { valid = false; asid = 0; vpn = 0; writable = false });
     rng;
-    index = Table.create (pow2 16);
+    index = Table.create (pow2_at_least (8 * entries) 16);
     valid_count = 0;
     pending = Table.create 128;
+    queued = [||];
+    nqueued = 0;
+    npending = 0;
   }
 
 let entries t = Array.length t.slots
@@ -185,35 +196,79 @@ let iter_live t f =
 
 (* -- deferred-shootdown queue ------------------------------------------ *)
 
-let defer t ~asid ~vpn ~pte = Table.replace t.pending (key ~asid ~vpn) pte
+(* A cancelled shootdown keeps its key in [pending] with the word [-1],
+   which reads as absent, until the next drain: so a key re-deferred
+   before then is still listed, and [queued] lists each key of the table
+   exactly once. The drain and [iter_pending] walk that list, in
+   proportion to the tags queued since the last drain. The table never
+   holds more keys than half its capacity, so the list is made at the
+   first defer half as long as the table, and when the table grows the
+   list takes over the key array it drops, half as long as the new one:
+   a TLB that never defers pays nothing for the list, and a growing
+   queue allocates nothing more for it. *)
+let defer t ~asid ~vpn ~pte =
+  let q = t.pending and k = key ~asid ~vpn in
+  let i = Table.slot q k in
+  if q.Table.keys.(i) = k then begin
+    if q.Table.words.(i) = -1 then t.npending <- t.npending + 1;
+    q.Table.words.(i) <- pte
+  end
+  else begin
+    let dropped = q.Table.keys in
+    Table.insert_at q i k pte;
+    if q.Table.keys != dropped then begin
+      Array.blit t.queued 0 dropped 0 t.nqueued;
+      t.queued <- dropped
+    end
+    else if Array.length t.queued = 0 then
+      t.queued <- Array.make ((q.Table.mask + 1) / 2) 0;
+    t.queued.(t.nqueued) <- k;
+    t.nqueued <- t.nqueued + 1;
+    t.npending <- t.npending + 1
+  end
+
 let find_pending t ~asid ~vpn = Table.find t.pending (key ~asid ~vpn)
-let pending_covers t ~asid ~vpn = Table.mem t.pending (key ~asid ~vpn)
-let cancel_pending t ~asid ~vpn = Table.remove t.pending (key ~asid ~vpn)
-let pending_count t = t.pending.Table.count
+let pending_covers t ~asid ~vpn = find_pending t ~asid ~vpn <> -1
+
+let cancel_pending t ~asid ~vpn =
+  let q = t.pending in
+  let i = Table.slot q (key ~asid ~vpn) in
+  if q.Table.keys.(i) <> -1 && q.Table.words.(i) <> -1 then begin
+    q.Table.words.(i) <- -1;
+    t.npending <- t.npending - 1
+  end
+
+let pending_count t = t.npending
+
+let iter_key t f k =
+  let pte = Table.find t.pending k in
+  if pte <> -1 then f ~asid:(k lsr 40) ~vpn:(k land vpn_mask) ~pte
 
 let iter_pending t f =
-  let q = t.pending in
-  for i = 0 to q.Table.mask do
-    let k = q.Table.keys.(i) in
-    if k <> -1 then
-      f ~asid:(k lsr 40) ~vpn:(k land vpn_mask) ~pte:q.Table.words.(i)
+  for j = 0 to t.nqueued - 1 do
+    iter_key t f t.queued.(j)
   done
+
+(* Take the listed keys out of the table, invalidating the ones not
+   cancelled. *)
+let rec drain_listed t j =
+  if j < t.nqueued then begin
+    let q = t.pending and k = t.queued.(j) in
+    let i = Table.slot q k in
+    if q.Table.words.(i) <> -1 then invalidate_key t k;
+    Table.remove_at q i;
+    drain_listed t (j + 1)
+  end
 
 (* Every crossing drains, and the queue is almost always empty: then
    this is one comparison. The order in which queued tags are
    invalidated is not observable: each clears its own slot, and victim
    choice reads only slot validity and the RNG. *)
 let invalidate_pending t =
-  let q = t.pending in
-  let n = q.Table.count in
-  if n > 0 then begin
-    for i = 0 to q.Table.mask do
-      let k = q.Table.keys.(i) in
-      if k <> -1 then begin
-        q.Table.keys.(i) <- -1;
-        invalidate_key t k
-      end
-    done;
-    q.Table.count <- 0
+  let n = t.npending in
+  if t.nqueued > 0 then begin
+    drain_listed t 0;
+    t.nqueued <- 0;
+    t.npending <- 0
   end;
   n

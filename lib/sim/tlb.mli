@@ -23,9 +23,11 @@
     ({!invalidate_pending}). The queue records the removed translation's
     pmap word (frame and writability) so re-entry can prove identity. The
     queue and the tag index are two instances of one table of immediate
-    ints: probing, refilling, queueing, cancelling and draining allocate
-    nothing. The TLB itself charges nothing; cost accounting stays with
-    the callers. *)
+    ints, and the queued keys are also listed in an int array, so a drain
+    or an iteration visits only the tags queued since the last drain:
+    probing, refilling, queueing, cancelling and draining allocate
+    nothing once the arrays have grown. The TLB itself charges nothing;
+    cost accounting stays with the callers. *)
 
 type t
 

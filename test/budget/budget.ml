@@ -9,6 +9,18 @@
    change is accepted with [dune promote], which ratchets the table in
    the same diff as the code.
 
+   Major rows ("major." and a row's name) print the words the same
+   execution of that row allocates straight into the major heap: blocks
+   too large for the minor heap, such as a PDU's wire copy. They are read
+   with [Gc.quick_stat] as major minus promoted words, between two minor
+   collections forced at the window's edges: without them the counts
+   moved with the checkout's path and the environment's size. The minor
+   heap is set to the runtime's default size before any row runs, so an
+   [OCAMLRUNPARAM=s=...] in the environment does not move them either.
+   Only fig5 and fig6, whose wire copies land there, have a major row:
+   the counts are exact to some tens of words, and an operation row
+   that allocates nothing there read slightly below 0.
+
    Run rows cover the computation behind each fbufs_cli experiment,
    without the printing; the buffer-sharing rows are what [ablation
    --only buffer-sharing] prints. Operation rows cover [window] ops of
@@ -47,6 +59,21 @@ let words f =
   let before = Gc.minor_words () in
   f ();
   Float.to_int (Gc.minor_words () -. before)
+
+let direct_major () =
+  let s = Gc.quick_stat () in
+  s.Gc.major_words -. s.Gc.promoted_words
+
+(* The minor words of [f] and, read outside that window, its direct
+   major words: the forced minor collections empty the minor heap
+   before and promote what [f] left in it after, so what the counters
+   hold does not depend on the rows before. *)
+let words_and_major f =
+  Gc.minor ();
+  let before = direct_major () in
+  let w = words f in
+  Gc.minor ();
+  (w, Float.to_int (direct_major () -. before))
 
 let run_rows =
   [
@@ -304,7 +331,13 @@ let observed_rows =
     ( "run.fig6.observed",
       observed ~metrics:true ~spans:true (fun () ->
           ignore (H.Exp_fig5.run ~uncached:true ())) );
+    ( "run.fig5.metrics",
+      observed ~metrics:true ~spans:false (fun () ->
+          ignore (H.Exp_fig5.run ~uncached:false ())) );
   ]
+
+(* The rows that also print their direct major words. *)
+let major_rows = [ "run.fig5"; "run.fig6" ]
 
 let op_words fixture =
   let op = fixture () in
@@ -317,7 +350,16 @@ let op_words fixture =
       done)
 
 let () =
+  Gc.set { (Gc.get ()) with Gc.minor_heap_size = 262_144 };
   let print name words = Printf.printf "%-40s %d\n" name words in
-  List.iter (fun (name, run) -> print name (words run)) run_rows;
+  let majors = ref [] in
+  let run_row (name, run) =
+    let w, major = words_and_major run in
+    print name w;
+    if List.mem name major_rows then majors := (name, major) :: !majors
+  in
+  List.iter run_row run_rows;
   List.iter (fun (name, fixture) -> print name (op_words fixture)) op_rows;
-  List.iter (fun (name, run) -> print name (words run)) observed_rows
+  List.iter run_row observed_rows;
+  List.iter (fun (name, major) -> print ("major." ^ name) major)
+    (List.rev !majors)

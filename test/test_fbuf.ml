@@ -681,6 +681,71 @@ let test_extents_coalesce_after_free () =
   check Alcotest.int "no new chunks" owned
     (Region.chunks_owned tb.Testbed.region app)
 
+(* The allocator's free extents against the list of (base, npages)
+   pairs they replaced, kept here as the model: first fit, carving the
+   fit's head, and insertion that coalesces with both neighbours. Random
+   uncached allocations of 1-12 pages and frees in random order must
+   take the model's first-fit base whenever an extent fits, and leave
+   the model's extents after every step. When none fits, the allocator
+   takes a fresh chunk, whose base the model reads from the fbuf. *)
+let rec model_insert base n = function
+  | [] -> [ (base, n) ]
+  | ((b, m) as e) :: rest ->
+      if b + m = base then model_insert b (m + n) rest
+      else if base + n = b then model_insert base (n + m) rest
+      else if b + m < base then e :: model_insert base n rest
+      else (base, n) :: e :: rest
+
+let rec model_carve ~npages = function
+  | [] -> []
+  | ((base, n) as e) :: rest ->
+      if n > npages then (base + npages, n - npages) :: rest
+      else if n = npages then rest
+      else e :: model_carve ~npages rest
+
+(* Free the [n]th live fbuf (modulo their count) and return its range
+   to the model. *)
+let free_nth ~dom live model n =
+  match !live with
+  | [] -> ()
+  | l ->
+      let fb = List.nth l (n mod List.length l) in
+      live := List.filter (fun g -> g != fb) l;
+      Transfer.free fb ~dom;
+      model := model_insert fb.Fbuf.base_vpn fb.Fbuf.npages !model
+
+let prop_extents_match_list_model =
+  QCheck.Test.make ~name:"free extents match the list model" ~count:100
+    QCheck.(list_of_size Gen.(1 -- 60) (pair bool (int_range 1 12)))
+    (fun ops ->
+      let tb, app, _ = setup2 () in
+      let alloc = Testbed.allocator tb ~domains:[ app ] Fbuf.volatile_only in
+      let chunk = (Region.config tb.Testbed.region).Region.chunk_pages in
+      let live = ref [] and model = ref [] and diverged = ref [] in
+      List.iteri
+        (fun step (is_alloc, n) ->
+          if is_alloc && List.length !live < 16 then begin
+            let fb = Allocator.alloc alloc ~npages:n in
+            live := !live @ [ fb ];
+            let base = fb.Fbuf.base_vpn in
+            match List.find_opt (fun (_, m) -> m >= n) !model with
+            | Some (b, _) ->
+                if b <> base then diverged := step :: !diverged;
+                model := model_carve ~npages:n !model
+            | None -> model := model_insert (base + n) (chunk - n) !model
+          end
+          else free_nth ~dom:app live model n;
+          let extents = ref [] in
+          Allocator.iter_extents alloc (fun ~base ~npages ->
+              extents := (base, npages) :: !extents);
+          if List.rev !extents <> !model then diverged := step :: !diverged)
+        ops;
+      match List.rev !diverged with
+      | [] -> true
+      | step :: _ ->
+          QCheck.Test.fail_reportf
+            "step %d: first fit or extents differ from the model" step)
+
 let test_reclaim_lru_order () =
   let tb, app, _ = setup2 () in
   let alloc = Testbed.allocator tb ~domains:[ app ] Fbuf.cached_volatile in
@@ -852,5 +917,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_roundtrip_any_payload;
           QCheck_alcotest.to_alcotest prop_refcounts_balance;
           QCheck_alcotest.to_alcotest prop_cached_reuse_is_stable;
+          QCheck_alcotest.to_alcotest prop_extents_match_list_model;
         ] );
     ]

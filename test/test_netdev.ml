@@ -7,6 +7,9 @@ module Msg = Fbufs_msg.Msg
 module Osiris = Fbufs_netdev.Osiris
 module Testbed = Fbufs_harness.Testbed
 module Testproto = Fbufs_protocols.Testproto
+module Ip = Fbufs_protocols.Ip
+module Udp = Fbufs_protocols.Udp
+module Protocol = Fbufs_xkernel.Protocol
 
 let check = Alcotest.check
 
@@ -435,6 +438,123 @@ let test_wire_ring_grows () =
   Alcotest.(check bool) "more than 8 in flight under loss" true
     (run_wire ~loss:0.3 ops > 8)
 
+(* ------------------------------------------------------------------ *)
+(* UDP/IP over a lossy link                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* Kernel-to-kernel UDP/IP over the pair with 16 KB PDUs, as the budget
+   table's two-host fixture. [send bytes] pushes one message, runs the
+   scheduler dry, and says whether the link lost every fragment of it. *)
+type udp_pair = { p : pair; ip2 : Ip.t; send : int -> bool }
+
+let udp_pair ~loss =
+  let p = setup () in
+  let k1 = p.tb1.Testbed.kernel and k2 = p.tb2.Testbed.kernel in
+  let alloc tb k = Testbed.allocator tb ~domains:[ k ] Fbuf.cached_volatile in
+  let frags = ref 0 and lost = ref 0 in
+  let driver =
+    Protocol.create ~name:"osiris-tx" ~dom:k1
+      ~push:(fun pdu ->
+        let dropped = Osiris.pdus_dropped p.ad1 in
+        Osiris.send_pdu p.ad1 ~vci:5 pdu;
+        incr frags;
+        if Osiris.pdus_dropped p.ad1 > dropped then incr lost)
+      ()
+  in
+  let ip1 =
+    Ip.create ~dom:k1 ~below:driver ~header_alloc:(alloc p.tb1 k1)
+      ~pdu_size:16384 ()
+  in
+  let udp1 =
+    Udp.create ~dom:k1 ~below:(Ip.proto ip1) ~header_alloc:(alloc p.tb1 k1)
+      ~dst_port:2000 ()
+  in
+  Osiris.register_path p.ad2 ~vci:5 ~domains:[ k2 ];
+  let ip2 =
+    Ip.create ~dom:k2
+      ~below:(Protocol.create ~name:"null" ~dom:k2 ())
+      ~header_alloc:(alloc p.tb2 k2) ~pdu_size:16384 ()
+  in
+  let udp2 =
+    Udp.create ~dom:k2
+      ~below:(Protocol.create ~name:"null-up" ~dom:k2 ())
+      ~header_alloc:(alloc p.tb2 k2) ()
+  in
+  Ip.set_up ip2 (Udp.proto udp2);
+  let sink = Testproto.sink ~dom:k2 () in
+  Udp.bind udp2 ~port:2000 (Testproto.sink_proto sink);
+  Osiris.set_rx_handler p.ad2 (fun ~vci:_ msg -> (Ip.proto ip2).Protocol.pop msg);
+  Osiris.set_loss_rate p.ad1 loss;
+  let data_alloc = alloc p.tb1 k1 in
+  let send bytes =
+    frags := 0;
+    lost := 0;
+    let msg = Testproto.make_message ~alloc:data_alloc ~as_:k1 ~bytes () in
+    (Udp.proto udp1).Protocol.push msg;
+    Msg.free_held msg ~dom:k1;
+    Des.run p.des;
+    !lost = !frags
+  in
+  { p; ip2; send }
+
+(* [count] messages of [bytes] at [loss], then lossless ones for 1.5 s
+   of simulated time, past IP's 1 s reassembly timeout. Returns the
+   pair, the messages sent and those whose every fragment was lost. *)
+let lossy_udp_run ~bytes ~count ~loss =
+  let u = udp_pair ~loss in
+  let sent = ref 0 and all_lost = ref 0 in
+  let send () =
+    incr sent;
+    if u.send bytes then incr all_lost
+  in
+  for _ = 1 to count do
+    send ()
+  done;
+  Osiris.set_loss_rate u.p.ad1 0.0;
+  let tail_end = Des.now u.p.des +. 1_500_000.0 in
+  while Des.now u.p.des < tail_end do
+    send ()
+  done;
+  (u, !sent, !all_lost)
+
+(* The receiver's free frames and free region chunks once the receive
+   path is torn down: its cache of parked buffers is sized by the most
+   held at once, so only with it gone do the counts show what is still
+   held. *)
+let drained_receiver u =
+  let tb2 = u.p.tb2 in
+  let alloc = Option.get (Osiris.rx_allocator u.p.ad2 ~vci:5) in
+  check Alcotest.int "no receive buffer still held" 0
+    (Allocator.live_fbufs alloc);
+  Allocator.teardown alloc;
+  ( Phys_mem.free_frames tb2.Testbed.m.Machine.pmem,
+    Region.free_chunk_count tb2.Testbed.region )
+
+(* Loss leaves datagrams that cannot complete. Reassembly must expire
+   them and free what they hold, or the receive path runs out of region
+   chunks: without expiry the 64 KB run raised
+   [Region.Chunk_limit_exceeded] within the first few hundred messages,
+   and with up to 8 datagrams open the 1 MB run did. *)
+let check_lossy_reassembly ~bytes ~count () =
+  let u, sent, all_lost = lossy_udp_run ~bytes ~count ~loss:0.1 in
+  let completed = Ip.reassemblies_completed u.ip2
+  and expired = Ip.reassemblies_expired u.ip2 in
+  Alcotest.(check bool) "some datagrams expired" true (expired > 0);
+  check Alcotest.int "completed + expired = sent - lost whole"
+    (sent - all_lost) (completed + expired);
+  check Alcotest.int "expiries counted" expired
+    (Stats.get u.p.tb2.Testbed.m.Machine.stats "ip.reasm_expired");
+  let lossy = drained_receiver u in
+  let clean, clean_sent, _ = lossy_udp_run ~bytes ~count ~loss:0.0 in
+  check Alcotest.int "lossless: every datagram completes" clean_sent
+    (Ip.reassemblies_completed clean.ip2);
+  check Alcotest.int "lossless: nothing expires" 0
+    (Ip.reassemblies_expired clean.ip2);
+  check
+    Alcotest.(pair int int)
+    "free frames and region chunks as after a lossless run"
+    (drained_receiver clean) lossy
+
 let () =
   let tc = Alcotest.test_case in
   Alcotest.run "netdev"
@@ -466,5 +586,12 @@ let () =
           tc "contended cap" `Quick test_link_respects_contended_cap;
           tc "cell accounting" `Quick test_cell_accounting;
           tc "dma unblocks sender" `Quick test_dma_unblocks_sender_cpu;
+        ] );
+      ( "loss",
+        [
+          tc "64 KB messages at 10% loss" `Quick
+            (check_lossy_reassembly ~bytes:65536 ~count:1000);
+          tc "1 MB messages at 10% loss" `Quick
+            (check_lossy_reassembly ~bytes:1048576 ~count:60);
         ] );
     ]

@@ -418,11 +418,12 @@ let test_tlb_defer_cancel_drain () =
    model. Three asids and 64 vpns give 192 tags, so probe runs collide
    in the open-addressed table; a round has up to 200 steps, 70% of them
    defers, so long rounds queue more than 64 tags and grow the table
-   past its first capacity. Every step
-   compares the count, each tag's membership and each recorded word
-   (read back as a Pmap translation) with the model; each round ends in
-   a drain over a TLB holding every tag, which must invalidate exactly
-   the queued ones and leave the queue empty. *)
+   past its first capacity, and the key list past its first 16. Every
+   step compares the count, each tag's membership and each recorded
+   word (read back as a Pmap translation) with the model, and the tags
+   [iter_pending] visits with the model's; each round ends in a drain
+   over a TLB holding every tag, which must invalidate exactly the
+   queued ones and leave the queue empty. *)
 type queue_op =
   | Defer of int * int * int * bool (* asid, vpn, frame, writable *)
   | Cancel of int * int
@@ -438,10 +439,13 @@ let show_queue_op = function
   | Find (a, v) -> Printf.sprintf "find(%d,%d)" a v
   | Covers (a, v) -> Printf.sprintf "covers(%d,%d)" a v
 
+(* A round draws its vpns from all 64 or from the first 4: the narrow
+   rounds defer, cancel and defer the same 12 tags again and again, so
+   a cancelled tag is queued again while its key is still listed. *)
 let gen_queue_rounds =
   let open QCheck.Gen in
-  let asid = oneofl queue_asids and vpn = int_bound (queue_vpns - 1) in
-  let op =
+  let asid = oneofl queue_asids in
+  let op vpn =
     frequency
       [
         ( 14,
@@ -453,7 +457,11 @@ let gen_queue_rounds =
         (1, map (fun (a, v) -> Covers (a, v)) (pair asid vpn));
       ]
   in
-  list_size (int_range 1 4) (list_size (int_range 0 200) op)
+  let round =
+    oneofl [ queue_vpns; 4 ] >>= fun width ->
+    list_size (int_range 0 200) (op (int_bound (width - 1)))
+  in
+  list_size (int_range 1 4) round
 
 let arb_queue_rounds =
   QCheck.make gen_queue_rounds
@@ -469,6 +477,19 @@ let prop_pending_queue rounds =
     if Tlb.pending_count t <> Hashtbl.length model then
       QCheck.Test.fail_reportf "count %d, model %d" (Tlb.pending_count t)
         (Hashtbl.length model);
+    (* The audit's walk visits each queued tag once, with its word. *)
+    let walked = ref [] in
+    Tlb.iter_pending t (fun ~asid ~vpn ~pte ->
+        walked := (asid, vpn, pte) :: !walked);
+    let queued =
+      Hashtbl.fold
+        (fun (a, v) (f, w) acc ->
+          (a, v, Fbufs_vm.Pmap.encode ~frame:f ~writable:w) :: acc)
+        model []
+    in
+    if List.sort compare !walked <> List.sort compare queued then
+      QCheck.Test.fail_reportf "iter_pending walked %d tags, model has %d"
+        (List.length !walked) (List.length queued);
     List.iter
       (fun a ->
         for v = 0 to queue_vpns - 1 do
